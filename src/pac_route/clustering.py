@@ -3,18 +3,22 @@
 In one dimension the optimal k-means clusters are contiguous runs of the
 sorted values, so the exact optimum is found by dynamic programming over
 prefix sums; no Lloyd iterations and no restarts, hence fully deterministic.
+The optimal start of the last cluster is monotone in the prefix end, so each
+cluster-count layer of the program is a divide and conquer over that split,
+O(k n log n) in all, with ties broken toward the earliest split.
 A fitted partition is stored as ascending centroids with midpoint boundaries
 and doubles as a group assigner for calibration and routing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac
+from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
 from .records import ResolvedRecord
 from .seeding import substream
@@ -82,14 +86,23 @@ class ClusterConfig:
 
 
 def kmeans_1d(values, k: int) -> Partition:
-    """Globally optimal k-means of scalar values, by DP over the sorted order.
+    """Globally optimal k-means of scalar values, over the sorted order.
 
     Requires 1 <= k <= number of distinct values.  Cluster costs come from
-    prefix sums; ties in the DP break toward the earliest split, so the result
-    is deterministic.
+    prefix sums.  Layer c holds, for every prefix end j, the best cost of
+    splitting the first j points into c clusters; the leftmost optimal start
+    of the last cluster never decreases as j grows, so each layer is a divide
+    and conquer over that split (Gronlund et al., arXiv:1701.07204), run one
+    recursion level at a time with all pending prefix ends of a level handled
+    in a few array operations.  That is O(k n log n) time and O(k n) memory.
+    Ties break toward the earliest split, so the result is deterministic.
+    Values spread over less than about 1e-6 leave the prefix-sum costs at
+    rounding level; there the partition is optimal only up to that rounding.
     """
     xs = np.sort(np.asarray(values, dtype=float))
     n = len(xs)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("values must be finite")
     n_distinct = len(np.unique(xs))
     if not 1 <= k <= n_distinct:
         raise ValueError(f"k must lie in [1, {n_distinct}] for {n_distinct} distinct values")
@@ -97,7 +110,7 @@ def kmeans_1d(values, k: int) -> Partition:
     p2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
 
     def seg_cost(i, j):
-        # within-cluster sum of squares of xs[i:j]; i may be an array
+        # within-cluster sum of squares of xs[i:j]; i and j may be arrays
         s = p1[j] - p1[i]
         q = p2[j] - p2[i]
         return q - s * s / (j - i)
@@ -108,12 +121,29 @@ def kmeans_1d(values, k: int) -> Partition:
     splits = np.zeros((k, n + 1), dtype=int)
     for c in range(2, k + 1):
         nxt = np.full(n + 1, np.inf)
-        for j in range(c, n + 1):
-            i = np.arange(c - 1, j)
-            total = best[i] + seg_cost(i, j)
-            pick = int(np.argmin(total))
-            nxt[j] = total[pick]
-            splits[c - 1, j] = pick + c - 1
+        # pending subproblems: prefix ends [j_lo, j_hi], split candidates [o_lo, o_hi]
+        j_lo = np.array([c])
+        j_hi = np.array([n])
+        o_lo = np.array([c - 1])
+        o_hi = np.array([n - 1])
+        while len(j_lo):
+            mid = (j_lo + j_hi) // 2
+            width = np.minimum(mid - 1, o_hi) - o_lo + 1
+            starts = np.cumsum(width) - width
+            i = np.arange(width.sum()) - np.repeat(starts - o_lo, width)
+            total = best[i] + seg_cost(i, np.repeat(mid, width))
+            low = np.minimum.reduceat(total, starts)
+            hits = np.flatnonzero(total == np.repeat(low, width))
+            first = hits[np.searchsorted(hits, starts)]
+            pick = i[first]
+            nxt[mid] = low
+            splits[c - 1, mid] = pick
+            left = j_lo < mid
+            right = mid < j_hi
+            j_lo = np.concatenate([j_lo[left], mid[right] + 1])
+            j_hi = np.concatenate([mid[left] - 1, j_hi[right]])
+            o_lo = np.concatenate([o_lo[left], pick[right]])
+            o_hi = np.concatenate([pick[left], o_hi[right]])
         best = nxt
 
     cuts = [n]
@@ -129,7 +159,7 @@ def kmeans_1d(values, k: int) -> Partition:
 
 def assign_group(partition: Partition, uncertainty: float) -> int:
     """Index of the nearest centroid; a score on a boundary takes the lower index."""
-    return int(np.searchsorted(partition.boundaries, uncertainty, side="left"))
+    return bisect_left(partition.boundaries, uncertainty)
 
 
 def partition_gap(assignments_a, assignments_b, k: int) -> float:
@@ -180,10 +210,16 @@ def calibrate_cpac(
         cal_side = list(records)
         offset = cluster_config.joint_slack
     partition = kmeans_1d([r.uncertainty for r in cluster_side], cluster_config.k)
-    return calibrate_gpac(
+    policy, report = calibrate_gpac(
         cal_side, partition, epsilon, est_config,
         mode="cpac", n_min=n_min, ucb_offset=offset,
     )
+    stamp = config_hash(
+        est_config, mode="cpac", epsilon=epsilon, n_min=n_min, ucb_offset=offset,
+        k=cluster_config.k, cluster_mode=cluster_config.mode,
+        split_fraction=cluster_config.split_fraction, cluster_seed=cluster_config.seed,
+    )
+    return replace(policy, config_hash=stamp), report
 
 
 __all__ = [

@@ -33,7 +33,10 @@ def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
             unknown += 1
     if "id" not in known or "uncertainty" not in known:
         raise ValueError(f"{source}: record needs at least id and uncertainty")
-    return Record(**known), unknown
+    try:
+        return Record(**known), unknown
+    except TypeError as exc:
+        raise ValueError(f"{source}: field of the wrong type: {exc}") from exc
 
 
 def read_records_jsonl(path) -> tuple[list[Record], int]:

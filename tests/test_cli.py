@@ -80,6 +80,16 @@ def test_calibrate_cpac(tmp_path, records_file):
     assert len(data["assigner"]["centroids"]) == 2
 
 
+def test_calibrate_cpac_hash_tracks_cluster_settings(tmp_path, records_file):
+    hashes = set()
+    for k, mode in (("2", "split"), ("3", "split"), ("3", "joint")):
+        out = tmp_path / f"policy_{k}_{mode}.json"
+        assert main(["calibrate", "--records", records_file, "--mode", "cpac",
+                     "--k", k, "--cluster-mode", mode, *EPS, "--out", str(out)]) == 0
+        hashes.add(json.loads(out.read_text())["provenance"]["config_hash"])
+    assert len(hashes) == 3
+
+
 def test_calibrate_cpac_needs_k(tmp_path, records_file):
     out = tmp_path / "policy.json"
     assert main(["calibrate", "--records", records_file, "--mode", "cpac",
@@ -157,6 +167,22 @@ def test_usage_error_exits_two(records_file):
     assert info.value.code == 2
 
 
+WRONG_TYPED_ROWS = (
+    {"id": "r0", "uncertainty": [1], "loss": 0.0, "group_label": "easy"},
+    {"id": "r0", "uncertainty": 0.5, "loss": 0.0, "group_label": "easy",
+     "tokens_thinking": "x"},
+)
+
+
+@pytest.mark.parametrize("row", WRONG_TYPED_ROWS, ids=["uncertainty", "tokens"])
+def test_calibrate_wrong_typed_field_is_an_input_error(tmp_path, capsys, row):
+    path = write_jsonl(tmp_path / "r.jsonl", labeled_rows(15) + [row])
+    out = tmp_path / "p.json"
+    assert main(["calibrate", "--records", path, *EPS, "--out", str(out)]) == 2
+    assert f"{path}:31" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- route
 
 
@@ -169,6 +195,16 @@ def test_route_writes_decisions(tmp_path, records_file, policy_file, capsys):
     assert set(lines[0]) == {"id", "group_key", "action"}
     assert all(l["action"] in ("cheap", "think") for l in lines)
     assert "cheap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row", WRONG_TYPED_ROWS, ids=["uncertainty", "tokens"])
+def test_route_wrong_typed_field_is_an_input_error(tmp_path, policy_file, capsys, row):
+    path = write_jsonl(tmp_path / "r.jsonl", [row])
+    out = tmp_path / "d.jsonl"
+    assert main(["route", "--policy", policy_file, "--records", path,
+                 "--out", str(out)]) == 2
+    assert f"{path}:1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_route_rejects_other_policy_versions(tmp_path, records_file, policy_file):

@@ -53,6 +53,41 @@ def dp_sse(xs, k):
     return cost
 
 
+def _kmeans_1d_reference(values, k):
+    # oracle: the O(k n^2) dynamic program that scores every split of every
+    # prefix end with kmeans_1d's arithmetic; argmin keeps the earliest tie
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = len(xs)
+    p1 = np.concatenate([[0.0], np.cumsum(xs)])
+    p2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
+
+    def seg_cost(i, j):
+        s = p1[j] - p1[i]
+        q = p2[j] - p2[i]
+        return q - s * s / (j - i)
+
+    best = seg_cost(0, np.arange(n + 1).clip(1))
+    best[0] = 0.0
+    splits = np.zeros((k, n + 1), dtype=int)
+    for c in range(2, k + 1):
+        nxt = np.full(n + 1, np.inf)
+        for j in range(c, n + 1):
+            i = np.arange(c - 1, j)
+            total = best[i] + seg_cost(i, j)
+            pick = int(np.argmin(total))
+            nxt[j] = total[pick]
+            splits[c - 1, j] = pick + c - 1
+        best = nxt
+    cuts = [n]
+    for c in range(k, 1, -1):
+        cuts.append(int(splits[c - 1, cuts[-1]]))
+    cuts.append(0)
+    cuts.reverse()
+    return tuple(
+        float((p1[cuts[i + 1]] - p1[cuts[i]]) / (cuts[i + 1] - cuts[i])) for i in range(k)
+    )
+
+
 # ----------------------------------------------------------------- kmeans
 
 
@@ -83,6 +118,12 @@ def test_kmeans_k_out_of_range():
         kmeans_1d([0.1, 0.5], 0)
 
 
+def test_kmeans_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            kmeans_1d([0.1, bad, 0.5, 0.9], 2)
+
+
 def test_kmeans_matches_exhaustive_search():
     rng = np.random.default_rng(404)
     for _ in range(60):
@@ -92,6 +133,22 @@ def test_kmeans_matches_exhaustive_search():
             continue
         k = int(rng.integers(1, len(np.unique(xs)) + 1))
         assert dp_sse(xs, k) == pytest.approx(brute_force_sse(xs, k), abs=1e-9)
+
+
+def test_kmeans_matches_the_quadratic_dp_exactly():
+    # uniform, rounded to 2 decimals (ties), and only 2-6 distinct values
+    rng = np.random.default_rng(2011)
+    for case in range(1200):
+        n = int(rng.integers(2, 301))
+        shape = case % 3
+        if shape == 0:
+            xs = rng.uniform(0, 1, n)
+        elif shape == 1:
+            xs = np.round(rng.uniform(0, 1, n), 2)
+        else:
+            xs = rng.choice(rng.uniform(0, 1, int(rng.integers(2, 7))), n)
+        k = int(rng.integers(1, min(8, len(np.unique(xs))) + 1))
+        assert kmeans_1d(xs, k).centroids == _kmeans_1d_reference(xs, k), (case, n, k)
 
 
 def test_kmeans_is_order_insensitive():
@@ -120,6 +177,19 @@ def test_assignment_ties_go_to_the_lower_cluster():
     assert assign_group(part, 0.50001) == 1
     assert assign_group(part, 0.0) == 0
     assert assign_group(part, 1.0) == 1
+
+
+def test_assignment_matches_searchsorted_left():
+    rng = np.random.default_rng(77)
+    for k in range(1, 9):
+        centroids = np.sort(rng.choice(np.arange(1, 100) / 100, k, replace=False))
+        part = Partition.from_centroids(centroids)
+        scores = np.concatenate([rng.uniform(0, 1, 200), part.boundaries, [0.0, 1.0]])
+        for u in scores:
+            expect = int(np.searchsorted(part.boundaries, u, side="left"))
+            assert assign_group(part, float(u)) == expect
+        for i, b in enumerate(part.boundaries):
+            assert assign_group(part, b) == i
 
 
 def test_intervals_tile_the_unit_range():

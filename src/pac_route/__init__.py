@@ -51,7 +51,10 @@ from .evaluation import MetricsReport, error_gap, evaluate, stp, trial_error
 from .io import load_records, write_records_jsonl
 from .records import (
     LossSpec,
+    MissingTokensError,
+    NoRecordsError,
     Record,
+    RecordTable,
     ResolvedRecord,
     binary_loss,
     cosine_loss,
@@ -75,7 +78,8 @@ from .simulation import (
 __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
-    "Record", "ResolvedRecord", "LossSpec", "default_loss_spec",
+    "Record", "ResolvedRecord", "RecordTable", "LossSpec", "default_loss_spec",
+    "NoRecordsError", "MissingTokensError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",
     "draw_z_samples", "candidate_grid", "ucb_clt", "ucb_hoeffding",

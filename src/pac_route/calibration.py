@@ -11,6 +11,12 @@ that group goes to the thinking model, which trivially satisfies the
 tolerance.  At routing time a score equal to the threshold goes to the cheap
 model, and any input whose group cannot be resolved goes to the thinking
 model.
+
+Calibration runs on a :class:`~pac_route.records.RecordTable`.  Every
+assigner maps a whole table to integer group codes in one call (`assign`),
+calibration buckets rows by that code, and each group's table is a `take`
+of its rows in their original order.  `resolve` is the same mapping for one
+input, used by `route`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from .records import ResolvedRecord
+from .records import NO_LABEL, NoRecordsError, RecordTable, ResolvedRecord
 from .seeding import substream
 
 POLICY_VERSION = "pac-route/1"
@@ -54,6 +60,10 @@ class TrivialAssigner:
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
         return GROUP_ALL
+
+    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[GroupKey, ...]]:
+        """Group code of every row (an index into the returned keys; -1 = none)."""
+        return np.zeros(len(table), dtype=np.int64), (GROUP_ALL,)
 
     def known_keys(self) -> tuple[GroupKey, ...] | None:
         return (GROUP_ALL,)
@@ -80,6 +90,22 @@ class LabelAssigner:
         if self.labels and group_label not in self.labels:
             return None
         return group_label
+
+    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[GroupKey, ...]]:
+        """Group code of every row (an index into the returned keys; -1 = none).
+
+        The open form's keys are the labels present, in first-appearance order.
+        """
+        keys = self.labels
+        if not keys:
+            present, first = np.unique(table.label_code[table.label_code != NO_LABEL], return_index=True)
+            keys = tuple(table.labels[c] for c in present[np.argsort(first)])
+        code_of: dict[str, int] = {}
+        for code, key in enumerate(keys):
+            code_of.setdefault(key, code)
+        # the appended -1 is where a row without a label (code NO_LABEL) lands
+        lookup = np.array([code_of.get(label, -1) for label in table.labels] + [-1], dtype=np.int64)
+        return lookup[table.label_code], keys
 
     def known_keys(self) -> tuple[GroupKey, ...] | None:
         return self.labels if self.labels else None
@@ -113,6 +139,8 @@ class GroupThreshold:
     def from_dict(cls, data: dict) -> "GroupThreshold":
         raw = data["threshold"]
         threshold = None if raw == "always_think" else float(raw)
+        if threshold is not None and not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"group {data['group_key']!r}: threshold {threshold} outside [0, 1]")
         ucb = data.get("ucb")
         return cls(
             group_key=data["group_key"],
@@ -159,13 +187,22 @@ class RoutingPolicy:
             raise PolicyVersionError(
                 f"unsupported policy version {version!r}; this build speaks {POLICY_VERSION}"
             )
+        assigner = assigner_from_dict(data["assigner"])
+        thresholds = tuple(GroupThreshold.from_dict(t) for t in data["thresholds"])
+        keys = [t.group_key for t in thresholds]
+        if len(set(keys)) != len(keys):
+            raise ValueError("policy lists a group key more than once")
+        known = assigner.known_keys()
+        unknown = [k for k in keys if known is not None and k not in known]
+        if unknown:
+            raise ValueError(f"policy thresholds name groups its assigner does not know: {unknown}")
         return cls(
             mode=data["mode"],
             epsilon=float(data["epsilon"]),
             alpha=float(data["alpha"]),
             seed=int(data["seed"]),
-            assigner=assigner_from_dict(data["assigner"]),
-            thresholds=tuple(GroupThreshold.from_dict(t) for t in data["thresholds"]),
+            assigner=assigner,
+            thresholds=thresholds,
             config_hash=data.get("provenance", {}).get("config_hash", ""),
         )
 
@@ -182,7 +219,11 @@ class RouteDecision:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-group diagnostics from a calibration run, for humans and plots."""
+    """Per-group diagnostics from a calibration run, for humans and plots.
+
+    Each group entry is its threshold's dict plus, for a sampled group, its
+    bound curve under "curve", kept as a UcbCurve until `to_dict`.
+    """
 
     groups: tuple[dict, ...]
     n_total: int
@@ -190,10 +231,18 @@ class CalibrationReport:
 
     def to_dict(self) -> dict:
         return {
-            "groups": list(self.groups),
+            "groups": [_entry_to_dict(entry) for entry in self.groups],
             "n_total": self.n_total,
             "n_unresolved": self.n_unresolved,
         }
+
+
+def _entry_to_dict(entry: dict) -> dict:
+    curve = entry.get("curve")
+    if curve is None:
+        return dict(entry)
+    lists = {"candidates": curve.candidates.tolist(), "mean": curve.mean.tolist(), "ucb": curve.ucb.tolist()}
+    return {**entry, "curve": lists}
 
 
 def assigner_from_dict(data: dict):
@@ -210,7 +259,7 @@ def assigner_from_dict(data: dict):
 
 
 def calibrate_group(
-    records_j: Sequence[ResolvedRecord],
+    records_j: RecordTable | Sequence[ResolvedRecord],
     epsilon: float,
     config: EstimatorConfig,
     rng: np.random.Generator,
@@ -226,6 +275,7 @@ def calibrate_group(
     """
     if not epsilon > 0:
         raise ValueError("tolerance epsilon must be positive")
+    records_j = RecordTable.of(records_j)
     n = len(records_j)
     if n < n_min:
         return GroupThreshold(group_key, None, None, n), None
@@ -249,7 +299,7 @@ def calibrate_group(
 
 
 def calibrate_gpac(
-    records: Sequence[ResolvedRecord],
+    records: RecordTable | Sequence[ResolvedRecord],
     assigner,
     epsilon: float,
     config: EstimatorConfig,
@@ -266,40 +316,28 @@ def calibrate_gpac(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    buckets: dict[GroupKey, list[ResolvedRecord]] = {}
-    n_unresolved = 0
-    for r in records:
-        key = assigner.resolve(r.group_label, r.uncertainty)
-        if key is None:
-            n_unresolved += 1
-            continue
-        buckets.setdefault(key, []).append(r)
-    if not buckets:
-        raise ValueError("no record resolves to any group; nothing to calibrate")
+    table = RecordTable.of(records)
+    codes, keys = assigner.assign(table)
+    n_unresolved = int(np.count_nonzero(codes < 0))
+    if n_unresolved == len(table):
+        raise NoRecordsError("no record resolves to any group; nothing to calibrate")
 
-    known = assigner.known_keys()
-    keys = list(known) if known is not None else list(buckets)
     thresholds = []
     group_entries = []
-    for key in keys:
-        group_records = buckets.get(key, [])
+    for code, key in enumerate(keys):
         rng = substream(config.seed, "calibrate", key)
         threshold, curve = calibrate_group(
-            group_records, epsilon, config, rng,
+            table.take(np.flatnonzero(codes == code)), epsilon, config, rng,
             group_key=key, n_min=n_min, ucb_offset=ucb_offset,
         )
         thresholds.append(threshold)
         entry = threshold.to_dict()
         if curve is not None:
-            entry["curve"] = {
-                "candidates": [float(c) for c in curve.candidates],
-                "mean": [float(v) for v in curve.mean],
-                "ucb": [float(v) for v in curve.ucb],
-            }
+            entry["curve"] = curve
         group_entries.append(entry)
 
     if isinstance(assigner, LabelAssigner) and not assigner.labels:
-        assigner = LabelAssigner(labels=tuple(keys))
+        assigner = LabelAssigner(labels=keys)
     policy = RoutingPolicy(
         mode=mode,
         epsilon=epsilon,
@@ -310,7 +348,7 @@ def calibrate_gpac(
         config_hash=config_hash(config, mode=mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset),
     )
     report = CalibrationReport(
-        groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
+        groups=tuple(group_entries), n_total=len(table), n_unresolved=n_unresolved
     )
     return policy, report
 

@@ -32,7 +32,13 @@ from .clustering import ClusterConfig, calibrate_cpac, kmeans_1d
 from .estimator import EstimatorConfig
 from .evaluation import evaluate
 from .io import atomic_write_json, atomic_write_text, load_records
-from .records import LossSpec, default_loss_spec, resolve_loss
+from .records import (
+    LossSpec,
+    MissingTokensError,
+    NoRecordsError,
+    default_loss_spec,
+    resolve_loss,
+)
 from .simulation import coverage_experiment, load_spec
 
 EXIT_OK = 0
@@ -141,11 +147,10 @@ def cmd_calibrate(args) -> int:
             policy, report = calibrate_gpac(
                 records, assigner, args.epsilon, config, mode=args.mode, n_min=args.n_min
             )
+    except NoRecordsError as exc:
+        raise _fail(EXIT_NO_RECORDS, str(exc)) from exc
     except ValueError as exc:
-        message = str(exc)
-        if "resolves" in message:
-            raise _fail(EXIT_NO_RECORDS, message) from exc
-        raise _fail(EXIT_BAD_PARAM, message) from exc
+        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
     save_policy(policy, args.out)
     if args.report:
         atomic_write_json(report.to_dict(), args.report)
@@ -183,11 +188,10 @@ def cmd_evaluate(args) -> int:
         report = evaluate(
             records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp
         )
+    except MissingTokensError as exc:
+        raise _fail(EXIT_MISSING_TOKENS, str(exc)) from exc
     except ValueError as exc:
-        message = str(exc)
-        if "tokens" in message or "STP" in message:
-            raise _fail(EXIT_MISSING_TOKENS, message) from exc
-        raise _fail(EXIT_INPUT, message) from exc
+        raise _fail(EXIT_INPUT, str(exc)) from exc
     atomic_write_json(report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")
     if report.stp is not None:

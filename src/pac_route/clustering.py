@@ -13,6 +13,7 @@ and doubles as a group assigner for calibration and routing.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
-from .records import ResolvedRecord
+from .records import RecordTable, ResolvedRecord
 from .seeding import substream
 
 CLUSTER_MODES = ("split", "joint")
@@ -53,6 +54,10 @@ class Partition:
 
     def resolve(self, group_label: str | None, uncertainty: float) -> int:
         return assign_group(self, uncertainty)
+
+    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Cluster index of every row; a score on a boundary takes the lower index."""
+        return np.searchsorted(self.boundaries, table.uncertainty, side="left"), self.known_keys()
 
     def known_keys(self) -> tuple[int, ...]:
         return tuple(range(self.k))
@@ -182,7 +187,7 @@ def partition_gap(assignments_a, assignments_b, k: int) -> float:
 
 
 def calibrate_cpac(
-    records: list[ResolvedRecord],
+    records: RecordTable | Sequence[ResolvedRecord],
     cluster_config: ClusterConfig,
     epsilon: float,
     est_config: EstimatorConfig,
@@ -197,19 +202,19 @@ def calibrate_cpac(
     mode reuses all records for both stages and adds joint_slack to every
     bound before threshold selection to pay for the reuse.
     """
+    table = RecordTable.of(records)
     if cluster_config.mode == "split":
-        order = substream(cluster_config.seed, "split").permutation(len(records))
-        n_cluster = int(len(records) * cluster_config.split_fraction)
-        if n_cluster < 1 or n_cluster >= len(records):
+        order = substream(cluster_config.seed, "split").permutation(len(table))
+        n_cluster = int(len(table) * cluster_config.split_fraction)
+        if n_cluster < 1 or n_cluster >= len(table):
             raise ValueError("split leaves an empty clustering or calibration side")
-        cluster_side = [records[i] for i in order[:n_cluster]]
-        cal_side = [records[i] for i in order[n_cluster:]]
+        cluster_side = table.take(order[:n_cluster])
+        cal_side = table.take(order[n_cluster:])
         offset = 0.0
     else:
-        cluster_side = list(records)
-        cal_side = list(records)
+        cluster_side = cal_side = table
         offset = cluster_config.joint_slack
-    partition = kmeans_1d([r.uncertainty for r in cluster_side], cluster_config.k)
+    partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
     policy, report = calibrate_gpac(
         cal_side, partition, epsilon, est_config,
         mode="cpac", n_min=n_min, ucb_offset=offset,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import ResolvedRecord
+from .records import RecordTable, ResolvedRecord
 
 METHODS = ("clt", "hoeffding")
 
@@ -88,11 +88,14 @@ class UcbCurve:
             raise ValueError("candidates must be strictly ascending")
 
 
-def pi_weights(config: EstimatorConfig, records: Sequence[ResolvedRecord]) -> np.ndarray:
+def pi_weights(
+    config: EstimatorConfig, records: RecordTable | Sequence[ResolvedRecord]
+) -> np.ndarray:
     """Per-record sampling weights for `records` under `config.pi`."""
+    records = RecordTable.of(records)
     if isinstance(config.pi, Mapping):
         try:
-            w = np.array([float(config.pi[r.id]) for r in records])
+            w = np.array([float(config.pi[i]) for i in records.ids])
         except KeyError as exc:
             raise ValueError(f"no sampling weight for record id {exc.args[0]!r}") from None
     else:
@@ -110,17 +113,19 @@ def sample_count(config: EstimatorConfig, n: int, pi_min: float) -> int:
 
 
 def draw_z_samples(
-    records: Sequence[ResolvedRecord], config: EstimatorConfig, rng: np.random.Generator
+    records: RecordTable | Sequence[ResolvedRecord],
+    config: EstimatorConfig,
+    rng: np.random.Generator,
 ) -> ZSamples:
     """Draw m importance samples from `records`.
 
     Fully determined by `rng`: the index draw happens first, then one uniform
     per draw for the Bernoulli keep/drop decision.
     """
-    if not records:
+    records = RecordTable.of(records)
+    if not len(records):
         raise ValueError("cannot draw from an empty record pool")
-    losses = np.array([r.loss for r in records], dtype=float)
-    uncertainties = np.array([r.uncertainty for r in records], dtype=float)
+    losses = records.loss
     weights = pi_weights(config, records)
     if losses.min() < 0 or losses.max() > config.bound_B:
         raise ValueError(f"losses must lie in [0, {config.bound_B}]")
@@ -128,17 +133,17 @@ def draw_z_samples(
     idx = rng.integers(0, len(records), size=m)
     keep = rng.random(m) < weights[idx]
     z = np.where(keep, losses[idx] / weights[idx], 0.0)
-    return ZSamples(z=z, u_origin=uncertainties[idx])
+    return ZSamples(z=z, u_origin=records.uncertainty[idx])
 
 
-def candidate_grid(records: Sequence[ResolvedRecord]) -> np.ndarray:
+def candidate_grid(records: RecordTable | Sequence[ResolvedRecord]) -> np.ndarray:
     """Sorted distinct observed uncertainties, with 0.0 prepended if absent.
 
     The estimate and both bounds are step functions that only change at
     observed scores, so this grid is lossless; the 0.0 candidate keeps "route
     nothing observed" expressible as a real threshold.
     """
-    grid = np.unique([r.uncertainty for r in records])
+    grid = np.unique(RecordTable.of(records).uncertainty)
     if len(grid) == 0 or grid[0] > 0.0:
         grid = np.concatenate([[0.0], grid])
     return grid

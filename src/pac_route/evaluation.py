@@ -9,6 +9,12 @@ always thinking, in two accounting styles:
 
     cascade: the cheap model always runs, thinking runs on routed-think inputs;
     router:  exactly one model runs per input.
+
+Every record is routed once.  Routing is deterministic per record, so a
+bootstrap trial resamples those decisions by index rather than routing the
+resample again.  Sums run left to right over the (resampled) records, per
+group through `np.bincount`, so every figure is bit-identical to a loop that
+routes and adds one record at a time.
 """
 
 from __future__ import annotations
@@ -16,11 +22,15 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .calibration import CHEAP, GroupKey, RouteDecision, RoutingPolicy, route
-from .records import ResolvedRecord
+import numpy as np
+
+from .calibration import CHEAP, GroupKey, RoutingPolicy, route
+from .records import MissingTokensError, NoRecordsError, RecordTable, ResolvedRecord
 from .seeding import substream
 
 STP_VARIANTS = ("cascade", "router")
+
+Records = RecordTable | Sequence[ResolvedRecord]
 
 
 @dataclass(frozen=True)
@@ -49,49 +59,98 @@ class MetricsReport:
         }
 
 
-def _decide(records: Sequence[ResolvedRecord], policy: RoutingPolicy) -> list[RouteDecision]:
-    return [
-        route(policy, r.group_label, r.uncertainty, record_id=r.id) for r in records
-    ]
+@dataclass(frozen=True)
+class _Routed:
+    """One decision per record: routed cheap or not, and the group code
+    (an index into keys, numbered in first-appearance order; -1 = unresolved)."""
+
+    cheap: np.ndarray
+    codes: np.ndarray
+    keys: tuple[GroupKey, ...]
 
 
-def trial_error(
-    records: Sequence[ResolvedRecord], policy: RoutingPolicy
+def _route_all(table: RecordTable, policy: RoutingPolicy) -> _Routed:
+    code_of: dict[GroupKey, int] = {}
+    cheap, codes = [], []
+    for label, u, record_id in zip(table.group_labels, table.uncertainty.tolist(), table.ids):
+        d = route(policy, label, u, record_id=record_id)
+        cheap.append(d.action == CHEAP)
+        codes.append(-1 if d.group_key is None else code_of.setdefault(d.group_key, len(code_of)))
+    return _Routed(np.array(cheap, dtype=bool), np.array(codes, dtype=np.int64), tuple(code_of))
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    # left to right, like a running total (np.sum adds pairwise)
+    return float(np.cumsum(values)[-1])
+
+
+def _scored(records: Records, policy: RoutingPolicy) -> tuple[RecordTable, _Routed]:
+    table = RecordTable.of(records)
+    if not len(table):
+        raise NoRecordsError("cannot score an empty record set")
+    return table, _route_all(table, policy)
+
+
+def _trial_error(
+    loss: np.ndarray, routed: _Routed, idx: np.ndarray
 ) -> tuple[float, dict[GroupKey, float]]:
+    """Error and per-group errors of the records at positions idx, in that order."""
+    contribution = np.where(routed.cheap, loss, 0.0)[idx]
+    codes = routed.codes[idx]
+    resolved = codes >= 0
+    grouped = codes[resolved]
+    sums = np.bincount(grouped, weights=contribution[resolved], minlength=len(routed.keys))
+    counts = np.bincount(grouped, minlength=len(routed.keys))
+    present, first = np.unique(grouped, return_index=True)
+    per_group = {
+        routed.keys[c]: float(sums[c]) / int(counts[c]) for c in present[np.argsort(first)]
+    }
+    return _sum_in_order(contribution) / len(contribution), per_group
+
+
+def _group_sizes(routed: _Routed) -> tuple[dict[GroupKey, int], int]:
+    counts = np.bincount(routed.codes[routed.codes >= 0], minlength=len(routed.keys))
+    return (
+        {key: int(count) for key, count in zip(routed.keys, counts)},
+        int(np.count_nonzero(routed.codes < 0)),
+    )
+
+
+def _saved(table: RecordTable, cheap: np.ndarray, variant: str) -> np.ndarray:
+    """Per-record saved-thinking fraction; checks every record's tokens first."""
+    if variant not in STP_VARIANTS:
+        raise ValueError(f"stp variant must be one of {STP_VARIANTS}, got {variant!r}")
+    thinking, cheap_tokens = table.tokens_thinking, table.tokens_cheap
+    missing = np.flatnonzero(np.isnan(thinking) | np.isnan(cheap_tokens))
+    if len(missing):
+        raise MissingTokensError(
+            f"record {table.ids[missing[0]]}: STP needs tokens_thinking and tokens_cheap"
+        )
+    empty = np.flatnonzero(thinking <= 0)
+    if len(empty):
+        raise MissingTokensError(f"record {table.ids[empty[0]]}: tokens_thinking must be positive")
+    if variant == "cascade":
+        spent = cheap_tokens + np.where(cheap, 0.0, thinking)
+    else:
+        spent = np.where(cheap, cheap_tokens, thinking)
+    return 1.0 - spent / thinking
+
+
+def trial_error(records: Records, policy: RoutingPolicy) -> tuple[float, dict[GroupKey, float]]:
     """Mean routed loss over all records, and the same restricted per group.
 
     Records whose group does not resolve are routed to the thinking model;
     they count toward the overall mean but belong to no group bucket, so the
     overall error stays the group-size weighted mean of the group errors.
     """
-    if not records:
-        raise ValueError("cannot score an empty record set")
-    total = 0.0
-    sums: dict[GroupKey, float] = {}
-    counts: dict[GroupKey, int] = {}
-    for r, d in zip(records, _decide(records, policy)):
-        contribution = r.loss if d.action == CHEAP else 0.0
-        total += contribution
-        if d.group_key is not None:
-            sums[d.group_key] = sums.get(d.group_key, 0.0) + contribution
-            counts[d.group_key] = counts.get(d.group_key, 0) + 1
-    per_group = {key: sums[key] / counts[key] for key in sums}
-    return total / len(records), per_group
+    table, routed = _scored(records, policy)
+    return _trial_error(table.loss, routed, np.arange(len(table)))
 
 
-def group_sizes(
-    records: Sequence[ResolvedRecord], policy: RoutingPolicy
-) -> tuple[dict[GroupKey, int], int]:
+def group_sizes(records: Records, policy: RoutingPolicy) -> tuple[dict[GroupKey, int], int]:
     """Resolved-group record counts and the number of unresolvable records."""
-    counts: dict[GroupKey, int] = {}
-    unresolved = 0
-    for r in records:
-        key = policy.assigner.resolve(r.group_label, r.uncertainty)
-        if key is None:
-            unresolved += 1
-        else:
-            counts[key] = counts.get(key, 0) + 1
-    return counts, unresolved
+    table = RecordTable.of(records)
+    return _group_sizes(_route_all(table, policy))
 
 
 def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: float) -> float:
@@ -109,29 +168,14 @@ def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: f
     return sum(max(sums[key] / counts[key] - epsilon, 0.0) for key in sums)
 
 
-def stp(records: Sequence[ResolvedRecord], policy: RoutingPolicy, variant: str) -> float:
+def stp(records: Records, policy: RoutingPolicy, variant: str) -> float:
     """Mean saved-thinking fraction under the chosen accounting (<= 1, may be < 0)."""
-    if variant not in STP_VARIANTS:
-        raise ValueError(f"stp variant must be one of {STP_VARIANTS}, got {variant!r}")
-    if not records:
-        raise ValueError("cannot score an empty record set")
-    saved = 0.0
-    for r, d in zip(records, _decide(records, policy)):
-        if r.tokens_thinking is None or r.tokens_cheap is None:
-            raise ValueError(f"record {r.id}: STP needs tokens_thinking and tokens_cheap")
-        if r.tokens_thinking <= 0:
-            raise ValueError(f"record {r.id}: tokens_thinking must be positive")
-        cheap = d.action == CHEAP
-        if variant == "cascade":
-            spent = r.tokens_cheap + (0 if cheap else r.tokens_thinking)
-        else:
-            spent = r.tokens_cheap if cheap else r.tokens_thinking
-        saved += 1.0 - spent / r.tokens_thinking
-    return saved / len(records)
+    table, routed = _scored(records, policy)
+    return _sum_in_order(_saved(table, routed.cheap, variant)) / len(table)
 
 
 def evaluate(
-    records: Sequence[ResolvedRecord],
+    records: Records,
     policy: RoutingPolicy,
     *,
     trials: int = 1,
@@ -143,25 +187,24 @@ def evaluate(
     With trials > 1 each trial rescores a bootstrap resample of the records
     (drawn from substream (seed, trial index)) and per-group errors are
     averaged across trials before the gap is taken; groups that miss at least
-    one trial are flagged in the report.
+    one trial are flagged in the report.  Token counts are checked for every
+    record before any trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n_per_group, n_unresolved = group_sizes(records, policy)
+    table, routed = _scored(records, policy)
+    saved = None if stp_variant is None else _saved(table, routed.cheap, stp_variant)
+    n = len(table)
     trial_errors = []
     trial_groups: list[dict[GroupKey, float]] = []
     stp_values = []
     for t in range(trials):
-        if trials == 1:
-            sample = list(records)
-        else:
-            idx = substream(seed, "evaluate", t).integers(0, len(records), len(records))
-            sample = [records[i] for i in idx]
-        err, per_group = trial_error(sample, policy)
+        idx = np.arange(n) if trials == 1 else substream(seed, "evaluate", t).integers(0, n, n)
+        err, per_group = _trial_error(table.loss, routed, idx)
         trial_errors.append(err)
         trial_groups.append(per_group)
-        if stp_variant is not None:
-            stp_values.append(stp(sample, policy, stp_variant))
+        if saved is not None:
+            stp_values.append(_sum_in_order(saved[idx]) / n)
     averaged: dict[GroupKey, float] = {}
     appearances: dict[GroupKey, int] = {}
     for per_trial in trial_groups:
@@ -170,6 +213,7 @@ def evaluate(
             appearances[key] = appearances.get(key, 0) + 1
     per_group_error = {key: averaged[key] / appearances[key] for key in averaged}
     flagged = tuple(key for key in per_group_error if appearances[key] < trials)
+    n_per_group, n_unresolved = _group_sizes(routed)
     return MetricsReport(
         error=sum(trial_errors) / trials,
         per_group_error=per_group_error,

@@ -4,14 +4,17 @@ Records travel as JSONL (one object per line, embeddings as arrays) or CSV
 (header row, no embedding columns).  Fields we do not know are ignored; the
 loaders return how many such fields they skipped so callers can surface a
 warning.  All output files are written to a temporary sibling and renamed
-into place, so a failed run never leaves a partial file behind.
+into place, so a failed run never leaves a partial file behind, and two runs
+writing one path at once each leave it whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,6 +24,9 @@ _RECORD_FIELDS = tuple(f.name for f in fields(Record))
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
+# mkstemp creates files owner-only; outputs get the mode a plain open() would give
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
@@ -116,11 +122,22 @@ def write_records_jsonl(records, path) -> None:
 
 
 def atomic_write_text(text: str, path) -> None:
+    """Write `text` to a fresh temporary file beside `path`, fsync it, and
+    rename it into place.  Each call has its own temporary file, so concurrent
+    writers never collide; the last rename wins whole."""
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def atomic_write_json(data, path) -> None:

@@ -1,18 +1,36 @@
-"""Core record types and loss functions.
+"""Core record types, the columnar record table and loss functions.
 
 A record describes one input that was answered by both the expensive
 "thinking" model and the cheap "non-thinking" model.  The loss of the cheap
 route is measured relative to the thinking route and can either be supplied
 precomputed, derived from answer strings (binary), or derived from answer
 embeddings (cosine distance).
+
+Records are read and resolved one at a time, at the I/O boundary.  The
+calibration, evaluation and simulation loops run on a :class:`RecordTable`:
+the same resolved records as aligned numpy columns, validated once when the
+table is built.  Those loops accept either form and coerce a sequence of
+records with :meth:`RecordTable.of` on entry.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 LOSS_KINDS = ("precomputed", "binary", "cosine")
+NO_LABEL = -1
+
+
+class NoRecordsError(ValueError):
+    """There is nothing to work on: no records, or none resolves to a group."""
+
+
+class MissingTokensError(ValueError):
+    """Saved-thinking accounting needs token counts that some record lacks."""
 
 
 @dataclass(frozen=True)
@@ -139,21 +157,104 @@ def resolve_loss(record: Record, spec: LossSpec) -> ResolvedRecord:
     return ResolvedRecord(**data)
 
 
-def with_loss(record: Record, loss: float) -> ResolvedRecord:
-    """ResolvedRecord copy of `record` carrying `loss` (no bound check)."""
-    data = {f.name: getattr(record, f.name) for f in fields(Record)}
-    data["loss"] = loss
-    return ResolvedRecord(**data)
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Resolved records as aligned columns, one row per record.
+
+    label_code indexes `labels` (NO_LABEL = no group label); a missing token
+    count is NaN.  The columns are checked once, here, so code reading them
+    needs no per-record validation.
+    """
+
+    ids: np.ndarray
+    uncertainty: np.ndarray
+    loss: np.ndarray
+    label_code: np.ndarray
+    labels: tuple[str, ...]
+    tokens_thinking: np.ndarray
+    tokens_cheap: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ids)
+        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=object))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, dtype in (("uncertainty", float), ("loss", float), ("label_code", np.int64),
+                            ("tokens_thinking", float), ("tokens_cheap", float)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(f"column {name} must be 1-d with one entry per id")
+            object.__setattr__(self, name, column)
+        u = self.uncertainty
+        if not np.all((u >= 0.0) & (u <= 1.0)):
+            raise ValueError("uncertainties must lie in [0, 1]")
+        if not np.all(np.isfinite(self.loss)):
+            raise ValueError("resolved losses must be finite")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("the label vocabulary must not repeat a label")
+        if n and not NO_LABEL <= self.label_code.min() <= self.label_code.max() < len(self.labels):
+            raise ValueError("label codes must index the label vocabulary")
+        if np.any(self.tokens_thinking < 0) or np.any(self.tokens_cheap < 0):
+            raise ValueError("token counts must be non-negative")
+
+    @classmethod
+    def from_records(cls, records: Sequence[ResolvedRecord]) -> "RecordTable":
+        """Columns of `records`; the label vocabulary is in first-appearance order."""
+        vocab: dict[str, int] = {}
+        codes = [
+            NO_LABEL if r.group_label is None else vocab.setdefault(r.group_label, len(vocab))
+            for r in records
+        ]
+
+        def tokens(name):
+            return [math.nan if getattr(r, name) is None else getattr(r, name) for r in records]
+
+        return cls(
+            ids=np.array([r.id for r in records], dtype=object),
+            uncertainty=[r.uncertainty for r in records],
+            loss=[math.nan if r.loss is None else r.loss for r in records],
+            label_code=codes,
+            labels=tuple(vocab),
+            tokens_thinking=tokens("tokens_thinking"),
+            tokens_cheap=tokens("tokens_cheap"),
+        )
+
+    @classmethod
+    def of(cls, records: "RecordTable | Sequence[ResolvedRecord]") -> "RecordTable":
+        """`records` itself if it is a table, else its columns."""
+        return records if isinstance(records, cls) else cls.from_records(records)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, idx) -> "RecordTable":
+        """The rows at integer positions `idx`, in that order."""
+        return RecordTable(
+            ids=self.ids[idx],
+            uncertainty=self.uncertainty[idx],
+            loss=self.loss[idx],
+            label_code=self.label_code[idx],
+            labels=self.labels,
+            tokens_thinking=self.tokens_thinking[idx],
+            tokens_cheap=self.tokens_cheap[idx],
+        )
+
+    @property
+    def group_labels(self) -> np.ndarray:
+        """Each row's group label, None where it has none (an object array)."""
+        return np.array(self.labels + (None,), dtype=object)[self.label_code]
 
 
 __all__ = [
     "LOSS_KINDS",
+    "NO_LABEL",
+    "NoRecordsError",
+    "MissingTokensError",
     "Record",
     "ResolvedRecord",
+    "RecordTable",
     "LossSpec",
     "default_loss_spec",
     "binary_loss",
     "cosine_loss",
     "resolve_loss",
-    "with_loss",
 ]

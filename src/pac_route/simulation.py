@@ -11,6 +11,7 @@ held.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ from .calibration import (
 )
 from .clustering import ClusterConfig, Partition, calibrate_cpac
 from .estimator import EstimatorConfig
-from .records import ResolvedRecord
+from .records import RecordTable
 from .seeding import derive_seed, substream
 
 SIM_METHODS = ("marginal", "gpac", "cpac")
@@ -137,11 +138,20 @@ def sample_group(
     return u, loss
 
 
-def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> list[ResolvedRecord]:
-    """Draw n labeled records from the mixture.
+@functools.lru_cache(maxsize=4)
+def _draw_ids(n: int) -> np.ndarray:
+    # every trial of a coverage experiment reuses one read-only id column
+    ids = np.array([f"s{i}" for i in range(n)], dtype=object)
+    ids.flags.writeable = False
+    return ids
+
+
+def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTable:
+    """Draw n labeled records from the mixture, as a table with ids s0, s1, ...
 
     Draw order is fixed (group indices, then scores, then loss coins), so a
-    given generator state always yields the same records.
+    given generator state always yields the same records.  Label codes index
+    the spec's groups.
     """
     group_idx = rng.choice(len(spec.groups), size=n, p=spec.weights)
     u = rng.random(n)
@@ -151,18 +161,15 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> list[Reso
         mask = group_idx == j
         if mask.any():
             probs[mask] = _prob_at(group, u[mask])
-    losses = (coins < probs).astype(float)
-    return [
-        ResolvedRecord(
-            id=f"s{i}",
-            uncertainty=float(u[i]),
-            group_label=spec.groups[group_idx[i]].name,
-            loss=float(losses[i]),
-            tokens_thinking=spec.groups[group_idx[i]].tokens_thinking,
-            tokens_cheap=spec.groups[group_idx[i]].tokens_cheap,
-        )
-        for i in range(n)
-    ]
+    return RecordTable(
+        ids=_draw_ids(n),
+        uncertainty=u,
+        loss=(coins < probs).astype(float),
+        label_code=group_idx,
+        labels=tuple(g.name for g in spec.groups),
+        tokens_thinking=np.array([g.tokens_thinking for g in spec.groups], dtype=float)[group_idx],
+        tokens_cheap=np.array([g.tokens_cheap for g in spec.groups], dtype=float)[group_idx],
+    )
 
 
 def true_risk(spec: SyntheticSpec, group_index: int, u: float) -> float:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten checks over the shipped guarantees.
+"""Acceptance gate: eleven checks over the shipped guarantees.
 
 Each check prints one ``[check NN] PASS/FAIL`` line (run pytest with -s or
 -rA to see them on success) and pins its tolerances as module constants.
@@ -425,4 +425,39 @@ def test_10_cli_determinism(tmp_path):
     assert verdict(
         10, "command determinism", ok,
         "5/5 outputs byte-identical" if ok else f"mismatch in {mismatched}",
+    )
+
+
+# ------------------------------------ 11: committed pilots reproduce exactly
+
+
+def _pilot_cluster(label):
+    if "split" in label:
+        return ClusterConfig(k=3, mode="split", split_fraction=0.5, seed=SEED)
+    if "joint" in label:
+        return ClusterConfig(k=3, mode="joint", joint_slack=0.0, seed=SEED)
+    return None
+
+
+def test_11_pilots_reproduce():
+    # every pilot run is one that checks 04-07 consume, so this reads the cache
+    checked = 0
+    mismatched = []
+    for path in sorted((DATA / "pilots").glob("*.json")):
+        pilot = json.loads(path.read_text())
+        assert (pilot["trials"], pilot["epsilon"], pilot["alpha"], pilot["seed"]) == (TRIALS, EPS, ALPHA, SEED)
+        for run in pilot["runs"]:
+            expected = {k: v for k, v in run.items() if k != "label"}
+            ucb = "hoeffding" if "hoeffding" in run["label"] else "clt"
+            report, _ = run_experiment(
+                pilot["spec"], run["method"], ucb, run["n_cal"], _pilot_cluster(run["label"])
+            )
+            checked += 1
+            if report.to_dict() != expected:
+                mismatched.append(f"{pilot['spec']} {run['label']}")
+    ok = checked == 14 and not mismatched
+    assert verdict(
+        11, "pilots reproduce", ok,
+        f"{checked - len(mismatched)}/{checked} runs identical"
+        + (f"; mismatch in {mismatched}" if mismatched else ""),
     )

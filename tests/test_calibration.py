@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pac_route.calibration import (
     CHEAP,
@@ -26,7 +28,7 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import Partition
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import ResolvedRecord
+from pac_route.records import RecordTable, ResolvedRecord
 
 
 def pool(losses, uncertainties, label=None):
@@ -74,6 +76,53 @@ def test_assigner_round_trip_through_dict():
 def test_assigner_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         assigner_from_dict({"kind": "mystery"})
+
+
+# ------------------------------------------- vectorised group assignment
+
+
+LABEL_POOL = ("a", "b", "c", "d", None)
+
+
+@st.composite
+def table_and_assigner(draw):
+    kind = draw(st.sampled_from(("trivial", "open", "closed", "partition")))
+    if kind == "partition":
+        centroids = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
+        assigner = Partition.from_centroids(sorted(centroids))
+        special = list(assigner.boundaries) + list(assigner.centroids) + [0.0, 1.0]
+    else:
+        assigner = {
+            "trivial": TrivialAssigner(),
+            "open": LabelAssigner(),
+            "closed": LabelAssigner(labels=tuple(draw(st.lists(
+                st.sampled_from(("a", "b", "c", "x")), min_size=1, max_size=3, unique=True)))),
+        }[kind]
+        special = [0.0, 1.0]
+    score = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    rows = draw(st.lists(st.tuples(st.sampled_from(LABEL_POOL), score), max_size=40))
+    table = RecordTable.from_records([
+        ResolvedRecord(id=f"r{i}", uncertainty=u, loss=0.0, group_label=label)
+        for i, (label, u) in enumerate(rows)
+    ])
+    # a row subset keeps the full label vocabulary, some of it now absent
+    keep = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows)))
+    return (table.take(np.array(keep, dtype=int)) if rows and draw(st.booleans()) else table), assigner
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_and_assigner())
+def test_assign_agrees_with_resolve(case):
+    table, assigner = case
+    codes, keys = assigner.assign(table)
+    assert codes.shape == (len(table),)
+    expected = [assigner.resolve(label, u) for label, u in zip(table.group_labels, table.uncertainty)]
+    assert [None if c < 0 else keys[c] for c in codes] == expected
+    known = assigner.known_keys()
+    if known is not None:
+        assert keys == known
+    else:  # open labels: the labels present, in first-appearance order
+        assert list(keys) == list(dict.fromkeys(k for k in expected if k is not None))
 
 
 # ------------------------------------------------------- group calibration

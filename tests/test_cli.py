@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,45 @@ def test_route_rejects_corrupt_policy(tmp_path, records_file):
     bad.write_text("{not json")
     assert main(["route", "--policy", str(bad), "--records", records_file,
                  "--out", str(tmp_path / "d.jsonl")]) == 2
+
+
+def _edited_policy(tmp_path, policy_file, edit):
+    data = json.loads(Path(policy_file).read_text())
+    edit(data)
+    bad = tmp_path / "edited_policy.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
+def _raise_threshold(data):
+    for t in data["thresholds"]:
+        if t["group_key"] == "hard":
+            t["threshold"] = 1.5
+
+
+def _duplicate_key(data):
+    data["thresholds"].append(dict(data["thresholds"][0]))
+
+
+def _unknown_key(data):
+    data["thresholds"].append({"group_key": "ghost", "threshold": 0.5, "ucb": 0.0, "n": 30})
+
+
+def _negative_threshold(data):
+    data["thresholds"][0]["threshold"] = -0.1
+
+
+POLICY_EDITS = [_raise_threshold, _duplicate_key, _unknown_key, _negative_threshold]
+
+
+@pytest.mark.parametrize("edit", POLICY_EDITS, ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("command", ["route", "evaluate"])
+def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, capsys, edit, command):
+    bad = _edited_policy(tmp_path, policy_file, edit)
+    out = tmp_path / "out"
+    assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
+    assert "cannot read policy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- evaluate

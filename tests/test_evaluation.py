@@ -4,14 +4,26 @@ import numpy as np
 import pytest
 
 from pac_route.calibration import (
+    CHEAP,
     GROUP_ALL,
     GroupThreshold,
     LabelAssigner,
     RoutingPolicy,
     TrivialAssigner,
+    route,
 )
-from pac_route.evaluation import error_gap, evaluate, group_sizes, stp, trial_error
-from pac_route.records import ResolvedRecord
+from pac_route.clustering import Partition
+from pac_route.evaluation import (
+    STP_VARIANTS,
+    MetricsReport,
+    error_gap,
+    evaluate,
+    group_sizes,
+    stp,
+    trial_error,
+)
+from pac_route.records import MissingTokensError, NoRecordsError, RecordTable, ResolvedRecord
+from pac_route.seeding import substream
 
 
 def rec(i, u, loss, label=None, tt=None, tc=None):
@@ -84,6 +96,8 @@ def test_error_decomposes_over_groups():
 def test_trial_error_rejects_empty():
     with pytest.raises(ValueError):
         trial_error([], marginal_policy(0.5))
+    with pytest.raises(NoRecordsError):
+        evaluate([], marginal_policy(0.5))
 
 
 # ---------------------------------------------------------------- the gap
@@ -142,6 +156,16 @@ def test_stp_requires_token_counts():
         stp([rec(0, 0.1, 0.0, "g", tt=0, tc=5)], policy, "router")
 
 
+def test_missing_tokens_are_caught_before_any_trial():
+    # one record lacks tokens; no bootstrap resample needs to draw it
+    records = [rec(i, 0.1, 0.0, "g", tt=100, tc=10) for i in range(40)]
+    records.append(rec(40, 0.1, 0.0, "g", tt=None, tc=10))
+    with pytest.raises(MissingTokensError) as info:
+        evaluate(records, label_policy([("g", 0.5)]), trials=3, seed=1, stp_variant="cascade")
+    assert "r40" in str(info.value)
+    evaluate(records, label_policy([("g", 0.5)]), trials=3, seed=1)
+
+
 def test_stp_rejects_unknown_variant():
     with pytest.raises(ValueError):
         stp([rec(0, 0.1, 0.0, "g", tt=10, tc=1)], label_policy([("g", 0.5)]), "both")
@@ -195,3 +219,116 @@ def test_evaluate_carries_stp():
 def test_evaluate_rejects_bad_trials():
     with pytest.raises(ValueError):
         evaluate([rec(0, 0.2, 0.0, "g")], label_policy([("g", 0.5)]), trials=0)
+
+
+# ------------------------------------------------ per-record reference
+
+
+def _evaluate_reference(records, policy, *, trials=1, seed=0, stp_variant=None):
+    """The per-record evaluate that routes every resample again, kept as an oracle."""
+
+    def decide(sample):
+        return [route(policy, r.group_label, r.uncertainty, record_id=r.id) for r in sample]
+
+    def one_trial_error(sample):
+        total = 0.0
+        sums, counts = {}, {}
+        for r, d in zip(sample, decide(sample)):
+            contribution = r.loss if d.action == CHEAP else 0.0
+            total += contribution
+            if d.group_key is not None:
+                sums[d.group_key] = sums.get(d.group_key, 0.0) + contribution
+                counts[d.group_key] = counts.get(d.group_key, 0) + 1
+        return total / len(sample), {key: sums[key] / counts[key] for key in sums}
+
+    def one_stp(sample):
+        saved = 0.0
+        for r, d in zip(sample, decide(sample)):
+            cheap = d.action == CHEAP
+            if stp_variant == "cascade":
+                spent = r.tokens_cheap + (0 if cheap else r.tokens_thinking)
+            else:
+                spent = r.tokens_cheap if cheap else r.tokens_thinking
+            saved += 1.0 - spent / r.tokens_thinking
+        return saved / len(sample)
+
+    n_per_group, n_unresolved = {}, 0
+    for r in records:
+        key = policy.assigner.resolve(r.group_label, r.uncertainty)
+        if key is None:
+            n_unresolved += 1
+        else:
+            n_per_group[key] = n_per_group.get(key, 0) + 1
+    trial_errors, trial_groups, stp_values = [], [], []
+    for t in range(trials):
+        if trials == 1:
+            sample = list(records)
+        else:
+            idx = substream(seed, "evaluate", t).integers(0, len(records), len(records))
+            sample = [records[i] for i in idx]
+        err, per_group = one_trial_error(sample)
+        trial_errors.append(err)
+        trial_groups.append(per_group)
+        if stp_variant is not None:
+            stp_values.append(one_stp(sample))
+    averaged, appearances = {}, {}
+    for per_trial in trial_groups:
+        for key, value in per_trial.items():
+            averaged[key] = averaged.get(key, 0.0) + value
+            appearances[key] = appearances.get(key, 0) + 1
+    per_group_error = {key: averaged[key] / appearances[key] for key in averaged}
+    return MetricsReport(
+        error=sum(trial_errors) / trials,
+        per_group_error=per_group_error,
+        error_gap=error_gap(trial_groups, policy.epsilon),
+        n_per_group=n_per_group,
+        n_unresolved=n_unresolved,
+        trials=trials,
+        stp=sum(stp_values) / trials if stp_values else None,
+        stp_variant=stp_variant if stp_values else None,
+        flagged_groups=tuple(key for key in per_group_error if appearances[key] < trials),
+    )
+
+
+def seeded_records(seed, n):
+    rng = np.random.default_rng(seed)
+    labels = ["a", "b", "c", "zz", None]  # "zz" and None never resolve
+    return [
+        rec(i, float(rng.choice([rng.uniform(), 0.3, 0.7])),
+            float(rng.choice([0.0, 1.0, rng.uniform()])),
+            labels[int(rng.choice(5, p=[0.4, 0.3, 0.05, 0.15, 0.1]))],
+            tt=int(rng.integers(1, 900)), tc=int(rng.integers(0, 90)))
+        for i in range(n)
+    ]
+
+
+POLICIES = {
+    "labels": label_policy([("a", 0.55), ("b", None), ("c", 0.3)]),
+    "open": RoutingPolicy(mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+                          assigner=LabelAssigner(),
+                          thresholds=(GroupThreshold("a", 0.4, 0.0, 10),)),
+    "marginal": marginal_policy(0.62),
+    "partition": RoutingPolicy(mode="cpac", epsilon=0.05, alpha=0.05, seed=0,
+                               assigner=Partition.from_centroids([0.2, 0.5, 0.8]),
+                               thresholds=(GroupThreshold(0, 0.3, 0.0, 10),
+                                           GroupThreshold(1, None, None, 10),
+                                           GroupThreshold(2, 0.9, 0.0, 10))),
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("trials", [1, 20])
+@pytest.mark.parametrize("variant", [None, *STP_VARIANTS])
+def test_evaluate_matches_per_record_reference(policy_name, trials, variant):
+    policy = POLICIES[policy_name]
+    for seed, n in ((1, 1), (2, 7), (3, 400)):
+        records = seeded_records(seed, n)
+        expected = _evaluate_reference(records, policy, trials=trials, seed=seed,
+                                       stp_variant=variant)
+        got = evaluate(records, policy, trials=trials, seed=seed, stp_variant=variant)
+        assert got.to_dict() == expected.to_dict()
+        assert list(got.per_group_error) == list(expected.per_group_error)
+        assert list(got.n_per_group) == list(expected.n_per_group)
+        table = evaluate(RecordTable.from_records(records), policy, trials=trials,
+                         seed=seed, stp_variant=variant)
+        assert table.to_dict() == expected.to_dict()

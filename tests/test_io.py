@@ -1,4 +1,7 @@
 import json
+import stat
+import sys
+import threading
 
 import pytest
 
@@ -121,3 +124,49 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write_text("old", path)
     atomic_write_text("new", path)
     assert path.read_text() == "new"
+
+
+def test_concurrent_atomic_writes_do_not_collide(tmp_path):
+    # more writers than cores, switching often: a shared temp name fails here
+    path = tmp_path / "out.txt"
+    texts = [f"writer {w}\n" * 2000 for w in range(4)]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(150):
+                atomic_write_text(text, path)
+        except Exception as exc:  # collected so the main thread can assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_text() in texts
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text("old", path)
+    with pytest.raises(TypeError):
+        atomic_write_text(None, path)
+    assert path.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_keeps_the_usual_file_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    path = tmp_path / "out.txt"
+    atomic_write_text("x", path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

@@ -1,16 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from pac_route.records import (
+    NO_LABEL,
     LossSpec,
     Record,
+    RecordTable,
     ResolvedRecord,
     binary_loss,
     cosine_loss,
     default_loss_spec,
     resolve_loss,
-    with_loss,
 )
 
 
@@ -140,14 +142,69 @@ def test_resolve_loss_enforces_bound_and_names_record():
     assert "r77" in str(info.value)
 
 
-def test_with_loss_keeps_fields():
-    r = make_record(group_label="g", tokens_thinking=100, tokens_cheap=10)
-    out = with_loss(r, 0.5)
-    assert out.loss == 0.5
-    assert out.group_label == "g"
-    assert out.tokens_thinking == 100
-
-
 def test_resolved_record_rejects_non_finite_loss():
     with pytest.raises(ValueError):
         ResolvedRecord(id="r1", uncertainty=0.5, loss=float("inf"))
+
+
+# ----------------------------------------------------------- record table
+
+
+def resolved(i, u, loss, label=None, tt=None, tc=None):
+    return ResolvedRecord(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
+                          tokens_thinking=tt, tokens_cheap=tc)
+
+
+def test_table_from_records_keeps_every_field():
+    records = [resolved(0, 0.2, 1.0, "b", 100, 10), resolved(1, 0.0, 0.0),
+               resolved(2, 1.0, 0.5, "a", 300, 0), resolved(3, 0.7, 0.0, "b")]
+    table = RecordTable.from_records(records)
+    assert len(table) == 4
+    assert table.ids.tolist() == ["r0", "r1", "r2", "r3"]
+    assert table.uncertainty.tolist() == [0.2, 0.0, 1.0, 0.7]
+    assert table.loss.tolist() == [1.0, 0.0, 0.5, 0.0]
+    assert table.labels == ("b", "a")  # first-appearance order
+    assert table.label_code.tolist() == [0, NO_LABEL, 1, 0]
+    assert table.group_labels.tolist() == ["b", None, "a", "b"]
+    assert table.tokens_thinking[0] == 100 and table.tokens_cheap[2] == 0
+    assert np.isnan(table.tokens_thinking[1]) and np.isnan(table.tokens_cheap[3])
+
+
+def test_table_take_and_of():
+    table = RecordTable.from_records([resolved(i, i / 10, 0.0, "g") for i in range(5)])
+    sub = table.take(np.array([4, 0, 4]))
+    assert sub.ids.tolist() == ["r4", "r0", "r4"]
+    assert sub.uncertainty.tolist() == [0.4, 0.0, 0.4]
+    assert sub.labels == table.labels
+    assert len(table.take(np.array([], dtype=int))) == 0
+    assert RecordTable.of(table) is table
+    assert RecordTable.of([]).labels == ()
+
+
+def table_columns(**overrides):
+    columns = dict(ids=["a", "b"], uncertainty=[0.1, 0.9], loss=[0.0, 1.0],
+                   label_code=[0, NO_LABEL], labels=("g",),
+                   tokens_thinking=[10, math.nan], tokens_cheap=[1, math.nan])
+    columns.update(overrides)
+    return columns
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(uncertainty=[0.1, 1.5]),
+    dict(uncertainty=[0.1, math.nan]),
+    dict(loss=[0.0, math.inf]),
+    dict(label_code=[0, 1]),
+    dict(label_code=[-2, 0]),
+    dict(labels=("g", "g")),
+    dict(tokens_cheap=[-1, 0]),
+    dict(loss=[0.0]),
+])
+def test_table_rejects_bad_columns(overrides):
+    RecordTable(**table_columns())
+    with pytest.raises(ValueError):
+        RecordTable(**table_columns(**overrides))
+
+
+def test_table_rejects_unresolved_records():
+    with pytest.raises(ValueError):
+        RecordTable.from_records([make_record(id="r1")])

@@ -14,11 +14,13 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import ClusterConfig, Partition
 from pac_route.estimator import EstimatorConfig
+from pac_route.records import ResolvedRecord
 from pac_route.seeding import substream
 from pac_route.simulation import (
     CoverageReport,
     GroupSpec,
     SyntheticSpec,
+    _prob_at,
     binomial_slack,
     coverage_experiment,
     generate,
@@ -121,23 +123,68 @@ def test_sample_group_matches_bin_probabilities():
     assert abs(hi_rate - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 20_000)
 
 
+def _generate_reference(spec, n, rng):
+    """The list-of-records generator the table replaced, kept as an oracle."""
+    group_idx = rng.choice(len(spec.groups), size=n, p=spec.weights)
+    u = rng.random(n)
+    coins = rng.random(n)
+    probs = np.empty(n)
+    for j, group in enumerate(spec.groups):
+        mask = group_idx == j
+        if mask.any():
+            probs[mask] = _prob_at(group, u[mask])
+    losses = (coins < probs).astype(float)
+    return [
+        ResolvedRecord(
+            id=f"s{i}",
+            uncertainty=float(u[i]),
+            group_label=spec.groups[group_idx[i]].name,
+            loss=float(losses[i]),
+            tokens_thinking=spec.groups[group_idx[i]].tokens_thinking,
+            tokens_cheap=spec.groups[group_idx[i]].tokens_cheap,
+        )
+        for i in range(n)
+    ]
+
+
+def same_table(a, b):
+    return (a.labels == b.labels and a.ids.tolist() == b.ids.tolist()
+            and all(np.array_equal(getattr(a, c), getattr(b, c))
+                    for c in ("uncertainty", "loss", "label_code",
+                              "tokens_thinking", "tokens_cheap")))
+
+
+@pytest.mark.parametrize("seed,n", [(0, 1), (1, 37), (2, 1500), (3, 0)])
+def test_generate_matches_reference_records(seed, n):
+    spec = load_spec(__import__("pathlib").Path(__file__).parent / "data" / "hetero3.json")
+    table = generate(spec, n, substream(seed, "trial", 0, "data"))
+    records = _generate_reference(spec, n, substream(seed, "trial", 0, "data"))
+    assert len(table) == len(records) == n
+    assert table.ids.tolist() == [r.id for r in records]
+    assert table.uncertainty.tolist() == [r.uncertainty for r in records]
+    assert table.loss.tolist() == [r.loss for r in records]
+    assert table.group_labels.tolist() == [r.group_label for r in records]
+    assert table.tokens_thinking.tolist() == [r.tokens_thinking for r in records]
+    assert table.tokens_cheap.tolist() == [r.tokens_cheap for r in records]
+
+
 def test_generate_respects_weights_and_tokens():
     spec = two_group_spec()
     records = generate(spec, 20_000, np.random.default_rng(5))
     assert len(records) == 20_000
-    assert records[0].id == "s0" and records[-1].id == "s19999"
-    share = np.mean([r.group_label == "lo" for r in records])
+    assert records.ids[0] == "s0" and records.ids[-1] == "s19999"
+    share = np.mean(records.group_labels == "lo")
     assert abs(share - 0.6) < 3 * math.sqrt(0.6 * 0.4 / 20_000)
-    by_label = {r.group_label: r for r in records}
-    assert by_label["lo"].tokens_thinking == 100
-    assert by_label["hi"].tokens_cheap == 20
+    lo = records.group_labels == "lo"
+    assert set(records.tokens_thinking[lo]) == {100}
+    assert set(records.tokens_cheap[~lo]) == {20}
 
 
 def test_generate_is_deterministic():
     spec = two_group_spec()
     a = generate(spec, 200, np.random.default_rng(9))
     b = generate(spec, 200, np.random.default_rng(9))
-    assert a == b
+    assert same_table(a, b)
 
 
 def test_mixture_profile_integrates_to_weighted_risk():
@@ -259,5 +306,5 @@ def test_substreams_make_trials_independent_of_count():
     # coverage counts are averages; rebuild the trial-level agreement instead
     records_a = generate(spec, 100, substream(33, "trial", 2, "data"))
     records_b = generate(spec, 100, substream(33, "trial", 2, "data"))
-    assert records_a == records_b
+    assert same_table(records_a, records_b)
     assert short.trials == 3 and long.trials == 6

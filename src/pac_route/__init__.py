@@ -31,7 +31,6 @@ from .calibration import (
 from .clustering import (
     ClusterConfig,
     Partition,
-    assign_group,
     calibrate_cpac,
     kmeans_1d,
     partition_gap,
@@ -43,7 +42,6 @@ from .estimator import (
     candidate_grid,
     draw_z_samples,
     hoeffding_delta,
-    normal_quantile,
     ucb_clt,
     ucb_hoeffding,
 )
@@ -55,7 +53,6 @@ from .records import (
     NoRecordsError,
     Record,
     RecordTable,
-    ResolvedRecord,
     binary_loss,
     cosine_loss,
     default_loss_spec,
@@ -78,16 +75,16 @@ from .simulation import (
 __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
-    "Record", "ResolvedRecord", "RecordTable", "LossSpec", "default_loss_spec",
+    "Record", "RecordTable", "LossSpec", "default_loss_spec",
     "NoRecordsError", "MissingTokensError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",
     "draw_z_samples", "candidate_grid", "ucb_clt", "ucb_hoeffding",
-    "hoeffding_delta", "normal_quantile",
+    "hoeffding_delta",
     "TrivialAssigner", "LabelAssigner", "GroupThreshold", "RoutingPolicy",
     "RouteDecision", "CalibrationReport", "PolicyVersionError",
     "calibrate_group", "calibrate_gpac", "route", "save_policy", "load_policy",
-    "Partition", "ClusterConfig", "kmeans_1d", "assign_group",
+    "Partition", "ClusterConfig", "kmeans_1d",
     "partition_gap", "calibrate_cpac",
     "MetricsReport", "trial_error", "error_gap", "stp", "evaluate",
     "GroupSpec", "SyntheticSpec", "CoverageReport", "load_spec",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from .records import NO_LABEL, NoRecordsError, RecordTable, ResolvedRecord
+from .io import json_field, json_object
+from .records import NO_LABEL, NoRecordsError, RecordTable
 from .seeding import substream
 
 POLICY_VERSION = "pac-route/1"
@@ -137,16 +138,18 @@ class GroupThreshold:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupThreshold":
-        raw = data["threshold"]
-        threshold = None if raw == "always_think" else float(raw)
+        data = json_object(data, "a threshold entry")
+        key = data["group_key"]
+        if not isinstance(key, (str, int)):
+            raise ValueError(f"group_key must be a string or an integer, got {key!r}")
+        threshold = json_field(data, "threshold", lambda raw: None if raw == "always_think" else float(raw))
         if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"group {data['group_key']!r}: threshold {threshold} outside [0, 1]")
-        ucb = data.get("ucb")
+            raise ValueError(f"group {key!r}: threshold {threshold} outside [0, 1]")
         return cls(
-            group_key=data["group_key"],
+            group_key=key,
             threshold=threshold,
-            ucb_at_threshold=None if ucb is None else float(ucb),
-            n_calibration=int(data["n"]),
+            ucb_at_threshold=json_field(data, "ucb", lambda ucb: None if ucb is None else float(ucb), None),
+            n_calibration=json_field(data, "n", int),
         )
 
 
@@ -182,13 +185,13 @@ class RoutingPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingPolicy":
-        version = data.get("version")
+        version = json_object(data, "a policy").get("version")
         if version != POLICY_VERSION:
             raise PolicyVersionError(
                 f"unsupported policy version {version!r}; this build speaks {POLICY_VERSION}"
             )
         assigner = assigner_from_dict(data["assigner"])
-        thresholds = tuple(GroupThreshold.from_dict(t) for t in data["thresholds"])
+        thresholds = tuple(GroupThreshold.from_dict(t) for t in json_field(data, "thresholds", list))
         keys = [t.group_key for t in thresholds]
         if len(set(keys)) != len(keys):
             raise ValueError("policy lists a group key more than once")
@@ -198,12 +201,12 @@ class RoutingPolicy:
             raise ValueError(f"policy thresholds name groups its assigner does not know: {unknown}")
         return cls(
             mode=data["mode"],
-            epsilon=float(data["epsilon"]),
-            alpha=float(data["alpha"]),
-            seed=int(data["seed"]),
+            epsilon=json_field(data, "epsilon", float),
+            alpha=json_field(data, "alpha", float),
+            seed=json_field(data, "seed", int),
             assigner=assigner,
             thresholds=thresholds,
-            config_hash=data.get("provenance", {}).get("config_hash", ""),
+            config_hash=json_object(data.get("provenance", {}), "provenance").get("config_hash", ""),
         )
 
 
@@ -246,20 +249,20 @@ def _entry_to_dict(entry: dict) -> dict:
 
 
 def assigner_from_dict(data: dict):
-    kind = data.get("kind")
+    kind = json_object(data, "the assigner").get("kind")
     if kind == "trivial":
         return TrivialAssigner()
     if kind == "labels":
-        return LabelAssigner(labels=tuple(data["labels"]))
+        return LabelAssigner(labels=json_field(data, "labels", tuple))
     if kind == "centroids":
         from .clustering import Partition
 
-        return Partition.from_centroids(data["centroids"])
+        return json_field(data, "centroids", Partition)
     raise ValueError(f"unknown assigner kind {kind!r}")
 
 
 def calibrate_group(
-    records_j: RecordTable | Sequence[ResolvedRecord],
+    records_j: RecordTable,
     epsilon: float,
     config: EstimatorConfig,
     rng: np.random.Generator,
@@ -275,7 +278,6 @@ def calibrate_group(
     """
     if not epsilon > 0:
         raise ValueError("tolerance epsilon must be positive")
-    records_j = RecordTable.of(records_j)
     n = len(records_j)
     if n < n_min:
         return GroupThreshold(group_key, None, None, n), None
@@ -299,7 +301,7 @@ def calibrate_group(
 
 
 def calibrate_gpac(
-    records: RecordTable | Sequence[ResolvedRecord],
+    records: RecordTable,
     assigner,
     epsilon: float,
     config: EstimatorConfig,
@@ -316,10 +318,11 @@ def calibrate_gpac(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    table = RecordTable.of(records)
-    codes, keys = assigner.assign(table)
+    if n_min < 0:
+        raise ValueError(f"n_min must be non-negative, got {n_min}")
+    codes, keys = assigner.assign(records)
     n_unresolved = int(np.count_nonzero(codes < 0))
-    if n_unresolved == len(table):
+    if n_unresolved == len(records):
         raise NoRecordsError("no record resolves to any group; nothing to calibrate")
 
     thresholds = []
@@ -327,7 +330,7 @@ def calibrate_gpac(
     for code, key in enumerate(keys):
         rng = substream(config.seed, "calibrate", key)
         threshold, curve = calibrate_group(
-            table.take(np.flatnonzero(codes == code)), epsilon, config, rng,
+            records.take(np.flatnonzero(codes == code)), epsilon, config, rng,
             group_key=key, n_min=n_min, ucb_offset=ucb_offset,
         )
         thresholds.append(threshold)
@@ -348,7 +351,7 @@ def calibrate_gpac(
         config_hash=config_hash(config, mode=mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset),
     )
     report = CalibrationReport(
-        groups=tuple(group_entries), n_total=len(table), n_unresolved=n_unresolved
+        groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
     )
     return policy, report
 

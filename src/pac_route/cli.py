@@ -36,8 +36,8 @@ from .records import (
     LossSpec,
     MissingTokensError,
     NoRecordsError,
+    RecordTable,
     default_loss_spec,
-    resolve_loss,
 )
 from .simulation import coverage_experiment, load_spec
 
@@ -58,29 +58,6 @@ class _CliError(Exception):
 
 def _fail(code: int, message: str) -> _CliError:
     return _CliError(code, message)
-
-
-def _check_params(args) -> None:
-    if getattr(args, "epsilon", None) is not None and not args.epsilon > 0:
-        raise _fail(EXIT_BAD_PARAM, f"invalid tolerance: epsilon must be positive, got {args.epsilon}")
-    if getattr(args, "alpha", None) is not None and not 0.0 < args.alpha < 1.0:
-        raise _fail(EXIT_BAD_PARAM, f"alpha must lie in (0, 1), got {args.alpha}")
-    if getattr(args, "pi", None) is not None and not 0.0 < args.pi <= 1.0:
-        raise _fail(EXIT_BAD_PARAM, f"pi must lie in (0, 1], got {args.pi}")
-    if getattr(args, "m", None) is not None and args.m < 1:
-        raise _fail(EXIT_BAD_PARAM, f"m must be positive, got {args.m}")
-    if getattr(args, "bound_b", None) is not None and not args.bound_b > 0:
-        raise _fail(EXIT_BAD_PARAM, f"loss bound B must be positive, got {args.bound_b}")
-    if getattr(args, "n_min", None) is not None and args.n_min < 0:
-        raise _fail(EXIT_BAD_PARAM, f"n-min must be non-negative, got {args.n_min}")
-    if getattr(args, "k", None) is not None and args.k < 1:
-        raise _fail(EXIT_BAD_PARAM, f"k must be at least 1, got {args.k}")
-    if getattr(args, "split_fraction", None) is not None and not 0.0 < args.split_fraction < 1.0:
-        raise _fail(EXIT_BAD_PARAM, f"split-fraction must lie in (0, 1), got {args.split_fraction}")
-    if getattr(args, "joint_slack", None) is not None and args.joint_slack < 0:
-        raise _fail(EXIT_BAD_PARAM, f"joint-slack must be non-negative, got {args.joint_slack}")
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        raise _fail(EXIT_BAD_PARAM, f"trials must be at least 1, got {args.trials}")
 
 
 def _loss_spec(args) -> LossSpec:
@@ -104,9 +81,9 @@ def _read_records(args):
     return records
 
 
-def _resolve_all(records, spec: LossSpec):
+def _resolve_all(records, spec: LossSpec) -> RecordTable:
     try:
-        return [resolve_loss(r, spec) for r in records]
+        return RecordTable.from_records(records, spec)
     except ValueError as exc:
         raise _fail(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
 
@@ -120,27 +97,30 @@ def _load_policy(path):
         raise _fail(EXIT_INPUT, f"cannot read policy: {exc}") from exc
 
 
-def _estimator_config(args) -> EstimatorConfig:
-    spec = _loss_spec(args) if hasattr(args, "loss_kind") else default_loss_spec("precomputed")
-    bound = args.bound_b if args.bound_b is not None else spec.bound_B
-    return EstimatorConfig(
-        method=args.method, alpha=args.alpha, pi=args.pi,
-        m=args.m, seed=args.seed, bound_B=bound,
-    )
+def _configs(args, method: str, bound_B: float, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
+    """The estimator config and, for cpac, the cluster config; an invalid value exits 4."""
+    try:
+        config = EstimatorConfig(
+            method=method, alpha=args.alpha, pi=args.pi, m=args.m, seed=args.seed, bound_B=bound_B,
+        )
+        if not cpac:
+            return config, None
+        if args.k is None:
+            raise _fail(EXIT_BAD_PARAM, f"cpac {args.command} needs --k")
+        return config, ClusterConfig(
+            k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
+            joint_slack=args.joint_slack, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
 
 
 def cmd_calibrate(args) -> int:
-    _check_params(args)
-    records = _resolve_all(_read_records(args), _loss_spec(args))
-    config = _estimator_config(args)
+    spec = _loss_spec(args)
+    config, cluster = _configs(args, args.method, spec.bound_B, args.mode == "cpac")
+    records = _resolve_all(_read_records(args), spec)
     try:
-        if args.mode == "cpac":
-            if args.k is None:
-                raise _fail(EXIT_BAD_PARAM, "cpac calibration needs --k")
-            cluster = ClusterConfig(
-                k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
-                joint_slack=args.joint_slack, seed=args.seed,
-            )
+        if cluster is not None:
             policy, report = calibrate_cpac(records, cluster, args.epsilon, config, n_min=args.n_min)
         else:
             assigner = TrivialAssigner() if args.mode == "marginal" else LabelAssigner()
@@ -181,9 +161,9 @@ def cmd_route(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_params(args)
+    spec = _loss_spec(args)
     policy = _load_policy(args.policy)
-    records = _resolve_all(_read_records(args), _loss_spec(args))
+    records = _resolve_all(_read_records(args), spec)
     try:
         report = evaluate(
             records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp
@@ -191,7 +171,7 @@ def cmd_evaluate(args) -> int:
     except MissingTokensError as exc:
         raise _fail(EXIT_MISSING_TOKENS, str(exc)) from exc
     except ValueError as exc:
-        raise _fail(EXIT_INPUT, str(exc)) from exc
+        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")
     if report.stp is not None:
@@ -201,23 +181,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_params(args)
+    bound_B = 1.0 if args.bound_b is None else args.bound_b
+    config, cluster = _configs(args, args.ucb, bound_B, args.sim_method == "cpac")
     try:
         spec = load_spec(args.spec)
     except (OSError, ValueError, KeyError) as exc:
         raise _fail(EXIT_BAD_SPEC, f"invalid synthetic spec: {exc}") from exc
-    config = EstimatorConfig(
-        method=args.ucb, alpha=args.alpha, pi=args.pi, m=args.m,
-        seed=args.seed, bound_B=args.bound_b if args.bound_b is not None else 1.0,
-    )
-    cluster = None
-    if args.sim_method == "cpac":
-        if args.k is None:
-            raise _fail(EXIT_BAD_PARAM, "cpac simulation needs --k")
-        cluster = ClusterConfig(
-            k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
-            joint_slack=args.joint_slack, seed=args.seed,
-        )
     try:
         report = coverage_experiment(
             spec, args.n_cal, args.trials, args.epsilon, args.alpha,
@@ -233,7 +202,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    _check_params(args)
     records = _read_records(args)
     try:
         partition = kmeans_1d([r.uncertainty for r in records], args.k)

@@ -13,15 +13,14 @@ and doubles as a group assigner for calibration and routing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
-from .records import RecordTable, ResolvedRecord
+from .records import RecordTable
 from .seeding import substream
 
 CLUSTER_MODES = ("split", "joint")
@@ -32,28 +31,22 @@ class Partition:
     """k ascending centroids; inputs go to the nearest one (ties downward)."""
 
     centroids: tuple[float, ...]
-    boundaries: tuple[float, ...]
+    boundaries: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        c = np.asarray(self.centroids)
-        if len(c) == 0 or (len(c) > 1 and not np.all(np.diff(c) > 0)):
+        c = tuple(float(x) for x in self.centroids)
+        if len(c) == 0 or not all(a < b for a, b in zip(c, c[1:])):
             raise ValueError("centroids must be non-empty and strictly ascending")
-        mids = tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1))
-        if tuple(self.boundaries) != mids:
-            raise ValueError("boundaries must be the centroid midpoints")
-
-    @classmethod
-    def from_centroids(cls, centroids) -> "Partition":
-        c = tuple(float(x) for x in centroids)
-        b = tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1))
-        return cls(centroids=c, boundaries=b)
+        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "boundaries", tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1)))
 
     @property
     def k(self) -> int:
         return len(self.centroids)
 
     def resolve(self, group_label: str | None, uncertainty: float) -> int:
-        return assign_group(self, uncertainty)
+        """Index of the nearest centroid; a score on a boundary takes the lower index."""
+        return bisect_left(self.boundaries, uncertainty)
 
     def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[int, ...]]:
         """Cluster index of every row; a score on a boundary takes the lower index."""
@@ -159,12 +152,7 @@ def kmeans_1d(values, k: int) -> Partition:
     centroids = tuple(
         float((p1[cuts[i + 1]] - p1[cuts[i]]) / (cuts[i + 1] - cuts[i])) for i in range(k)
     )
-    return Partition.from_centroids(centroids)
-
-
-def assign_group(partition: Partition, uncertainty: float) -> int:
-    """Index of the nearest centroid; a score on a boundary takes the lower index."""
-    return bisect_left(partition.boundaries, uncertainty)
+    return Partition(centroids)
 
 
 def partition_gap(assignments_a, assignments_b, k: int) -> float:
@@ -187,7 +175,7 @@ def partition_gap(assignments_a, assignments_b, k: int) -> float:
 
 
 def calibrate_cpac(
-    records: RecordTable | Sequence[ResolvedRecord],
+    records: RecordTable,
     cluster_config: ClusterConfig,
     epsilon: float,
     est_config: EstimatorConfig,
@@ -202,17 +190,16 @@ def calibrate_cpac(
     mode reuses all records for both stages and adds joint_slack to every
     bound before threshold selection to pay for the reuse.
     """
-    table = RecordTable.of(records)
     if cluster_config.mode == "split":
-        order = substream(cluster_config.seed, "split").permutation(len(table))
-        n_cluster = int(len(table) * cluster_config.split_fraction)
-        if n_cluster < 1 or n_cluster >= len(table):
+        order = substream(cluster_config.seed, "split").permutation(len(records))
+        n_cluster = int(len(records) * cluster_config.split_fraction)
+        if n_cluster < 1 or n_cluster >= len(records):
             raise ValueError("split leaves an empty clustering or calibration side")
-        cluster_side = table.take(order[:n_cluster])
-        cal_side = table.take(order[n_cluster:])
+        cluster_side = records.take(order[:n_cluster])
+        cal_side = records.take(order[n_cluster:])
         offset = 0.0
     else:
-        cluster_side = cal_side = table
+        cluster_side = cal_side = records
         offset = cluster_config.joint_slack
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
     policy, report = calibrate_gpac(
@@ -232,7 +219,6 @@ __all__ = [
     "Partition",
     "ClusterConfig",
     "kmeans_1d",
-    "assign_group",
     "partition_gap",
     "calibrate_cpac",
 ]

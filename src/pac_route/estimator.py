@@ -18,12 +18,13 @@ range B / pi_min.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .records import RecordTable, ResolvedRecord
+from .records import RecordTable
 
 METHODS = ("clt", "hoeffding")
 
@@ -88,11 +89,8 @@ class UcbCurve:
             raise ValueError("candidates must be strictly ascending")
 
 
-def pi_weights(
-    config: EstimatorConfig, records: RecordTable | Sequence[ResolvedRecord]
-) -> np.ndarray:
+def pi_weights(config: EstimatorConfig, records: RecordTable) -> np.ndarray:
     """Per-record sampling weights for `records` under `config.pi`."""
-    records = RecordTable.of(records)
     if isinstance(config.pi, Mapping):
         try:
             w = np.array([float(config.pi[i]) for i in records.ids])
@@ -113,16 +111,13 @@ def sample_count(config: EstimatorConfig, n: int, pi_min: float) -> int:
 
 
 def draw_z_samples(
-    records: RecordTable | Sequence[ResolvedRecord],
-    config: EstimatorConfig,
-    rng: np.random.Generator,
+    records: RecordTable, config: EstimatorConfig, rng: np.random.Generator
 ) -> ZSamples:
     """Draw m importance samples from `records`.
 
     Fully determined by `rng`: the index draw happens first, then one uniform
     per draw for the Bernoulli keep/drop decision.
     """
-    records = RecordTable.of(records)
     if not len(records):
         raise ValueError("cannot draw from an empty record pool")
     losses = records.loss
@@ -136,14 +131,14 @@ def draw_z_samples(
     return ZSamples(z=z, u_origin=records.uncertainty[idx])
 
 
-def candidate_grid(records: RecordTable | Sequence[ResolvedRecord]) -> np.ndarray:
+def candidate_grid(records: RecordTable) -> np.ndarray:
     """Sorted distinct observed uncertainties, with 0.0 prepended if absent.
 
     The estimate and both bounds are step functions that only change at
     observed scores, so this grid is lossless; the 0.0 candidate keeps "route
     nothing observed" expressible as a real threshold.
     """
-    grid = np.unique(RecordTable.of(records).uncertainty)
+    grid = np.unique(records.uncertainty)
     if len(grid) == 0 or grid[0] > 0.0:
         grid = np.concatenate([[0.0], grid])
     return grid
@@ -174,7 +169,7 @@ def ucb_clt(samples: ZSamples, candidates, alpha: float) -> UcbCurve:
     mean = s1 / m
     var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
     sd = np.sqrt(var)
-    ucb = mean + normal_quantile(1.0 - alpha) * sd / math.sqrt(m)
+    ucb = mean + ndtri(1.0 - alpha) * sd / math.sqrt(m)
     return UcbCurve(candidates=cand, mean=mean, ucb=ucb)
 
 
@@ -200,42 +195,6 @@ def ucb_hoeffding(
     return UcbCurve(candidates=cand, mean=mean, ucb=mean + delta)
 
 
-# Rational approximation to the standard normal quantile (Acklam's
-# coefficients); absolute error below 1.2e-9 over (0, 1), well inside the
-# tolerance the bound arithmetic needs, and free of any table lookup.
-
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-        ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    )
-
-
 __all__ = [
     "METHODS",
     "EstimatorConfig",
@@ -248,5 +207,4 @@ __all__ = [
     "ucb_clt",
     "ucb_hoeffding",
     "hoeffding_delta",
-    "normal_quantile",
 ]

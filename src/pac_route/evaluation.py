@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CHEAP, GroupKey, RoutingPolicy, route
-from .records import MissingTokensError, NoRecordsError, RecordTable, ResolvedRecord
+from .records import MissingTokensError, NoRecordsError, RecordTable
 from .seeding import substream
 
 STP_VARIANTS = ("cascade", "router")
-
-Records = RecordTable | Sequence[ResolvedRecord]
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,10 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _scored(records: Records, policy: RoutingPolicy) -> tuple[RecordTable, _Routed]:
-    table = RecordTable.of(records)
-    if not len(table):
+def _scored(records: RecordTable, policy: RoutingPolicy) -> _Routed:
+    if not len(records):
         raise NoRecordsError("cannot score an empty record set")
-    return table, _route_all(table, policy)
+    return _route_all(records, policy)
 
 
 def _trial_error(
@@ -136,21 +133,19 @@ def _saved(table: RecordTable, cheap: np.ndarray, variant: str) -> np.ndarray:
     return 1.0 - spent / thinking
 
 
-def trial_error(records: Records, policy: RoutingPolicy) -> tuple[float, dict[GroupKey, float]]:
+def trial_error(records: RecordTable, policy: RoutingPolicy) -> tuple[float, dict[GroupKey, float]]:
     """Mean routed loss over all records, and the same restricted per group.
 
     Records whose group does not resolve are routed to the thinking model;
     they count toward the overall mean but belong to no group bucket, so the
     overall error stays the group-size weighted mean of the group errors.
     """
-    table, routed = _scored(records, policy)
-    return _trial_error(table.loss, routed, np.arange(len(table)))
+    return _trial_error(records.loss, _scored(records, policy), np.arange(len(records)))
 
 
-def group_sizes(records: Records, policy: RoutingPolicy) -> tuple[dict[GroupKey, int], int]:
+def group_sizes(records: RecordTable, policy: RoutingPolicy) -> tuple[dict[GroupKey, int], int]:
     """Resolved-group record counts and the number of unresolvable records."""
-    table = RecordTable.of(records)
-    return _group_sizes(_route_all(table, policy))
+    return _group_sizes(_route_all(records, policy))
 
 
 def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: float) -> float:
@@ -168,14 +163,14 @@ def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: f
     return sum(max(sums[key] / counts[key] - epsilon, 0.0) for key in sums)
 
 
-def stp(records: Records, policy: RoutingPolicy, variant: str) -> float:
+def stp(records: RecordTable, policy: RoutingPolicy, variant: str) -> float:
     """Mean saved-thinking fraction under the chosen accounting (<= 1, may be < 0)."""
-    table, routed = _scored(records, policy)
-    return _sum_in_order(_saved(table, routed.cheap, variant)) / len(table)
+    routed = _scored(records, policy)
+    return _sum_in_order(_saved(records, routed.cheap, variant)) / len(records)
 
 
 def evaluate(
-    records: Records,
+    records: RecordTable,
     policy: RoutingPolicy,
     *,
     trials: int = 1,
@@ -192,15 +187,15 @@ def evaluate(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    table, routed = _scored(records, policy)
-    saved = None if stp_variant is None else _saved(table, routed.cheap, stp_variant)
-    n = len(table)
+    routed = _scored(records, policy)
+    saved = None if stp_variant is None else _saved(records, routed.cheap, stp_variant)
+    n = len(records)
     trial_errors = []
     trial_groups: list[dict[GroupKey, float]] = []
     stp_values = []
     for t in range(trials):
         idx = np.arange(n) if trials == 1 else substream(seed, "evaluate", t).integers(0, n, n)
-        err, per_group = _trial_error(table.loss, routed, idx)
+        err, per_group = _trial_error(records.loss, routed, idx)
         trial_errors.append(err)
         trial_groups.append(per_group)
         if saved is not None:

@@ -3,7 +3,8 @@
 Records travel as JSONL (one object per line, embeddings as arrays) or CSV
 (header row, no embedding columns).  Fields we do not know are ignored; the
 loaders return how many such fields they skipped so callers can surface a
-warning.  All output files are written to a temporary sibling and renamed
+warning; `json_object` and `json_field` check policy and spec files field by
+field.  All output files are written to a temporary sibling and renamed
 into place, so a failed run never leaves a partial file behind, and two runs
 writing one path at once each leave it whole.
 """
@@ -45,6 +46,27 @@ def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
         raise ValueError(f"{source}: field of the wrong type: {exc}") from exc
 
 
+def json_object(value, what: str) -> dict:
+    """`value` itself if it is a JSON object, else a ValueError naming `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def json_field(data: dict, name: str, convert, default=_REQUIRED):
+    """convert(data[name]), or convert(default) when the field is absent and a
+    default is given; a TypeError or ValueError from the conversion becomes a
+    ValueError that names the field."""
+    value = data[name] if default is _REQUIRED else data.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
 def read_records_jsonl(path) -> tuple[list[Record], int]:
     records = []
     ignored = 0
@@ -52,7 +74,10 @@ def read_records_jsonl(path) -> tuple[list[Record], int]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            data = json.loads(line)
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(data, dict):
                 raise ValueError(f"{path}:{lineno}: each line must be a JSON object")
             record, unknown = _record_from_mapping(data, f"{path}:{lineno}")
@@ -82,12 +107,15 @@ def read_records_csv(path) -> tuple[list[Record], int]:
                     continue
                 if raw is None or raw == "":
                     continue
-                if key in _FLOAT_FIELDS:
-                    data[key] = float(raw)
-                elif key in _INT_FIELDS:
-                    data[key] = int(raw)
-                else:
-                    data[key] = raw
+                try:
+                    if key in _FLOAT_FIELDS:
+                        data[key] = float(raw)
+                    elif key in _INT_FIELDS:
+                        data[key] = int(raw)
+                    else:
+                        data[key] = raw
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
             record, _ = _record_from_mapping(data, f"{path}:{lineno}")
             records.append(record)
             ignored += unknown
@@ -145,6 +173,8 @@ def atomic_write_json(data, path) -> None:
 
 
 __all__ = [
+    "json_object",
+    "json_field",
     "read_records_jsonl",
     "read_records_csv",
     "load_records",

@@ -6,18 +6,18 @@ route is measured relative to the thinking route and can either be supplied
 precomputed, derived from answer strings (binary), or derived from answer
 embeddings (cosine distance).
 
-Records are read and resolved one at a time, at the I/O boundary.  The
-calibration, evaluation and simulation loops run on a :class:`RecordTable`:
-the same resolved records as aligned numpy columns, validated once when the
-table is built.  Those loops accept either form and coerce a sequence of
-records with :meth:`RecordTable.of` on entry.
+Records are read one at a time at the I/O boundary, and
+:meth:`RecordTable.from_records` resolves each one's loss straight into the
+table's loss column.  The calibration, evaluation and simulation loops take
+only a :class:`RecordTable`: resolved records as aligned numpy columns,
+validated once when the table is built.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,19 +64,6 @@ class Record:
             tok = getattr(self, name)
             if tok is not None and tok < 0:
                 raise ValueError(f"record {self.id}: {name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class ResolvedRecord(Record):
-    """A record whose relative loss is known; produced by :func:`resolve_loss`."""
-
-    loss: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.loss is None or not math.isfinite(float(self.loss)):
-            raise ValueError(f"record {self.id}: resolved loss must be finite")
-        object.__setattr__(self, "loss", float(self.loss))
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,8 @@ def cosine_loss(v1, v2) -> float:
     return 1.0 - dot / (na * nb)
 
 
-def resolve_loss(record: Record, spec: LossSpec) -> ResolvedRecord:
-    """Attach a concrete loss to `record` according to `spec`.
+def resolve_loss(record: Record, spec: LossSpec) -> float:
+    """The loss of `record` according to `spec`, checked to lie in [0, B].
 
     precomputed: the record's own loss field, validated against [0, B].
     binary:      from the three answer strings.
@@ -152,9 +139,7 @@ def resolve_loss(record: Record, spec: LossSpec) -> ResolvedRecord:
         raise ValueError(
             f"record {record.id}: loss {value} outside [0, {spec.bound_B}]"
         )
-    data = {f.name: getattr(record, f.name) for f in fields(Record)}
-    data["loss"] = value
-    return ResolvedRecord(**data)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +182,9 @@ class RecordTable:
             raise ValueError("token counts must be non-negative")
 
     @classmethod
-    def from_records(cls, records: Sequence[ResolvedRecord]) -> "RecordTable":
-        """Columns of `records`; the label vocabulary is in first-appearance order."""
+    def from_records(cls, records: Sequence[Record], spec: LossSpec) -> "RecordTable":
+        """Columns of `records`, each loss resolved by `spec`; the label
+        vocabulary is in first-appearance order."""
         vocab: dict[str, int] = {}
         codes = [
             NO_LABEL if r.group_label is None else vocab.setdefault(r.group_label, len(vocab))
@@ -211,17 +197,12 @@ class RecordTable:
         return cls(
             ids=np.array([r.id for r in records], dtype=object),
             uncertainty=[r.uncertainty for r in records],
-            loss=[math.nan if r.loss is None else r.loss for r in records],
+            loss=[resolve_loss(r, spec) for r in records],
             label_code=codes,
             labels=tuple(vocab),
             tokens_thinking=tokens("tokens_thinking"),
             tokens_cheap=tokens("tokens_cheap"),
         )
-
-    @classmethod
-    def of(cls, records: "RecordTable | Sequence[ResolvedRecord]") -> "RecordTable":
-        """`records` itself if it is a table, else its columns."""
-        return records if isinstance(records, cls) else cls.from_records(records)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -250,7 +231,6 @@ __all__ = [
     "NoRecordsError",
     "MissingTokensError",
     "Record",
-    "ResolvedRecord",
     "RecordTable",
     "LossSpec",
     "default_loss_spec",

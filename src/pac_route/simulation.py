@@ -28,10 +28,15 @@ from .calibration import (
 )
 from .clustering import ClusterConfig, Partition, calibrate_cpac
 from .estimator import EstimatorConfig
+from .io import json_field, json_object
 from .records import RecordTable
 from .seeding import derive_seed, substream
 
 SIM_METHODS = ("marginal", "gpac", "cpac")
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,8 @@ class GroupSpec:
     tokens_cheap: int = 50
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.bin_edges)
-        probs = tuple(float(p) for p in self.loss_prob)
+        edges = _floats(self.bin_edges)
+        probs = _floats(self.loss_prob)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "loss_prob", probs)
         if not self.weight > 0:
@@ -103,18 +108,21 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
-        groups = tuple(
-            GroupSpec(
-                name=str(g.get("name", f"g{i}")),
-                weight=float(g["weight"]),
-                bin_edges=tuple(g["bins"]),
-                loss_prob=tuple(g["loss_prob"]),
-                tokens_thinking=int(g.get("tokens_thinking", 400)),
-                tokens_cheap=int(g.get("tokens_cheap", 50)),
-            )
-            for i, g in enumerate(data["groups"])
-        )
+        data = json_object(data, "a synthetic spec")
+        groups = tuple(_group_from_dict(i, g) for i, g in enumerate(json_field(data, "groups", list)))
         return cls(groups=groups, name=str(data.get("name", "")), notes=str(data.get("notes", "")))
+
+
+def _group_from_dict(i: int, data: dict) -> GroupSpec:
+    data = json_object(data, f"group {i}")
+    return GroupSpec(
+        name=str(data.get("name", f"g{i}")),
+        weight=json_field(data, "weight", float),
+        bin_edges=json_field(data, "bins", _floats),
+        loss_prob=json_field(data, "loss_prob", _floats),
+        tokens_thinking=json_field(data, "tokens_thinking", int, 400),
+        tokens_cheap=json_field(data, "tokens_cheap", int, 50),
+    )
 
 
 def load_spec(path) -> SyntheticSpec:

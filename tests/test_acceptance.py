@@ -24,7 +24,7 @@ from pac_route.calibration import (
     calibrate_gpac,
 )
 from pac_route.cli import main
-from pac_route.clustering import ClusterConfig, assign_group, kmeans_1d, partition_gap
+from pac_route.clustering import ClusterConfig, kmeans_1d, partition_gap
 from pac_route.estimator import (
     EstimatorConfig,
     ZSamples,
@@ -33,7 +33,7 @@ from pac_route.estimator import (
     ucb_clt,
 )
 from pac_route.evaluation import error_gap, group_sizes, stp, trial_error
-from pac_route.records import ResolvedRecord, cosine_loss
+from pac_route.records import LossSpec, Record, RecordTable, cosine_loss
 from pac_route.seeding import derive_seed, substream
 from pac_route.simulation import coverage_experiment, generate, load_spec, sample_group
 
@@ -107,10 +107,10 @@ def test_01_formula_oracles():
 def test_02_estimator_unbiasedness():
     start = time.perf_counter()
     losses = (1.0, 0.0, 0.5, 0.25, 1.0)
-    records = [
-        ResolvedRecord(id=f"r{i}", uncertainty=0.1 + 0.2 * i, loss=l)
+    records = RecordTable.from_records([
+        Record(id=f"r{i}", uncertainty=0.1 + 0.2 * i, loss=l)
         for i, l in enumerate(losses)
-    ]
+    ], LossSpec())
     plugin = float(np.mean(losses))
     m = 100_000
     samples = draw_z_samples(
@@ -145,7 +145,7 @@ def brute_sse(xs, k):
 def partition_sse(xs, k):
     part = kmeans_1d(xs, k)
     xs = np.asarray(xs, dtype=float)
-    labels = np.array([assign_group(part, x) for x in xs])
+    labels = np.array([part.resolve(None, x) for x in xs])
     return sum(
         float(np.sum((xs[labels == j] - xs[labels == j].mean()) ** 2))
         for j in range(part.k)
@@ -327,8 +327,8 @@ def test_09_metric_identities():
     split_ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 9))
-        records = [
-            ResolvedRecord(
+        records = RecordTable.from_records([
+            Record(
                 id=f"r{i}",
                 uncertainty=float(rng.random()),
                 group_label=str(rng.choice(("a", "b", "c"))),
@@ -337,7 +337,7 @@ def test_09_metric_identities():
                 tokens_cheap=int(rng.integers(1, 120)),
             )
             for i in range(n)
-        ]
+        ], LossSpec())
         threshold = None if rng.random() < 0.2 else float(rng.random())
         policy = RoutingPolicy(
             mode="marginal", epsilon=EPS, alpha=ALPHA, seed=0,

@@ -28,21 +28,25 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import Partition
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import RecordTable, ResolvedRecord
+from pac_route.records import LossSpec, Record, RecordTable
 
 
 def pool(losses, uncertainties, label=None):
     return [
-        ResolvedRecord(id=f"r{i}", uncertainty=u, loss=l, group_label=label)
+        Record(id=f"r{i}", uncertainty=u, loss=l, group_label=label)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
 
 
 def labeled(label, losses, uncertainties, start=0):
     return [
-        ResolvedRecord(id=f"{label}{start + i}", uncertainty=u, loss=l, group_label=label)
+        Record(id=f"{label}{start + i}", uncertainty=u, loss=l, group_label=label)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
+
+
+def table(records):
+    return RecordTable.from_records(records, LossSpec())
 
 
 # ------------------------------------------------------------- assigners
@@ -67,7 +71,7 @@ def test_label_assigner_open_and_closed():
 
 def test_assigner_round_trip_through_dict():
     for a in (TrivialAssigner(), LabelAssigner(labels=("a", "b")),
-              Partition.from_centroids([0.2, 0.8])):
+              Partition([0.2, 0.8])):
         back = assigner_from_dict(a.to_dict())
         assert type(back) is type(a)
         assert back.to_dict() == a.to_dict()
@@ -89,7 +93,7 @@ def table_and_assigner(draw):
     kind = draw(st.sampled_from(("trivial", "open", "closed", "partition")))
     if kind == "partition":
         centroids = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
-        assigner = Partition.from_centroids(sorted(centroids))
+        assigner = Partition(sorted(centroids))
         special = list(assigner.boundaries) + list(assigner.centroids) + [0.0, 1.0]
     else:
         assigner = {
@@ -101,13 +105,15 @@ def table_and_assigner(draw):
         special = [0.0, 1.0]
     score = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
     rows = draw(st.lists(st.tuples(st.sampled_from(LABEL_POOL), score), max_size=40))
-    table = RecordTable.from_records([
-        ResolvedRecord(id=f"r{i}", uncertainty=u, loss=0.0, group_label=label)
+    rows_table = table([
+        Record(id=f"r{i}", uncertainty=u, loss=0.0, group_label=label)
         for i, (label, u) in enumerate(rows)
     ])
     # a row subset keeps the full label vocabulary, some of it now absent
     keep = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows)))
-    return (table.take(np.array(keep, dtype=int)) if rows and draw(st.booleans()) else table), assigner
+    if rows and draw(st.booleans()):
+        return rows_table.take(np.array(keep, dtype=int)), assigner
+    return rows_table, assigner
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,7 +136,7 @@ def test_assign_agrees_with_resolve(case):
 
 def test_small_group_falls_back_to_always_think():
     recs = pool([0.0] * 5, np.linspace(0.1, 0.5, 5))
-    t, curve = calibrate_group(recs, 0.05, EstimatorConfig(seed=1),
+    t, curve = calibrate_group(table(recs), 0.05, EstimatorConfig(seed=1),
                                np.random.default_rng(1))
     assert t.always_think
     assert t.n_calibration == 5
@@ -139,7 +145,7 @@ def test_small_group_falls_back_to_always_think():
 
 def test_n_min_boundary_is_inclusive():
     recs = pool([0.0] * DEFAULT_N_MIN, np.linspace(0.05, 0.95, DEFAULT_N_MIN))
-    t, curve = calibrate_group(recs, 0.5, EstimatorConfig(seed=2),
+    t, curve = calibrate_group(table(recs), 0.5, EstimatorConfig(seed=2),
                                np.random.default_rng(2))
     assert not t.always_think
     assert curve is not None
@@ -147,7 +153,7 @@ def test_n_min_boundary_is_inclusive():
 
 def test_zero_loss_group_selects_top_candidate():
     recs = pool([0.0] * 40, np.linspace(0.02, 0.98, 40))
-    t, _ = calibrate_group(recs, 0.05, EstimatorConfig(seed=3),
+    t, _ = calibrate_group(table(recs), 0.05, EstimatorConfig(seed=3),
                            np.random.default_rng(3))
     assert t.threshold == pytest.approx(0.98)
     assert t.ucb_at_threshold == 0.0
@@ -158,7 +164,7 @@ def test_hopeless_group_admits_almost_nothing():
     # unsampled (or 0.0 itself) can look feasible, so the admitted share of
     # the pool stays tiny even though the selection is noisy
     recs = pool([1.0] * 60, np.linspace(0.01, 0.99, 60))
-    t, curve = calibrate_group(recs, 0.05, EstimatorConfig(seed=4),
+    t, curve = calibrate_group(table(recs), 0.05, EstimatorConfig(seed=4),
                                np.random.default_rng(4))
     assert curve is not None
     assert curve.ucb[-1] > 0.5  # the full pool is plainly infeasible
@@ -174,7 +180,7 @@ def test_selection_takes_largest_feasible_candidate():
         us = rng_outer.uniform(0, 1, 80)
         recs = pool(losses, us)
         cfg = EstimatorConfig(seed=trial)
-        t, curve = calibrate_group(recs, 0.08, cfg, np.random.default_rng(trial))
+        t, curve = calibrate_group(table(recs), 0.08, cfg, np.random.default_rng(trial))
         feasible = curve.candidates[curve.ucb <= 0.08]
         if len(feasible) == 0:
             assert t.always_think
@@ -186,8 +192,8 @@ def test_ucb_offset_only_shrinks_the_selection():
     recs = pool(np.random.default_rng(8).choice([0, 1], 100, p=[0.93, 0.07]),
                 np.random.default_rng(9).uniform(0, 1, 100))
     cfg = EstimatorConfig(seed=5)
-    plain, _ = calibrate_group(recs, 0.1, cfg, np.random.default_rng(5))
-    offset, _ = calibrate_group(recs, 0.1, cfg, np.random.default_rng(5),
+    plain, _ = calibrate_group(table(recs), 0.1, cfg, np.random.default_rng(5))
+    offset, _ = calibrate_group(table(recs), 0.1, cfg, np.random.default_rng(5),
                                 ucb_offset=0.04)
     lo = -1.0 if offset.threshold is None else offset.threshold
     hi = -1.0 if plain.threshold is None else plain.threshold
@@ -201,7 +207,7 @@ def test_monotone_in_epsilon():
     cfg = EstimatorConfig(seed=6)
     picks = []
     for eps in (0.02, 0.05, 0.1, 0.2, 0.5):
-        t, _ = calibrate_group(recs, eps, cfg, np.random.default_rng(6))
+        t, _ = calibrate_group(table(recs), eps, cfg, np.random.default_rng(6))
         picks.append(-1.0 if t.threshold is None else t.threshold)
     assert picks == sorted(picks)
 
@@ -209,7 +215,7 @@ def test_monotone_in_epsilon():
 def test_rejects_nonpositive_epsilon():
     recs = pool([0.0] * 20, np.linspace(0, 1, 20))
     with pytest.raises(ValueError):
-        calibrate_group(recs, 0.0, EstimatorConfig(), np.random.default_rng(0))
+        calibrate_group(table(recs), 0.0, EstimatorConfig(), np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ full runs
@@ -218,7 +224,7 @@ def test_rejects_nonpositive_epsilon():
 def test_gpac_calibrates_each_label_separately():
     recs = labeled("good", [0.0] * 50, np.linspace(0.01, 0.99, 50)) + \
         labeled("bad", [1.0] * 50, np.linspace(0.01, 0.99, 50))
-    policy, report = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                     EstimatorConfig(seed=10), mode="gpac")
     good = policy.threshold_for("good")
     bad = policy.threshold_for("bad")
@@ -233,7 +239,7 @@ def test_gpac_calibrates_each_label_separately():
 def test_marginal_mode_pools_labels():
     recs = labeled("a", [0.0] * 30, np.linspace(0, 1, 30)) + \
         labeled("b", [0.0] * 30, np.linspace(0, 1, 30))
-    policy, report = calibrate_gpac(recs, TrivialAssigner(), 0.05,
+    policy, report = calibrate_gpac(table(recs), TrivialAssigner(), 0.05,
                                     EstimatorConfig(seed=11), mode="marginal")
     assert [t.group_key for t in policy.thresholds] == [GROUP_ALL]
     assert policy.thresholds[0].n_calibration == 60
@@ -242,7 +248,7 @@ def test_marginal_mode_pools_labels():
 def test_unlabeled_records_are_dropped_and_counted():
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         pool([0.0] * 7, np.linspace(0.1, 0.7, 7))
-    policy, report = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                     EstimatorConfig(seed=12))
     assert report.n_unresolved == 7
     assert policy.threshold_for("a").n_calibration == 20
@@ -251,12 +257,12 @@ def test_unlabeled_records_are_dropped_and_counted():
 def test_no_resolvable_records_is_an_error():
     recs = pool([0.0] * 5, np.linspace(0.1, 0.5, 5))
     with pytest.raises(ValueError):
-        calibrate_gpac(recs, LabelAssigner(), 0.05, EstimatorConfig(seed=13))
+        calibrate_gpac(table(recs), LabelAssigner(), 0.05, EstimatorConfig(seed=13))
 
 
 def test_open_label_assigner_closes_over_seen_groups():
     recs = labeled("x", [0.0] * 15, np.linspace(0, 1, 15))
-    policy, _ = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=14))
     assert policy.assigner.known_keys() == ("x",)
     # an unseen label at routing time goes to the thinking model
@@ -266,7 +272,7 @@ def test_open_label_assigner_closes_over_seen_groups():
 def test_gpac_group_order_is_first_seen_for_open_assigners():
     recs = labeled("zeta", [0.0] * 12, np.linspace(0, 1, 12)) + \
         labeled("alpha", [0.0] * 12, np.linspace(0, 1, 12))
-    policy, _ = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=15))
     assert [t.group_key for t in policy.thresholds] == ["zeta", "alpha"]
 
@@ -274,10 +280,10 @@ def test_gpac_group_order_is_first_seen_for_open_assigners():
 def test_calibration_is_deterministic_in_seed():
     recs = labeled("a", np.random.default_rng(1).choice([0, 1], 40, p=[0.9, 0.1]),
                    np.random.default_rng(2).uniform(0, 1, 40))
-    p1, _ = calibrate_gpac(recs, LabelAssigner(), 0.1, EstimatorConfig(seed=99))
-    p2, _ = calibrate_gpac(recs, LabelAssigner(), 0.1, EstimatorConfig(seed=99))
+    p1, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=99))
+    p2, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=99))
     assert p1.to_dict() == p2.to_dict()
-    p3, _ = calibrate_gpac(recs, LabelAssigner(), 0.1, EstimatorConfig(seed=100))
+    p3, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=100))
     assert p3.config_hash != p1.config_hash
 
 
@@ -286,15 +292,15 @@ def test_group_streams_do_not_bleed_into_each_other():
     a = labeled("a", np.random.default_rng(3).choice([0, 1], 60, p=[0.85, 0.15]),
                 np.random.default_rng(4).uniform(0, 1, 60))
     b = labeled("b", [1.0] * 60, np.linspace(0, 1, 60))
-    alone, _ = calibrate_gpac(a, LabelAssigner(), 0.1, EstimatorConfig(seed=55))
-    both, _ = calibrate_gpac(a + b, LabelAssigner(), 0.1, EstimatorConfig(seed=55))
+    alone, _ = calibrate_gpac(table(a), LabelAssigner(), 0.1, EstimatorConfig(seed=55))
+    both, _ = calibrate_gpac(table(a + b), LabelAssigner(), 0.1, EstimatorConfig(seed=55))
     assert alone.threshold_for("a").to_dict() == both.threshold_for("a").to_dict()
 
 
 def test_report_curves_cover_each_calibrated_group():
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         labeled("b", [0.0] * 4, np.linspace(0.2, 0.8, 4))
-    _, report = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    _, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=16))
     by_key = {g["group_key"]: g for g in report.groups}
     assert "curve" in by_key["a"]
@@ -343,7 +349,7 @@ def test_route_validates_uncertainty():
 def test_policy_json_round_trip(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         labeled("b", [1.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=17))
     path = tmp_path / "policy.json"
     save_policy(policy, path)
@@ -356,7 +362,7 @@ def test_policy_json_round_trip(tmp_path):
 
 def test_policy_file_shape(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=18))
     path = tmp_path / "policy.json"
     save_policy(policy, path)
@@ -375,7 +381,7 @@ def test_always_think_serializes_as_string():
 
 def test_version_mismatch_is_rejected(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(recs, LabelAssigner(), 0.05,
+    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
                                EstimatorConfig(seed=19))
     data = policy.to_dict()
     data["version"] = "pac-route/2"

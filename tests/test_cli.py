@@ -184,6 +184,24 @@ def test_calibrate_wrong_typed_field_is_an_input_error(tmp_path, capsys, row):
     assert not out.exists()
 
 
+MALFORMED_RECORD_FILES = {
+    "jsonl-syntax": ("r.jsonl", '{"id": "a", "uncertainty": 0.5}\n{bad\n', 2),
+    "csv-float": ("r.csv", "id,uncertainty,loss\na,0.5,0\nb,abc,0\n", 3),
+    "csv-int": ("r.csv", "id,uncertainty,loss,tokens_thinking\na,0.5,0,1.5\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORD_FILES))
+def test_malformed_record_file_names_path_and_line(tmp_path, capsys, case):
+    name, text, line = MALFORMED_RECORD_FILES[case]
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "p.json"
+    assert main(["calibrate", "--records", str(path), *EPS, "--out", str(out)]) == 2
+    assert f"{path}:{line}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- route
 
 
@@ -225,8 +243,7 @@ def test_route_rejects_corrupt_policy(tmp_path, records_file):
 
 
 def _edited_policy(tmp_path, policy_file, edit):
-    data = json.loads(Path(policy_file).read_text())
-    edit(data)
+    data = edit(json.loads(Path(policy_file).read_text()))
     bad = tmp_path / "edited_policy.json"
     bad.write_text(json.dumps(data))
     return str(bad)
@@ -236,21 +253,64 @@ def _raise_threshold(data):
     for t in data["thresholds"]:
         if t["group_key"] == "hard":
             t["threshold"] = 1.5
+    return data
 
 
 def _duplicate_key(data):
     data["thresholds"].append(dict(data["thresholds"][0]))
+    return data
 
 
 def _unknown_key(data):
     data["thresholds"].append({"group_key": "ghost", "threshold": 0.5, "ucb": 0.0, "n": 30})
+    return data
 
 
 def _negative_threshold(data):
     data["thresholds"][0]["threshold"] = -0.1
+    return data
 
 
-POLICY_EDITS = [_raise_threshold, _duplicate_key, _unknown_key, _negative_threshold]
+def _top_level_list(data):
+    return [data]
+
+
+def _thresholds_number(data):
+    return {**data, "thresholds": 5}
+
+
+def _labels_number(data):
+    return {**data, "assigner": {"kind": "labels", "labels": 3}}
+
+
+def _n_list(data):
+    data["thresholds"][0]["n"] = [1]
+    return data
+
+
+def _centroid_list(data):
+    return {**data, "assigner": {"kind": "centroids", "centroids": [[0.1]]}}
+
+
+def _threshold_object(data):
+    data["thresholds"][0]["threshold"] = {"value": 0.5}
+    return data
+
+
+def _assigner_string(data):
+    return {**data, "assigner": "labels"}
+
+
+def _group_key_list(data):
+    data["thresholds"][0]["group_key"] = ["easy"]
+    return data
+
+
+POLICY_EDITS = [
+    _raise_threshold, _duplicate_key, _unknown_key, _negative_threshold,
+    _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
+    _threshold_object, _assigner_string, _group_key_list,
+]
 
 
 @pytest.mark.parametrize("edit", POLICY_EDITS, ids=lambda f: f.__name__.lstrip("_"))
@@ -299,6 +359,11 @@ def test_evaluate_rejects_zero_trials(tmp_path, records_file, policy_file):
 # ---------------------------------------------------------------- simulate
 
 
+def tiny_spec():
+    return {"name": "tiny",
+            "groups": [{"name": "a", "weight": 1.0, "bins": [0.0, 1.0], "loss_prob": [0.0]}]}
+
+
 def test_simulate_runs_small_experiment(tmp_path, capsys):
     spec = {
         "name": "tiny",
@@ -335,6 +400,86 @@ def test_simulate_cpac_needs_k(tmp_path):
     assert main(["simulate", "--spec", str(spec_path), "--method", "cpac",
                  "--n-cal", "50", "--trials", "2", "--epsilon", "0.05",
                  "--out", str(tmp_path / "c.json")]) == 4
+
+
+def _spec_groups_number(spec):
+    return {**spec, "groups": 5}
+
+
+def _spec_top_level_list(spec):
+    return [spec]
+
+
+def _spec_bins_number(spec):
+    spec["groups"][0]["bins"] = 5
+    return spec
+
+
+def _spec_weight_list(spec):
+    spec["groups"][0]["weight"] = [1]
+    return spec
+
+
+SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_weight_list]
+
+
+@pytest.mark.parametrize("edit", SPEC_EDITS, ids=lambda f: f.__name__[len("_spec_"):])
+def test_malformed_spec_is_a_spec_error(tmp_path, capsys, edit):
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(edit(tiny_spec())))
+    out = tmp_path / "c.json"
+    assert main(["simulate", "--spec", str(bad), "--n-cal", "50", "--trials", "2",
+                 "--epsilon", "0.05", "--out", str(out)]) == 7
+    assert "invalid synthetic spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --------------------------------------------------------- bad parameters
+
+
+CPAC = ["--mode", "cpac", "--k", "2"]
+SIM_CPAC = ["--method", "cpac", "--k", "2"]
+BAD_PARAMETERS = [
+    ("calibrate", ["--epsilon", "0"]),
+    ("simulate", ["--epsilon", "0"]),
+    ("calibrate", ["--alpha", "1.5"]),
+    ("simulate", ["--alpha", "1.5"]),
+    ("calibrate", ["--pi", "0"]),
+    ("simulate", ["--pi", "0"]),
+    ("calibrate", ["--m", "0"]),
+    ("simulate", ["--m", "0"]),
+    ("calibrate", ["--bound-b", "0"]),
+    ("evaluate", ["--bound-b", "0"]),
+    ("simulate", ["--bound-b", "0"]),
+    ("calibrate", ["--n-min", "-1"]),
+    ("calibrate", [*CPAC, "--k", "0"]),
+    ("simulate", [*SIM_CPAC, "--k", "0"]),
+    ("cluster", ["--k", "0"]),
+    ("calibrate", [*CPAC, "--split-fraction", "1.5"]),
+    ("simulate", [*SIM_CPAC, "--split-fraction", "1.5"]),
+    ("calibrate", [*CPAC, "--joint-slack", "-0.1"]),
+    ("simulate", [*SIM_CPAC, "--joint-slack", "-0.1"]),
+    ("evaluate", ["--trials", "0"]),
+    ("simulate", ["--trials", "0"]),
+    ("simulate", ["--n-cal", "0"]),
+]
+
+
+@pytest.mark.parametrize("command,bad", BAD_PARAMETERS,
+                         ids=[f"{c}{b[-2]}" for c, b in BAD_PARAMETERS])
+def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_file, command, bad):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    base = {
+        "calibrate": ["--records", records_file, *EPS],
+        "evaluate": ["--policy", policy_file, "--records", records_file],
+        "simulate": ["--spec", str(spec), "--n-cal", "50", "--trials", "2", *EPS],
+        "cluster": ["--records", records_file, "--k", "2"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *base, *bad, "--out", str(out)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- cluster

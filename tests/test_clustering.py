@@ -9,21 +9,24 @@ from pac_route.calibration import LabelAssigner, load_policy, save_policy
 from pac_route.clustering import (
     ClusterConfig,
     Partition,
-    assign_group,
     calibrate_cpac,
     kmeans_1d,
     partition_gap,
 )
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import ResolvedRecord
+from pac_route.records import LossSpec, Record, RecordTable
 from pac_route.seeding import derive_seed
 
 
 def pool(losses, uncertainties):
     return [
-        ResolvedRecord(id=f"r{i}", uncertainty=float(u), loss=float(l))
+        Record(id=f"r{i}", uncertainty=float(u), loss=float(l))
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
+
+
+def table(records):
+    return RecordTable.from_records(records, LossSpec())
 
 
 def brute_force_sse(xs, k):
@@ -44,7 +47,7 @@ def brute_force_sse(xs, k):
 def dp_sse(xs, k):
     part = kmeans_1d(xs, k)
     xs = np.sort(np.asarray(xs, dtype=float))
-    labels = [assign_group(part, x) for x in xs]
+    labels = [part.resolve(None, x) for x in xs]
     cost = 0.0
     for j in range(part.k):
         seg = xs[[i for i, g in enumerate(labels) if g == j]]
@@ -163,37 +166,36 @@ def test_kmeans_is_order_insensitive():
 
 
 def test_partition_requires_midpoint_boundaries():
+    assert Partition((0.2, 0.8)).boundaries == (0.5,)
     with pytest.raises(ValueError):
-        Partition(centroids=(0.2, 0.8), boundaries=(0.4,))
+        Partition(centroids=(0.8, 0.2))
     with pytest.raises(ValueError):
-        Partition(centroids=(0.8, 0.2), boundaries=(0.5,))
-    with pytest.raises(ValueError):
-        Partition(centroids=(), boundaries=())
+        Partition(centroids=())
 
 
 def test_assignment_ties_go_to_the_lower_cluster():
-    part = Partition.from_centroids([0.2, 0.8])
-    assert assign_group(part, 0.5) == 0
-    assert assign_group(part, 0.50001) == 1
-    assert assign_group(part, 0.0) == 0
-    assert assign_group(part, 1.0) == 1
+    part = Partition([0.2, 0.8])
+    assert part.resolve(None, 0.5) == 0
+    assert part.resolve(None, 0.50001) == 1
+    assert part.resolve(None, 0.0) == 0
+    assert part.resolve(None, 1.0) == 1
 
 
 def test_assignment_matches_searchsorted_left():
     rng = np.random.default_rng(77)
     for k in range(1, 9):
         centroids = np.sort(rng.choice(np.arange(1, 100) / 100, k, replace=False))
-        part = Partition.from_centroids(centroids)
+        part = Partition(centroids)
         scores = np.concatenate([rng.uniform(0, 1, 200), part.boundaries, [0.0, 1.0]])
         for u in scores:
             expect = int(np.searchsorted(part.boundaries, u, side="left"))
-            assert assign_group(part, float(u)) == expect
+            assert part.resolve(None, float(u)) == expect
         for i, b in enumerate(part.boundaries):
-            assert assign_group(part, b) == i
+            assert part.resolve(None, b) == i
 
 
 def test_intervals_tile_the_unit_range():
-    part = Partition.from_centroids([0.1, 0.5, 0.9])
+    part = Partition([0.1, 0.5, 0.9])
     spans = part.intervals()
     assert spans[0][0] == 0.0
     assert spans[-1][1] == 1.0
@@ -254,7 +256,7 @@ def rigged_records(n, rng):
 def test_cpac_split_mode_reports_and_routes():
     recs = rigged_records(400, np.random.default_rng(42))
     cc = ClusterConfig(k=2, mode="split", split_fraction=0.5, seed=7)
-    policy, report = calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=7))
+    policy, report = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=7))
     assert policy.mode == "cpac"
     assert isinstance(policy.assigner, Partition)
     assert policy.assigner.k == 2
@@ -267,16 +269,15 @@ def test_cpac_split_thresholds_ignore_cluster_side_losses():
     rng = np.random.default_rng(9)
     recs = rigged_records(300, rng)
     cc = ClusterConfig(k=2, mode="split", split_fraction=0.4, seed=21)
-    base, _ = calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=3))
+    base, _ = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=3))
 
     order = np.random.default_rng(derive_seed(21, "split")).permutation(len(recs))
     n_cluster = int(len(recs) * 0.4)
     mutated = list(recs)
     for i in order[:n_cluster]:
         r = mutated[i]
-        mutated[i] = ResolvedRecord(id=r.id, uncertainty=r.uncertainty,
-                                    loss=1.0 - r.loss)
-    redone, _ = calibrate_cpac(mutated, cc, 0.05, EstimatorConfig(seed=3))
+        mutated[i] = Record(id=r.id, uncertainty=r.uncertainty, loss=1.0 - r.loss)
+    redone, _ = calibrate_cpac(table(mutated), cc, 0.05, EstimatorConfig(seed=3))
     assert redone.to_dict() == base.to_dict()
 
 
@@ -284,13 +285,13 @@ def test_cpac_split_needs_records_on_both_sides():
     recs = rigged_records(2, np.random.default_rng(1))
     cc = ClusterConfig(k=1, mode="split", split_fraction=0.1, seed=1)
     with pytest.raises(ValueError):
-        calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=1))
+        calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=1))
 
 
 def test_cpac_joint_mode_uses_every_record():
     recs = rigged_records(200, np.random.default_rng(17))
     cc = ClusterConfig(k=2, mode="joint", seed=5)
-    policy, report = calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=5))
+    policy, report = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=5))
     assert report.n_total == 200
     assert sum(t.n_calibration for t in policy.thresholds) == 200
 
@@ -298,10 +299,10 @@ def test_cpac_joint_mode_uses_every_record():
 def test_cpac_joint_slack_never_raises_thresholds():
     recs = rigged_records(500, np.random.default_rng(23))
     plain, _ = calibrate_cpac(
-        recs, ClusterConfig(k=2, mode="joint", joint_slack=0.0, seed=2),
+        table(recs), ClusterConfig(k=2, mode="joint", joint_slack=0.0, seed=2),
         0.05, EstimatorConfig(seed=2))
     slacked, _ = calibrate_cpac(
-        recs, ClusterConfig(k=2, mode="joint", joint_slack=0.03, seed=2),
+        table(recs), ClusterConfig(k=2, mode="joint", joint_slack=0.03, seed=2),
         0.05, EstimatorConfig(seed=2))
     for key in (0, 1):
         a = slacked.threshold_for(key)
@@ -317,8 +318,8 @@ def test_cpac_k1_joint_matches_marginal_calibration():
 
     recs = rigged_records(150, np.random.default_rng(31))
     cc = ClusterConfig(k=1, mode="joint", seed=4)
-    clustered, _ = calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=4))
-    pooled, _ = calibrate_gpac(recs, TrivialAssigner(), 0.05,
+    clustered, _ = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=4))
+    pooled, _ = calibrate_gpac(table(recs), TrivialAssigner(), 0.05,
                                EstimatorConfig(seed=4), mode="marginal")
     a = clustered.thresholds[0]
     b = pooled.thresholds[0]
@@ -332,7 +333,7 @@ def test_cpac_k1_joint_matches_marginal_calibration():
 def test_cpac_policy_round_trip(tmp_path):
     recs = rigged_records(300, np.random.default_rng(8))
     cc = ClusterConfig(k=3, mode="split", seed=6)
-    policy, _ = calibrate_cpac(recs, cc, 0.05, EstimatorConfig(seed=6))
+    policy, _ = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=6))
     path = tmp_path / "cpac.json"
     save_policy(policy, path)
     back = load_policy(path)

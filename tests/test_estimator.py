@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
+from scipy.special import ndtri
 
 from pac_route.estimator import (
     EstimatorConfig,
@@ -13,51 +13,19 @@ from pac_route.estimator import (
     candidate_grid,
     draw_z_samples,
     hoeffding_delta,
-    normal_quantile,
     pi_weights,
     sample_count,
     ucb_clt,
     ucb_hoeffding,
 )
-from pac_route.records import ResolvedRecord
+from pac_route.records import LossSpec, Record, RecordTable
 
 
-def pool(losses, uncertainties):
-    return [
-        ResolvedRecord(id=f"r{i}", uncertainty=u, loss=l)
+def pool(losses, uncertainties, bound_B=1.0):
+    return RecordTable.from_records([
+        Record(id=f"r{i}", uncertainty=u, loss=l)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
-    ]
-
-
-# ---------------------------------------------------------------- quantile
-
-
-def test_normal_quantile_against_scipy():
-    ps = np.concatenate([
-        np.linspace(1e-6, 0.02, 50),
-        np.linspace(0.02, 0.98, 200),
-        np.linspace(0.98, 1 - 1e-6, 50),
-    ])
-    worst = max(abs(normal_quantile(p) - scipy.stats.norm.ppf(p)) for p in ps)
-    assert worst < 1e-8
-
-
-def test_normal_quantile_key_values():
-    assert abs(normal_quantile(0.95) - 1.6448536269514722) < 1e-8
-    assert abs(normal_quantile(0.5)) < 1e-9
-    assert abs(normal_quantile(0.975) - 1.959963984540054) < 1e-8
-
-
-def test_normal_quantile_symmetry():
-    rng = np.random.default_rng(7)
-    for p in rng.uniform(1e-4, 0.5, 100):
-        assert abs(normal_quantile(p) + normal_quantile(1 - p)) < 1e-9
-
-
-def test_normal_quantile_rejects_endpoints():
-    for p in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
+    ], LossSpec(bound_B=bound_B))
 
 
 # ---------------------------------------------------------------- config
@@ -115,8 +83,8 @@ def test_draw_shapes_and_support():
 
 def test_draw_rejects_empty_pool_and_bad_losses():
     with pytest.raises(ValueError):
-        draw_z_samples([], EstimatorConfig(), np.random.default_rng(0))
-    bad = pool([1.5], [0.5])
+        draw_z_samples(pool([], []), EstimatorConfig(), np.random.default_rng(0))
+    bad = pool([1.5], [0.5], bound_B=2.0)
     with pytest.raises(ValueError):
         draw_z_samples(bad, EstimatorConfig(bound_B=1.0), np.random.default_rng(0))
 
@@ -173,7 +141,7 @@ def test_clt_oracle_fixture():
     # mu = 1, sd = sqrt(4/3), m = 4
     s = ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]), u_origin=np.full(4, 0.3))
     curve = ucb_clt(s, [0.5], alpha=0.05)
-    expected = 1.0 + normal_quantile(0.95) * math.sqrt(4.0 / 3.0) / 2.0
+    expected = 1.0 + ndtri(0.95) * math.sqrt(4.0 / 3.0) / 2.0
     assert abs(curve.ucb[0] - expected) < 1e-12
     assert abs(curve.ucb[0] - 1.94969) < 1e-4
 
@@ -203,7 +171,7 @@ def test_masking_matches_direct_computation():
         for j, c in enumerate(cands):
             masked = np.where(u <= c, z, 0.0)
             assert abs(curve.mean[j] - masked.mean()) < 1e-12
-            expect = masked.mean() + normal_quantile(0.9) * np.std(masked, ddof=1) / math.sqrt(m)
+            expect = masked.mean() + ndtri(0.9) * np.std(masked, ddof=1) / math.sqrt(m)
             assert abs(curve.ucb[j] - expect) < 1e-10
 
 

@@ -22,13 +22,17 @@ from pac_route.evaluation import (
     stp,
     trial_error,
 )
-from pac_route.records import MissingTokensError, NoRecordsError, RecordTable, ResolvedRecord
+from pac_route.records import LossSpec, MissingTokensError, NoRecordsError, Record, RecordTable
 from pac_route.seeding import substream
 
 
 def rec(i, u, loss, label=None, tt=None, tc=None):
-    return ResolvedRecord(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
-                          tokens_thinking=tt, tokens_cheap=tc)
+    return Record(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
+                  tokens_thinking=tt, tokens_cheap=tc)
+
+
+def table(records):
+    return RecordTable.from_records(records, LossSpec())
 
 
 def label_policy(thresholds, epsilon=0.05):
@@ -61,14 +65,14 @@ def test_trial_error_counts_only_cheap_losses():
         rec(2, 0.9, 1.0, "g"),   # thinks, loss forgiven
         rec(3, 0.5, 1.0, "g"),   # boundary goes cheap
     ]
-    err, per_group = trial_error(records, policy)
+    err, per_group = trial_error(table(records), policy)
     assert err == pytest.approx(0.5)
     assert per_group == {"g": pytest.approx(0.5)}
 
 
 def test_unresolved_records_think_but_still_count():
     policy = label_policy([("g", 1.0)])
-    records = [rec(0, 0.1, 1.0, "g"), rec(1, 0.1, 1.0, None)]
+    records = table([rec(0, 0.1, 1.0, "g"), rec(1, 0.1, 1.0, None)])
     err, per_group = trial_error(records, policy)
     assert err == pytest.approx(0.5)  # unlabeled record thinks, dilutes the mean
     assert per_group == {"g": pytest.approx(1.0)}
@@ -82,10 +86,10 @@ def test_error_decomposes_over_groups():
     for _ in range(25):
         n = int(rng.integers(3, 80))
         labels = rng.choice(["a", "b", "c"], size=n)
-        records = [
+        records = table([
             rec(i, float(rng.uniform()), float(rng.choice([0.0, 0.5, 1.0])), labels[i])
             for i in range(n)
-        ]
+        ])
         policy = label_policy([("a", 0.3), ("b", None), ("c", 0.9)])
         err, per_group = trial_error(records, policy)
         counts, _ = group_sizes(records, policy)
@@ -95,9 +99,9 @@ def test_error_decomposes_over_groups():
 
 def test_trial_error_rejects_empty():
     with pytest.raises(ValueError):
-        trial_error([], marginal_policy(0.5))
+        trial_error(table([]), marginal_policy(0.5))
     with pytest.raises(NoRecordsError):
-        evaluate([], marginal_policy(0.5))
+        evaluate(table([]), marginal_policy(0.5))
 
 
 # ---------------------------------------------------------------- the gap
@@ -128,10 +132,10 @@ def test_stp_frozen_cases():
     cheap = [rec(0, 0.1, 0.0, "g", tt=100, tc=10)]
     think = [rec(0, 0.9, 0.0, "g", tt=100, tc=10)]
     policy = label_policy([("g", 0.5)])
-    assert stp(cheap, policy, "cascade") == pytest.approx(0.9)
-    assert stp(cheap, policy, "router") == pytest.approx(0.9)
-    assert stp(think, policy, "cascade") == pytest.approx(-0.1)
-    assert stp(think, policy, "router") == pytest.approx(0.0)
+    assert stp(table(cheap), policy, "cascade") == pytest.approx(0.9)
+    assert stp(table(cheap), policy, "router") == pytest.approx(0.9)
+    assert stp(table(think), policy, "cascade") == pytest.approx(-0.1)
+    assert stp(table(think), policy, "router") == pytest.approx(0.0)
 
 
 def test_stp_router_never_below_cascade():
@@ -139,21 +143,21 @@ def test_stp_router_never_below_cascade():
     policy = label_policy([("g", 0.5)])
     for _ in range(100):
         n = int(rng.integers(1, 30))
-        records = [
+        records = table([
             rec(i, float(rng.uniform()), 0.0, "g",
                 tt=int(rng.integers(50, 800)), tc=int(rng.integers(1, 50)))
             for i in range(n)
-        ]
+        ])
         assert stp(records, policy, "router") >= stp(records, policy, "cascade") - 1e-12
 
 
 def test_stp_requires_token_counts():
     policy = label_policy([("g", 0.5)])
     with pytest.raises(ValueError) as info:
-        stp([rec(0, 0.1, 0.0, "g", tt=100, tc=None)], policy, "cascade")
+        stp(table([rec(0, 0.1, 0.0, "g", tt=100, tc=None)]), policy, "cascade")
     assert "tokens" in str(info.value)
     with pytest.raises(ValueError):
-        stp([rec(0, 0.1, 0.0, "g", tt=0, tc=5)], policy, "router")
+        stp(table([rec(0, 0.1, 0.0, "g", tt=0, tc=5)]), policy, "router")
 
 
 def test_missing_tokens_are_caught_before_any_trial():
@@ -161,14 +165,14 @@ def test_missing_tokens_are_caught_before_any_trial():
     records = [rec(i, 0.1, 0.0, "g", tt=100, tc=10) for i in range(40)]
     records.append(rec(40, 0.1, 0.0, "g", tt=None, tc=10))
     with pytest.raises(MissingTokensError) as info:
-        evaluate(records, label_policy([("g", 0.5)]), trials=3, seed=1, stp_variant="cascade")
+        evaluate(table(records), label_policy([("g", 0.5)]), trials=3, seed=1, stp_variant="cascade")
     assert "r40" in str(info.value)
-    evaluate(records, label_policy([("g", 0.5)]), trials=3, seed=1)
+    evaluate(table(records), label_policy([("g", 0.5)]), trials=3, seed=1)
 
 
 def test_stp_rejects_unknown_variant():
     with pytest.raises(ValueError):
-        stp([rec(0, 0.1, 0.0, "g", tt=10, tc=1)], label_policy([("g", 0.5)]), "both")
+        stp(table([rec(0, 0.1, 0.0, "g", tt=10, tc=1)]), label_policy([("g", 0.5)]), "both")
 
 
 # -------------------------------------------------------------- evaluate
@@ -178,7 +182,7 @@ def test_evaluate_single_trial_is_plain_scoring():
     records = [rec(i, u, l, "g") for i, (u, l) in
                enumerate([(0.2, 1.0), (0.4, 0.0), (0.9, 1.0)])]
     policy = label_policy([("g", 0.5)], epsilon=0.05)
-    report = evaluate(records, policy)
+    report = evaluate(table(records), policy)
     assert report.trials == 1
     assert report.error == pytest.approx(1 / 3)
     assert report.per_group_error == {"g": pytest.approx(1 / 3)}
@@ -189,8 +193,8 @@ def test_evaluate_single_trial_is_plain_scoring():
 
 def test_evaluate_bootstrap_is_deterministic():
     rng = np.random.default_rng(71)
-    records = [rec(i, float(rng.uniform()), float(rng.choice([0, 1], p=[0.8, 0.2])), "g")
-               for i in range(50)]
+    records = table([rec(i, float(rng.uniform()), float(rng.choice([0, 1], p=[0.8, 0.2])), "g")
+                     for i in range(50)])
     policy = label_policy([("g", 0.6)])
     a = evaluate(records, policy, trials=20, seed=5)
     b = evaluate(records, policy, trials=20, seed=5)
@@ -203,7 +207,7 @@ def test_evaluate_flags_groups_missing_from_some_trial():
     # one lonely record of group b: bootstrap resamples will drop it sometimes
     records = [rec(i, 0.3, 0.0, "a") for i in range(30)] + [rec(99, 0.3, 0.0, "b")]
     policy = label_policy([("a", 0.5), ("b", 0.5)])
-    report = evaluate(records, policy, trials=50, seed=9)
+    report = evaluate(table(records), policy, trials=50, seed=9)
     assert "b" in report.flagged_groups
     assert "a" not in report.flagged_groups
 
@@ -211,14 +215,14 @@ def test_evaluate_flags_groups_missing_from_some_trial():
 def test_evaluate_carries_stp():
     records = [rec(i, 0.2, 0.0, "g", tt=100, tc=10) for i in range(5)]
     policy = label_policy([("g", 0.5)])
-    report = evaluate(records, policy, stp_variant="router")
+    report = evaluate(table(records), policy, stp_variant="router")
     assert report.stp == pytest.approx(0.9)
     assert report.stp_variant == "router"
 
 
 def test_evaluate_rejects_bad_trials():
     with pytest.raises(ValueError):
-        evaluate([rec(0, 0.2, 0.0, "g")], label_policy([("g", 0.5)]), trials=0)
+        evaluate(table([rec(0, 0.2, 0.0, "g")]), label_policy([("g", 0.5)]), trials=0)
 
 
 # ------------------------------------------------ per-record reference
@@ -309,7 +313,7 @@ POLICIES = {
                           thresholds=(GroupThreshold("a", 0.4, 0.0, 10),)),
     "marginal": marginal_policy(0.62),
     "partition": RoutingPolicy(mode="cpac", epsilon=0.05, alpha=0.05, seed=0,
-                               assigner=Partition.from_centroids([0.2, 0.5, 0.8]),
+                               assigner=Partition([0.2, 0.5, 0.8]),
                                thresholds=(GroupThreshold(0, 0.3, 0.0, 10),
                                            GroupThreshold(1, None, None, 10),
                                            GroupThreshold(2, 0.9, 0.0, 10))),
@@ -325,10 +329,7 @@ def test_evaluate_matches_per_record_reference(policy_name, trials, variant):
         records = seeded_records(seed, n)
         expected = _evaluate_reference(records, policy, trials=trials, seed=seed,
                                        stp_variant=variant)
-        got = evaluate(records, policy, trials=trials, seed=seed, stp_variant=variant)
+        got = evaluate(table(records), policy, trials=trials, seed=seed, stp_variant=variant)
         assert got.to_dict() == expected.to_dict()
         assert list(got.per_group_error) == list(expected.per_group_error)
         assert list(got.n_per_group) == list(expected.n_per_group)
-        table = evaluate(RecordTable.from_records(records), policy, trials=trials,
-                         seed=seed, stp_variant=variant)
-        assert table.to_dict() == expected.to_dict()

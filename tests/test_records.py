@@ -8,7 +8,6 @@ from pac_route.records import (
     LossSpec,
     Record,
     RecordTable,
-    ResolvedRecord,
     binary_loss,
     cosine_loss,
     default_loss_spec,
@@ -109,21 +108,19 @@ def test_loss_spec_rejects_binary_with_other_bound():
 def test_resolve_loss_precomputed_path():
     r = make_record(loss=0.25)
     out = resolve_loss(r, LossSpec(kind="precomputed", bound_B=1.0))
-    assert isinstance(out, ResolvedRecord)
-    assert out.loss == 0.25
-    assert out.id == r.id
+    assert isinstance(out, float)
+    assert out == 0.25
 
 
 def test_resolve_loss_binary_path():
     r = make_record(thinking_answer="4", cheap_answer="7", gold_answer="4")
-    out = resolve_loss(r, default_loss_spec("binary"))
-    assert out.loss == 1.0
+    assert resolve_loss(r, default_loss_spec("binary")) == 1.0
 
 
 def test_resolve_loss_cosine_path():
     r = make_record(thinking_embedding=(1.0, 0.0), cheap_embedding=(1.0, 1.0))
     out = resolve_loss(r, default_loss_spec("cosine"))
-    assert abs(out.loss - (1.0 - math.sqrt(0.5))) < 1e-12
+    assert abs(out - (1.0 - math.sqrt(0.5))) < 1e-12
 
 
 def test_resolve_loss_flags_missing_ingredients():
@@ -143,22 +140,23 @@ def test_resolve_loss_enforces_bound_and_names_record():
 
 
 def test_resolved_record_rejects_non_finite_loss():
-    with pytest.raises(ValueError):
-        ResolvedRecord(id="r1", uncertainty=0.5, loss=float("inf"))
+    for loss in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            resolve_loss(make_record(loss=loss), LossSpec(kind="precomputed", bound_B=1.0))
 
 
 # ----------------------------------------------------------- record table
 
 
 def resolved(i, u, loss, label=None, tt=None, tc=None):
-    return ResolvedRecord(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
-                          tokens_thinking=tt, tokens_cheap=tc)
+    return Record(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
+                  tokens_thinking=tt, tokens_cheap=tc)
 
 
 def test_table_from_records_keeps_every_field():
     records = [resolved(0, 0.2, 1.0, "b", 100, 10), resolved(1, 0.0, 0.0),
                resolved(2, 1.0, 0.5, "a", 300, 0), resolved(3, 0.7, 0.0, "b")]
-    table = RecordTable.from_records(records)
+    table = RecordTable.from_records(records, LossSpec())
     assert len(table) == 4
     assert table.ids.tolist() == ["r0", "r1", "r2", "r3"]
     assert table.uncertainty.tolist() == [0.2, 0.0, 1.0, 0.7]
@@ -171,14 +169,14 @@ def test_table_from_records_keeps_every_field():
 
 
 def test_table_take_and_of():
-    table = RecordTable.from_records([resolved(i, i / 10, 0.0, "g") for i in range(5)])
+    table = RecordTable.from_records([resolved(i, i / 10, 0.0, "g") for i in range(5)], LossSpec())
     sub = table.take(np.array([4, 0, 4]))
     assert sub.ids.tolist() == ["r4", "r0", "r4"]
     assert sub.uncertainty.tolist() == [0.4, 0.0, 0.4]
     assert sub.labels == table.labels
     assert len(table.take(np.array([], dtype=int))) == 0
-    assert RecordTable.of(table) is table
-    assert RecordTable.of([]).labels == ()
+    empty = RecordTable.from_records([], LossSpec())
+    assert len(empty) == 0 and empty.labels == ()
 
 
 def table_columns(**overrides):
@@ -207,4 +205,4 @@ def test_table_rejects_bad_columns(overrides):
 
 def test_table_rejects_unresolved_records():
     with pytest.raises(ValueError):
-        RecordTable.from_records([make_record(id="r1")])
+        RecordTable.from_records([make_record(id="r1")], LossSpec())

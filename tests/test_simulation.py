@@ -14,7 +14,7 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import ClusterConfig, Partition
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import ResolvedRecord
+from pac_route.records import Record
 from pac_route.seeding import substream
 from pac_route.simulation import (
     CoverageReport,
@@ -135,7 +135,7 @@ def _generate_reference(spec, n, rng):
             probs[mask] = _prob_at(group, u[mask])
     losses = (coins < probs).astype(float)
     return [
-        ResolvedRecord(
+        Record(
             id=f"s{i}",
             uncertainty=float(u[i]),
             group_label=spec.groups[group_idx[i]].name,
@@ -228,7 +228,7 @@ def test_metrics_for_label_policy_with_fallback():
 
 def test_metrics_for_partition_policy():
     spec = two_group_spec()
-    part = Partition.from_centroids([0.25, 0.75])
+    part = Partition([0.25, 0.75])
     policy = RoutingPolicy(
         mode="cpac", epsilon=0.05, alpha=0.05, seed=0,
         assigner=part,

@@ -52,6 +52,7 @@ from .records import (
     MissingTokensError,
     NoRecordsError,
     Record,
+    RecordColumns,
     RecordTable,
     binary_loss,
     cosine_loss,
@@ -75,7 +76,7 @@ from .simulation import (
 __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
-    "Record", "RecordTable", "LossSpec", "default_loss_spec",
+    "Record", "RecordColumns", "RecordTable", "LossSpec", "default_loss_spec",
     "NoRecordsError", "MissingTokensError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -164,12 +164,23 @@ class RoutingPolicy:
     assigner: Any
     thresholds: tuple[GroupThreshold, ...]
     config_hash: str = ""
+    # group key -> its threshold (the first one listed), derived from thresholds
+    by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not self.epsilon > 0:
+            raise ValueError(f"tolerance epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        by_key: dict = {}
+        for t in self.thresholds:
+            by_key.setdefault(t.group_key, t)
+        object.__setattr__(self, "by_key", by_key)
 
     def threshold_for(self, group_key: GroupKey) -> GroupThreshold | None:
-        for t in self.thresholds:
-            if t.group_key == group_key:
-                return t
-        return None
+        return self.by_key.get(group_key)
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +221,7 @@ class RoutingPolicy:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteDecision:
     record_id: str
     group_key: GroupKey | None
@@ -316,8 +327,6 @@ def calibrate_gpac(
     only counted in the report.  Each group draws from its own substream of
     config.seed, so adding a group never changes another group's result.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n_min < 0:
         raise ValueError(f"n_min must be non-negative, got {n_min}")
     codes, keys = assigner.assign(records)
@@ -369,7 +378,7 @@ def route(
     key = policy.assigner.resolve(group_hint, uncertainty)
     if key is None:
         return RouteDecision(record_id, None, THINK)
-    threshold = policy.threshold_for(key)
+    threshold = policy.by_key.get(key)
     if threshold is None or threshold.always_think:
         return RouteDecision(record_id, key, THINK)
     action = CHEAP if uncertainty <= threshold.threshold else THINK

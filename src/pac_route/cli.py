@@ -20,6 +20,7 @@ import sys
 
 from . import __version__
 from .calibration import (
+    CHEAP,
     LabelAssigner,
     PolicyVersionError,
     TrivialAssigner,
@@ -36,6 +37,7 @@ from .records import (
     LossSpec,
     MissingTokensError,
     NoRecordsError,
+    RecordColumns,
     RecordTable,
     default_loss_spec,
 )
@@ -69,21 +71,21 @@ def _loss_spec(args) -> LossSpec:
         raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
 
 
-def _read_records(args):
+def _read_records(args) -> RecordColumns:
     try:
-        records, ignored = load_records(args.records, args.format)
+        columns, ignored = load_records(args.records, args.format)
     except (OSError, ValueError) as exc:
         raise _fail(EXIT_INPUT, f"cannot read records: {exc}") from exc
     if ignored:
         print(f"warning: ignored {ignored} unknown field(s) in {args.records}", file=sys.stderr)
-    if not records:
+    if not len(columns):
         raise _fail(EXIT_NO_RECORDS, f"no records found in {args.records}")
-    return records
+    return columns
 
 
-def _resolve_all(records, spec: LossSpec) -> RecordTable:
+def _resolve_all(columns: RecordColumns, spec: LossSpec) -> RecordTable:
     try:
-        return RecordTable.from_records(records, spec)
+        return RecordTable.from_columns(columns, spec)
     except ValueError as exc:
         raise _fail(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
 
@@ -143,17 +145,35 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _decision_lines(decisions) -> str:
+    """One JSON line per decision, byte-identical to json.dumps(d.to_dict())."""
+    fragments: dict = {}  # group key or action -> its JSON text
+
+    def dumped(value) -> str:
+        text = fragments.get(value)
+        if text is None:
+            text = fragments[value] = json.dumps(value)
+        return text
+
+    quoted = json.encoder.encode_basestring_ascii
+    return "".join([
+        f'{{"id": {quoted(d.record_id)}, "group_key": {dumped(d.group_key)}, "action": {dumped(d.action)}}}\n'
+        for d in decisions
+    ])
+
+
 def cmd_route(args) -> int:
     policy = _load_policy(args.policy)
-    records = _read_records(args)
+    columns = _read_records(args)
     try:
-        decisions = [route(policy, r.group_label, r.uncertainty, record_id=r.id) for r in records]
+        decisions = [
+            route(policy, label, u, record_id=record_id)
+            for record_id, label, u in zip(columns.id, columns.group_label, columns.uncertainty.tolist())
+        ]
     except ValueError as exc:
         raise _fail(EXIT_INPUT, str(exc)) from exc
-    atomic_write_text(
-        "".join(json.dumps(d.to_dict()) + "\n" for d in decisions), args.out
-    )
-    cheap = sum(d.action == "cheap" for d in decisions)
+    atomic_write_text(_decision_lines(decisions), args.out)
+    cheap = sum(d.action == CHEAP for d in decisions)
     unresolved = sum(d.group_key is None for d in decisions)
     print(f"cheap {cheap} think {len(decisions) - cheap} (unresolved group {unresolved})")
     print(f"wrote {args.out}")
@@ -202,9 +222,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    records = _read_records(args)
+    uncertainty = _read_records(args).uncertainty
     try:
-        partition = kmeans_1d([r.uncertainty for r in records], args.k)
+        partition = kmeans_1d(uncertainty, args.k)
     except ValueError as exc:
         raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(partition.to_dict(), args.out)

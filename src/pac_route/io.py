@@ -1,12 +1,14 @@
-"""Reading record files and writing outputs atomically.
+"""Reading record files into columns and writing outputs atomically.
 
 Records travel as JSONL (one object per line, embeddings as arrays) or CSV
-(header row, no embedding columns).  Fields we do not know are ignored; the
-loaders return how many such fields they skipped so callers can surface a
-warning; `json_object` and `json_field` check policy and spec files field by
-field.  All output files are written to a temporary sibling and renamed
-into place, so a failed run never leaves a partial file behind, and two runs
-writing one path at once each leave it whole.
+(header row, no embedding columns).  `load_records` reads a file straight
+into a :class:`~pac_route.records.RecordColumns`, with no object per line,
+and checks it column by column; the first bad row, a syntax error or a bad
+value, is reported with its `path:line`.  Fields we do not know are
+ignored and counted, so callers can surface a warning.  `json_object` and
+`json_field` check policy and spec files field by field.  Outputs are
+written to a temporary sibling and renamed into place, so a failed run
+never leaves a partial file and two runs writing one path each leave it whole.
 """
 
 from __future__ import annotations
@@ -16,34 +18,27 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import fields
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
-from .records import Record
+import numpy as np
 
-_RECORD_FIELDS = tuple(f.name for f in fields(Record))
+from .records import RECORD_FIELDS, Record, RecordColumns
+
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
+_STRING_FIELDS = ("group_label", "thinking_answer", "cheap_answer", "gold_answer")
+_NONE = type(None)
+_NEEDS = "record needs at least id and uncertainty"
+# rows parsed before their fields are moved into columns; bounds the memory
+# held by per-line dicts
+_BLOCK = 8192
+_scan_json = json.JSONDecoder().scan_once
 # mkstemp creates files owner-only; outputs get the mode a plain open() would give
 _UMASK = os.umask(0)
 os.umask(_UMASK)
-
-
-def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
-    known = {}
-    unknown = 0
-    for key, value in data.items():
-        if key in _RECORD_FIELDS:
-            known[key] = value
-        else:
-            unknown += 1
-    if "id" not in known or "uncertainty" not in known:
-        raise ValueError(f"{source}: record needs at least id and uncertainty")
-    try:
-        return Record(**known), unknown
-    except TypeError as exc:
-        raise ValueError(f"{source}: field of the wrong type: {exc}") from exc
 
 
 def json_object(value, what: str) -> dict:
@@ -67,75 +62,194 @@ def json_field(data: dict, name: str, convert, default=_REQUIRED):
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
-def read_records_jsonl(path) -> tuple[list[Record], int]:
-    records = []
+def _first(column, ok) -> int | None:
+    """Index of the first entry of `column` for which `ok` is false."""
+    return next((i for i, value in enumerate(column) if not ok(value)), None)
+
+
+def _check_types(errors: list, name: str, column: list, types: tuple, what: str) -> None:
+    if not set(map(type, column)) <= set(types):
+        bad = _first(column, lambda value: type(value) in types)
+        errors.append((bad, f"field {name!r} must be {what}, got {column[bad]!r}"))
+
+
+def _converted(errors: list, name: str, column: list, convert) -> list:
+    """convert(value) of each value but None, up to the first value it rejects."""
+    out = [None] * len(column)
+    for i, value in enumerate(column):
+        try:
+            if value is not None:
+                out[i] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append((i, f"field {name!r}: {exc}"))
+            break
+    return out
+
+
+def _floats(errors: list, name: str, column: list, convert=float) -> np.ndarray:
+    """`column` as a float array, converted like `convert(value)`; None, and
+    every value from the first one `convert` rejects on, is NaN."""
+    if set(map(type, column)) <= {float, int, _NONE}:
+        with contextlib.suppress(OverflowError):
+            return np.array(column, dtype=float)
+    return np.array(_converted(errors, name, column, convert), dtype=float)
+
+
+def _token_count(value) -> float:
+    if type(value) not in (int, float, bool):
+        raise TypeError(f"a token count must be a number, got {value!r}")
+    return float(value)
+
+
+def _embedding(value) -> tuple[float, ...]:
+    if type(value) is not list:
+        raise TypeError(f"an embedding must be an array of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+def _columns(raw: dict[str, list], lines: list[int], path, failure: str | None) -> RecordColumns:
+    """The checked columns of `raw` (every Record field, one entry per row
+    read from `path`, None where missing), or the ValueError of the earliest
+    bad row: a bad value (within a row, the first check here wins), else
+    `failure`, the error that stopped reading after the last row of `raw`."""
+    errors: list[tuple[int, str]] = []
+    columns = dict(raw)
+    ids = raw["id"]
+    if not (set(map(type, ids)) <= {str} and all(ids)):
+        bad = _first(ids, lambda value: isinstance(value, str) and value)
+        errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
+    if None in raw["uncertainty"]:
+        errors.append((raw["uncertainty"].index(None), _NEEDS))
+    u = columns["uncertainty"] = _floats(errors, "uncertainty", raw["uncertainty"])
+    ok = (u >= 0.0) & (u <= 1.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        errors.append((bad, f"uncertainty {u[bad]} outside [0, 1]"))
+    for name in _STRING_FIELDS:
+        _check_types(errors, name, raw[name], (str, _NONE), "a string")
+    _check_types(errors, "loss", raw["loss"], (float, int, _NONE), "a number")
+    for name in _EMBEDDING_FIELDS:
+        if raw[name].count(None) < len(raw[name]):
+            columns[name] = _converted(errors, name, raw[name], _embedding)
+    for name in _INT_FIELDS:
+        tokens = columns[name] = _floats(errors, name, raw[name], _token_count)
+        if (tokens < 0).any():
+            errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
+    if errors:
+        row, message = min(errors, key=lambda error: error[0])
+        raise ValueError(f"{path}:{lines[row]}: {message}")
+    if failure is not None:
+        raise ValueError(failure)
+    return RecordColumns(**columns, source=os.fspath(path), lines=np.array(lines, dtype=np.int64))
+
+
+def _move_rows(rows: list[dict], raw: dict[str, list]) -> int:
+    """Append the fields of `rows` to the columns in `raw`; returns the number
+    of unknown fields skipped."""
+    present = set().union(*rows)
+    for name, column in raw.items():
+        column += map(dict.get, rows, repeat(name)) if name in present else repeat(None, len(rows))
+    return sum(sum(map(dict.__contains__, rows, repeat(name))) for name in present.difference(raw))
+
+
+def _read_jsonl(path) -> tuple[RecordColumns, int]:
+    raw: dict[str, list] = {name: [] for name in RECORD_FIELDS}
+    rows: list[dict] = []
+    lines: list[int] = []
     ignored = 0
+    failure = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            # the C scanner parses one value from the start of the line; a
+            # line it does not end on a newline takes the slow path
             try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ValueError(f"{path}:{lineno}: each line must be a JSON object")
-            record, unknown = _record_from_mapping(data, f"{path}:{lineno}")
-            records.append(record)
-            ignored += unknown
-    return records, ignored
+                row, end = _scan_json(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line) - 1 or line[end] != "\n" or type(row) is not dict:
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except ValueError as exc:
+                    failure = f"{path}:{lineno}: {exc}"
+                    break
+                if not isinstance(row, dict):
+                    failure = f"{path}:{lineno}: each line must be a JSON object"
+                    break
+            rows.append(row)
+            lines.append(lineno)
+            if len(rows) == _BLOCK:
+                ignored += _move_rows(rows, raw)
+                rows.clear()
+    if rows:
+        ignored += _move_rows(rows, raw)
+    return _columns(raw, lines, path, failure), ignored
 
 
-def read_records_csv(path) -> tuple[list[Record], int]:
-    records = []
-    ignored = 0
+def _read_csv(path) -> tuple[RecordColumns, int]:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: missing CSV header row")
-        present = set(reader.fieldnames) & set(_EMBEDDING_FIELDS)
+        present = set(header) & set(_EMBEDDING_FIELDS)
         if present:
             raise ValueError(
                 f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
             )
-        for lineno, row in enumerate(reader, start=2):
-            data: dict = {}
-            unknown = 0
-            for key, raw in row.items():
-                if key not in _RECORD_FIELDS:
-                    unknown += 1
-                    continue
-                if raw is None or raw == "":
-                    continue
-                try:
-                    if key in _FLOAT_FIELDS:
-                        data[key] = float(raw)
-                    elif key in _INT_FIELDS:
-                        data[key] = int(raw)
-                    else:
-                        data[key] = raw
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
-            record, _ = _record_from_mapping(data, f"{path}:{lineno}")
-            records.append(record)
-            ignored += unknown
-    return records, ignored
+        width = len(header)
+        rows, lines = [], []
+        long_rows = 0
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            long_rows += len(row) > width
+            rows.append(row)
+            lines.append(reader.line_num)
+    # every row has each header name (short rows are padded); cells beyond
+    # the header count as one more unknown field
+    ignored = len(rows) * len(set(header).difference(RECORD_FIELDS)) + long_rows
+    column_of = {name: i for i, name in enumerate(header)}
+    raw: dict[str, list] = {}
+    failure = None  # (row, header position, message) of the first bad cell
+    for name in RECORD_FIELDS:
+        if name not in column_of:
+            raw[name] = [None] * len(rows)
+            continue
+        convert = float if name in _FLOAT_FIELDS else int if name in _INT_FIELDS else str
+        raw[name] = column = []
+        try:
+            # extend keeps the cells converted before a failing one
+            column += (None if cell == "" else convert(cell) for cell in map(itemgetter(column_of[name]), rows))
+        except ValueError as exc:
+            error = (len(column), column_of[name], f"field {name!r}: {exc}")
+            failure = error if failure is None else min(failure, error)
+    if failure is not None:
+        row = failure[0]
+        for column in raw.values():
+            del column[row:]
+        failure, lines = f"{path}:{lines[row]}: {failure[2]}", lines[:row]
+    return _columns(raw, lines, path, failure), ignored
 
 
-def load_records(path, fmt: str | None = None) -> tuple[list[Record], int]:
-    """Load records from `path`; format from the flag or the file extension."""
+def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
+    """Load the records of `path` as columns, with the number of unknown
+    fields skipped; format from the flag or the file extension."""
     if fmt is None:
         fmt = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
     if fmt == "csv":
-        return read_records_csv(path)
+        return _read_csv(path)
     if fmt == "jsonl":
-        return read_records_jsonl(path)
+        return _read_jsonl(path)
     raise ValueError(f"unknown records format {fmt!r}")
 
 
 def record_to_dict(record: Record) -> dict:
     data = {}
-    for name in _RECORD_FIELDS:
+    for name in RECORD_FIELDS:
         value = getattr(record, name)
         if value is None:
             continue
@@ -175,8 +289,6 @@ def atomic_write_json(data, path) -> None:
 __all__ = [
     "json_object",
     "json_field",
-    "read_records_jsonl",
-    "read_records_csv",
     "load_records",
     "record_to_dict",
     "write_records_jsonl",

@@ -6,22 +6,31 @@ route is measured relative to the thinking route and can either be supplied
 precomputed, derived from answer strings (binary), or derived from answer
 embeddings (cosine distance).
 
-Records are read one at a time at the I/O boundary, and
-:meth:`RecordTable.from_records` resolves each one's loss straight into the
-table's loss column.  The calibration, evaluation and simulation loops take
-only a :class:`RecordTable`: resolved records as aligned numpy columns,
-validated once when the table is built.
+Record files are read straight into a :class:`RecordColumns`, one list or
+array per field, checked column by column as they are loaded;
+:meth:`RecordTable.from_columns` then resolves each row's loss straight into
+the table's loss column.  A single hand-built :class:`Record` checks itself,
+and :meth:`RecordTable.from_records` transposes a list of them into the same
+column path.  The calibration, evaluation and simulation loops take only a
+:class:`RecordTable`: resolved records as aligned numpy columns, validated
+once when the table is built.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 LOSS_KINDS = ("precomputed", "binary", "cosine")
+# The fields each loss kind is computed from, in the order resolve_loss takes them.
+LOSS_SOURCES = {
+    "precomputed": ("loss",),
+    "binary": ("thinking_answer", "cheap_answer", "gold_answer"),
+    "cosine": ("thinking_embedding", "cheap_embedding"),
+}
 NO_LABEL = -1
 
 
@@ -116,30 +125,70 @@ def cosine_loss(v1, v2) -> float:
     return 1.0 - dot / (na * nb)
 
 
-def resolve_loss(record: Record, spec: LossSpec) -> float:
-    """The loss of `record` according to `spec`, checked to lie in [0, B].
+def resolve_loss(sources: tuple, spec: LossSpec) -> float:
+    """The loss of one record according to `spec`, checked to lie in [0, B].
 
-    precomputed: the record's own loss field, validated against [0, B].
-    binary:      from the three answer strings.
-    cosine:      from the two answer embeddings.
+    `sources` holds the record's values of the fields LOSS_SOURCES[spec.kind]:
+    precomputed: (loss,), validated against [0, B].
+    binary:      the three answer strings.
+    cosine:      the two answer embeddings.
     """
+    if None in sources:
+        raise ValueError(f"{spec.kind} loss needs {', '.join(LOSS_SOURCES[spec.kind])}")
     if spec.kind == "precomputed":
-        if record.loss is None:
-            raise ValueError(f"record {record.id}: no precomputed loss present")
-        value = float(record.loss)
+        value = float(sources[0])
     elif spec.kind == "binary":
-        if record.thinking_answer is None or record.cheap_answer is None or record.gold_answer is None:
-            raise ValueError(f"record {record.id}: binary loss needs all three answers")
-        value = binary_loss(record.thinking_answer, record.cheap_answer, record.gold_answer)
+        value = binary_loss(*sources)
     else:
-        if record.thinking_embedding is None or record.cheap_embedding is None:
-            raise ValueError(f"record {record.id}: cosine loss needs both embeddings")
-        value = cosine_loss(record.thinking_embedding, record.cheap_embedding)
+        value = cosine_loss(*sources)
     if not 0.0 <= value <= spec.bound_B:
-        raise ValueError(
-            f"record {record.id}: loss {value} outside [0, {spec.bound_B}]"
-        )
+        raise ValueError(f"loss {value} outside [0, {spec.bound_B}]")
     return value
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(Record))
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """Records before their losses are resolved, one column per Record field.
+
+    Every column has one entry per record, None where a field is missing; the
+    uncertainty and token columns are float arrays (a missing token count is
+    NaN).  `lines[i]` is the line of `source` row i was read from (None for
+    records built in memory); `origin` names a row in messages.
+    """
+
+    id: list
+    uncertainty: np.ndarray
+    group_label: list
+    loss: list
+    thinking_answer: list
+    cheap_answer: list
+    gold_answer: list
+    thinking_embedding: list
+    cheap_embedding: list
+    tokens_thinking: np.ndarray
+    tokens_cheap: np.ndarray
+    source: str = ""
+    lines: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def origin(self, i: int) -> str:
+        """`path:line` of row i, or `record <id>` for records built in memory."""
+        if self.lines is None:
+            return f"record {self.id[i]}"
+        return f"{self.source}:{self.lines[i]}"
+
+    @classmethod
+    def from_records(cls, records: Sequence[Record]) -> "RecordColumns":
+        """The columns of already validated records."""
+        columns = {name: [getattr(r, name) for r in records] for name in RECORD_FIELDS}
+        for name in ("uncertainty", "tokens_thinking", "tokens_cheap"):
+            columns[name] = np.array(columns[name], dtype=float)
+        return cls(**columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,27 +231,32 @@ class RecordTable:
             raise ValueError("token counts must be non-negative")
 
     @classmethod
-    def from_records(cls, records: Sequence[Record], spec: LossSpec) -> "RecordTable":
-        """Columns of `records`, each loss resolved by `spec`; the label
-        vocabulary is in first-appearance order."""
+    def from_columns(cls, columns: RecordColumns, spec: LossSpec) -> "RecordTable":
+        """The rows of `columns`, each loss resolved by `spec`; the label
+        vocabulary is in first-appearance order.  A row whose loss does not
+        resolve raises a ValueError naming its origin."""
+        loss = []
+        for i, sources in enumerate(zip(*(getattr(columns, name) for name in LOSS_SOURCES[spec.kind]))):
+            try:
+                loss.append(resolve_loss(sources, spec))
+            except ValueError as exc:
+                raise ValueError(f"{columns.origin(i)}: {exc}") from exc
         vocab: dict[str, int] = {}
-        codes = [
-            NO_LABEL if r.group_label is None else vocab.setdefault(r.group_label, len(vocab))
-            for r in records
-        ]
-
-        def tokens(name):
-            return [math.nan if getattr(r, name) is None else getattr(r, name) for r in records]
-
+        codes = [NO_LABEL if g is None else vocab.setdefault(g, len(vocab)) for g in columns.group_label]
         return cls(
-            ids=np.array([r.id for r in records], dtype=object),
-            uncertainty=[r.uncertainty for r in records],
-            loss=[resolve_loss(r, spec) for r in records],
+            ids=np.array(columns.id, dtype=object),
+            uncertainty=columns.uncertainty,
+            loss=loss,
             label_code=codes,
             labels=tuple(vocab),
-            tokens_thinking=tokens("tokens_thinking"),
-            tokens_cheap=tokens("tokens_cheap"),
+            tokens_thinking=columns.tokens_thinking,
+            tokens_cheap=columns.tokens_cheap,
         )
+
+    @classmethod
+    def from_records(cls, records: Sequence[Record], spec: LossSpec) -> "RecordTable":
+        """`from_columns` of the records' columns."""
+        return cls.from_columns(RecordColumns.from_records(records), spec)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -227,10 +281,13 @@ class RecordTable:
 
 __all__ = [
     "LOSS_KINDS",
+    "LOSS_SOURCES",
+    "RECORD_FIELDS",
     "NO_LABEL",
     "NoRecordsError",
     "MissingTokensError",
     "Record",
+    "RecordColumns",
     "RecordTable",
     "LossSpec",
     "default_loss_spec",

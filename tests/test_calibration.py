@@ -1,5 +1,6 @@
 """Threshold selection, routing policies, and their serialized form."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -358,6 +359,68 @@ def test_policy_json_round_trip(tmp_path):
     # routing decisions survive the round trip
     for u in np.linspace(0, 1, 17):
         assert route(back, "a", float(u)).action == route(policy, "a", float(u)).action
+
+
+@st.composite
+def policies(draw):
+    kind = draw(st.sampled_from(["labels", "open", "partition", "trivial"]))
+    if kind == "partition":
+        centroids = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
+        assigner = Partition(tuple(sorted(centroids)))
+        keys = list(range(len(centroids)))
+    elif kind == "trivial":
+        assigner, keys = TrivialAssigner(), [GROUP_ALL]
+    else:
+        labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+        assigner = LabelAssigner(labels=tuple(labels) if kind == "labels" else ())
+        keys = labels
+    keys = draw(st.permutations(keys))[:draw(st.integers(0, len(keys)))]
+    thresholds = []
+    for key in keys:
+        threshold = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+        ucb = None if threshold is None else draw(st.floats(0.0, 1.0))
+        thresholds.append(GroupThreshold(key, threshold, ucb, draw(st.integers(0, 10 ** 6))))
+    return RoutingPolicy(
+        mode=draw(st.sampled_from(["marginal", "gpac", "cpac"])),
+        epsilon=draw(st.floats(1e-9, 1.0)),
+        alpha=draw(st.floats(1e-9, 1.0, exclude_max=True)),
+        seed=draw(st.integers(0, 2 ** 63)),
+        assigner=assigner,
+        thresholds=tuple(thresholds),
+        config_hash=draw(st.text(alphabet="0123456789abcdef", max_size=16)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(policies())
+def test_policy_survives_json_round_trip(policy):
+    back = RoutingPolicy.from_dict(json.loads(json.dumps(policy.to_dict())))
+    assert back == policy
+    assert json.dumps(back.to_dict()) == json.dumps(policy.to_dict())
+    assert back.by_key == policy.by_key
+
+
+def test_threshold_lookup_follows_replace():
+    policy = RoutingPolicy(
+        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        assigner=LabelAssigner(labels=("g", "h")),
+        thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3)),
+    )
+    assert policy.threshold_for("g").threshold == 0.4
+    assert policy.threshold_for("x") is None
+    moved = dataclasses.replace(policy, thresholds=(GroupThreshold("g", 0.6, 0.01, 50),))
+    assert moved.threshold_for("g").threshold == 0.6 and moved.threshold_for("h") is None
+    assert route(moved, "g", 0.5).action == CHEAP and route(policy, "g", 0.5).action == THINK
+
+
+@pytest.mark.parametrize("settings_", [dict(mode="bogus"), dict(epsilon=0.0), dict(epsilon=-1.0),
+                                       dict(epsilon=float("nan")), dict(alpha=0.0), dict(alpha=1.0),
+                                       dict(alpha=7.0)])
+def test_policy_rejects_invalid_settings(settings_):
+    base = dict(mode="gpac", epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(), thresholds=())
+    RoutingPolicy(**base)
+    with pytest.raises(ValueError):
+        RoutingPolicy(**{**base, **settings_})
 
 
 def test_policy_file_shape(tmp_path):

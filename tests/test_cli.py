@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pac_route.calibration import (
+    GroupThreshold,
+    LabelAssigner,
+    RoutingPolicy,
+    TrivialAssigner,
+    route,
+    save_policy,
+)
 from pac_route.cli import main
+from pac_route.clustering import Partition
 
 EPS = ["--epsilon", "0.1"]
 
@@ -202,6 +211,41 @@ def test_malformed_record_file_names_path_and_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
+GOOD_LINE = '{"id": "a", "uncertainty": 0.5, "group_label": "easy", "loss": 0.0}'
+BAD_SECOND_LINES = {
+    "uncertainty-above-one": '{"id": "b", "uncertainty": 1.5, "loss": 0.0}',
+    "uncertainty-nan": '{"id": "b", "uncertainty": NaN, "loss": 0.0}',
+    "uncertainty-string": '{"id": "b", "uncertainty": "abc", "loss": 0.0}',
+    "negative-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_cheap": -3}',
+    "huge-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_cheap": 1' + "0" * 400 + "}",
+    "empty-id": '{"id": "", "uncertainty": 0.5, "loss": 0.0}',
+    "label-number": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "group_label": 5}',
+    "loss-string": '{"id": "b", "uncertainty": 0.5, "loss": "x"}',
+    "embedding-string": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "cheap_embedding": "12"}',
+    "two-values": '{"id": "b", "uncertainty": 0.5}, {"id": "c", "uncertainty": 0.5}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SECOND_LINES))
+@pytest.mark.parametrize("command", ["calibrate", "route"])
+def test_bad_record_names_its_path_and_line(tmp_path, policy_file, capsys, case, command):
+    path = tmp_path / "r.jsonl"
+    path.write_text(GOOD_LINE + "\n" + BAD_SECOND_LINES[case] + "\n" + GOOD_LINE + "\n")
+    out = tmp_path / "out"
+    extra = [*EPS] if command == "calibrate" else ["--policy", policy_file]
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unresolvable_loss_names_its_path_and_line(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    path.write_text(GOOD_LINE + "\n\n" + '{"id": "b", "uncertainty": 0.5, "loss": 1.5}\n')
+    assert main(["calibrate", "--records", str(path), *EPS, "--out", str(tmp_path / "p.json")]) == 2
+    assert f"cannot resolve losses: {path}:3: loss 1.5 outside" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- route
 
 
@@ -306,10 +350,31 @@ def _group_key_list(data):
     return data
 
 
+def _bogus_mode(data):
+    return {**data, "mode": "bogus"}
+
+
+def _negative_epsilon(data):
+    return {**data, "epsilon": -1.0}
+
+
+def _zero_epsilon(data):
+    return {**data, "epsilon": 0.0}
+
+
+def _alpha_seven(data):
+    return {**data, "alpha": 7.0}
+
+
+def _alpha_zero(data):
+    return {**data, "alpha": 0.0}
+
+
 POLICY_EDITS = [
     _raise_threshold, _duplicate_key, _unknown_key, _negative_threshold,
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
+    _bogus_mode, _negative_epsilon, _zero_epsilon, _alpha_seven, _alpha_zero,
 ]
 
 
@@ -321,6 +386,59 @@ def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, c
     assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
     assert "cannot read policy" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _decisions_reference(decisions) -> str:
+    """decisions.jsonl as it was written before: one json.dumps per decision."""
+    return "".join(json.dumps(d.to_dict()) + "\n" for d in decisions)
+
+
+ODD_IDS = ['q"uote', "back\\slash", "ünï", "日本語", "emoji😀", "tab\tctl\x01", "line\u2028sep", "/slash"]
+ROUTE_POLICIES = {
+    "labels": RoutingPolicy(
+        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        assigner=LabelAssigner(labels=("easy", "hard", "ü")),
+        thresholds=(GroupThreshold("easy", 0.6, 0.01, 30), GroupThreshold("hard", None, None, 3),
+                    GroupThreshold("ü", 0.3, 0.02, 40)),
+    ),
+    "open": RoutingPolicy(
+        mode="gpac", epsilon=0.05, alpha=0.05, seed=0, assigner=LabelAssigner(),
+        thresholds=(GroupThreshold("easy", 0.4, 0.0, 10),),
+    ),
+    "partition": RoutingPolicy(
+        mode="cpac", epsilon=0.05, alpha=0.05, seed=0, assigner=Partition((0.2, 0.5, 0.8)),
+        thresholds=(GroupThreshold(0, 0.3, 0.0, 10), GroupThreshold(1, None, None, 10),
+                    GroupThreshold(2, 0.9, 0.0, 10)),
+    ),
+    "trivial": RoutingPolicy(
+        mode="marginal", epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(),
+        thresholds=(GroupThreshold("all", 0.45, 0.01, 50),),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_POLICIES))
+def test_route_output_matches_per_decision_json_dumps(tmp_path, name):
+    policy = ROUTE_POLICIES[name]
+    save_policy(policy, tmp_path / "policy.json")
+    rng = np.random.default_rng(11)
+    rows = []
+    for i in range(400):
+        row = {"id": f"{ODD_IDS[i % len(ODD_IDS)]}{i}",
+               "uncertainty": float(rng.choice([rng.uniform(), 0.3, 0.5, 0.0, 1.0]))}
+        label = ["easy", "hard", "ü", "other", None][i % 5]
+        if label is not None:
+            row["group_label"] = label
+        rows.append(row)
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=bool(i % 2)) + "\n" for i, r in enumerate(rows)),
+                    encoding="utf-8")
+    out = tmp_path / "decisions.jsonl"
+    assert main(["route", "--policy", str(tmp_path / "policy.json"), "--records", str(path),
+                 "--out", str(out)]) == 0
+    decisions = [route(policy, r.get("group_label"), r["uncertainty"], record_id=r["id"]) for r in rows]
+    assert out.read_bytes() == _decisions_reference(decisions).encode("utf-8")
+    assert {d.action for d in decisions} == {"cheap", "think"}
 
 
 # ---------------------------------------------------------------- evaluate

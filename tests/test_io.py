@@ -1,20 +1,151 @@
+import csv
+import io
 import json
+import math
+import re
 import stat
 import sys
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pac_route.io import (
     atomic_write_json,
     atomic_write_text,
     load_records,
-    read_records_csv,
-    read_records_jsonl,
     record_to_dict,
     write_records_jsonl,
 )
-from pac_route.records import Record
+from pac_route.records import RECORD_FIELDS, Record, RecordColumns
+
+# ------------------------------------------------- per-record reference readers
+# The record-at-a-time readers load_records replaced, kept as oracles.  Four
+# differences from the originals, each a fix the column loader makes too:
+# every row error names its path:line (a ValueError from Record used to name
+# only the record), a CSV error names the physical line (a blank line used to
+# shift the count), the fields Record stores unchecked must have their JSON
+# type (labels and answers strings, losses numbers, embeddings arrays), and a
+# token count too large for a float is a row error (it used to crash when the
+# table was built).
+
+_EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
+_INT_FIELDS = ("tokens_thinking", "tokens_cheap")
+_FLOAT_FIELDS = ("uncertainty", "loss")
+_UNCHECKED_TYPES = {
+    "group_label": (str,), "thinking_answer": (str,), "cheap_answer": (str,),
+    "gold_answer": (str,), "loss": (int, float),
+    "thinking_embedding": (list,), "cheap_embedding": (list,),
+}
+
+
+def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
+    known = {}
+    unknown = 0
+    for key, value in data.items():
+        if key in RECORD_FIELDS:
+            known[key] = value
+        else:
+            unknown += 1
+    if "id" not in known or "uncertainty" not in known:
+        raise ValueError(f"{source}: record needs at least id and uncertainty")
+    for name, types in _UNCHECKED_TYPES.items():
+        if known.get(name) is not None and type(known[name]) not in types:
+            raise ValueError(f"{source}: field {name!r} has the wrong type")
+    try:
+        for name in _INT_FIELDS:
+            if isinstance(known.get(name), int):
+                float(known[name])
+        return Record(**known), unknown
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
+def read_records_jsonl_reference(path) -> tuple[list[Record], int]:
+    records = []
+    ignored = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ValueError(f"{path}:{lineno}: each line must be a JSON object")
+            record, unknown = _record_from_mapping(data, f"{path}:{lineno}")
+            records.append(record)
+            ignored += unknown
+    return records, ignored
+
+
+def read_records_csv_reference(path) -> tuple[list[Record], int]:
+    records = []
+    ignored = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: missing CSV header row")
+        present = set(reader.fieldnames) & set(_EMBEDDING_FIELDS)
+        if present:
+            raise ValueError(
+                f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
+            )
+        for row in reader:
+            lineno = reader.line_num
+            data: dict = {}
+            unknown = 0
+            for key, raw in row.items():
+                if key not in RECORD_FIELDS:
+                    unknown += 1
+                    continue
+                if raw is None or raw == "":
+                    continue
+                try:
+                    if key in _FLOAT_FIELDS:
+                        data[key] = float(raw)
+                    elif key in _INT_FIELDS:
+                        data[key] = int(raw)
+                    else:
+                        data[key] = raw
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
+            record, _ = _record_from_mapping(data, f"{path}:{lineno}")
+            records.append(record)
+            ignored += unknown
+    return records, ignored
+
+
+def column_values(columns: RecordColumns) -> dict:
+    """Every column as comparable values (repr keeps NaN equal to NaN and an
+    int apart from a float)."""
+    return {name: [repr(v) for v in list(getattr(columns, name))] for name in RECORD_FIELDS}
+
+
+def assert_same_columns(got: RecordColumns, records: list[Record]) -> None:
+    want = RecordColumns.from_records(records)
+    assert column_values(got) == column_values(want)
+    for name in ("uncertainty", "tokens_thinking", "tokens_cheap"):
+        assert getattr(got, name).dtype == np.float64
+
+
+def outcome(read, path):
+    """("ok", columns of the records, ignored) or ("error", the line named)."""
+    try:
+        records, ignored = read(path)
+    except ValueError as exc:
+        match = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+        assert match, f"error without path:line: {exc}"
+        return "error", int(match.group(1))
+    if isinstance(records, RecordColumns):
+        return "ok", column_values(records), ignored
+    return "ok", column_values(RecordColumns.from_records(records)), ignored
+
+
+# --------------------------------------------------------------- load_records
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -27,8 +158,9 @@ def test_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "records.jsonl"
     write_records_jsonl(records, path)
-    back, ignored = read_records_jsonl(path)
-    assert back == records
+    back, ignored = load_records(path)
+    assert_same_columns(back, records)
+    assert back.lines.tolist() == [1, 2]
     assert ignored == 0
 
 
@@ -39,8 +171,9 @@ def test_jsonl_skips_blank_lines_and_counts_unknown_fields(tmp_path):
         "\n"
         '{"id": "b", "uncertainty": 0.2}\n'
     )
-    records, ignored = read_records_jsonl(path)
-    assert [r.id for r in records] == ["a", "b"]
+    columns, ignored = load_records(path)
+    assert columns.id == ["a", "b"]
+    assert columns.lines.tolist() == [1, 3]
     assert ignored == 2
 
 
@@ -48,14 +181,14 @@ def test_jsonl_rejects_non_object_lines(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text("[1, 2]\n")
     with pytest.raises(ValueError):
-        read_records_jsonl(path)
+        load_records(path)
 
 
 def test_jsonl_requires_id_and_uncertainty(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"id": "a"}\n')
     with pytest.raises(ValueError) as info:
-        read_records_jsonl(path)
+        load_records(path)
     assert "uncertainty" in str(info.value)
 
 
@@ -66,19 +199,20 @@ def test_csv_reading_with_blanks(tmp_path):
         "a,0.25,math,0.5,100,10\n"
         "b,0.75,,,,\n"
     )
-    records, ignored = read_records_csv(path)
+    columns, ignored = load_records(path)
     assert ignored == 0
-    assert records[0].loss == 0.5
-    assert records[0].tokens_thinking == 100
-    assert records[1].group_label is None
-    assert records[1].loss is None
+    assert columns.loss[0] == 0.5
+    assert columns.tokens_thinking[0] == 100
+    assert columns.group_label[1] is None
+    assert columns.loss[1] is None
+    assert np.isnan(columns.tokens_cheap[1])
 
 
 def test_csv_rejects_embedding_columns(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("id,uncertainty,thinking_embedding\na,0.5,1.0\n")
     with pytest.raises(ValueError) as info:
-        read_records_csv(path)
+        load_records(path)
     assert "JSONL" in str(info.value)
 
 
@@ -86,7 +220,7 @@ def test_csv_requires_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError):
-        read_records_csv(path)
+        load_records(path)
 
 
 def test_load_records_detects_format(tmp_path):
@@ -94,14 +228,131 @@ def test_load_records_detects_format(tmp_path):
     jl.write_text('{"id": "a", "uncertainty": 0.5}\n')
     cv = tmp_path / "r.csv"
     cv.write_text("id,uncertainty\na,0.5\n")
-    assert load_records(jl)[0][0].id == "a"
-    assert load_records(cv)[0][0].id == "a"
+    assert load_records(jl)[0].id[0] == "a"
+    assert load_records(cv)[0].id[0] == "a"
     # explicit format wins over the extension
     odd = tmp_path / "r.data"
     odd.write_text("id,uncertainty\nb,0.5\n")
-    assert load_records(odd, "csv")[0][0].id == "b"
+    assert load_records(odd, "csv")[0].id[0] == "b"
     with pytest.raises(ValueError):
         load_records(jl, "parquet")
+
+
+def test_loader_keeps_benchmark_sized_input_exact(tmp_path):
+    # more rows than one parsing block, with a blank line and an unknown
+    # field in the second block
+    rng = np.random.default_rng(5)
+    rows = [{"id": f"r{i}", "uncertainty": float(rng.uniform()),
+             **({"group_label": "g"} if i % 3 else {}),
+             **({"tokens_thinking": int(rng.integers(0, 500))} if i % 5 else {})}
+            for i in range(20_000)]
+    rows[15_000]["note"] = "x"
+    text = "".join(json.dumps(r) + "\n" for r in rows[:9000]) + "\n" + \
+        "".join(json.dumps(r) + "\n" for r in rows[9000:])
+    path = tmp_path / "big.jsonl"
+    path.write_text(text)
+    assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+    columns, ignored = load_records(path)
+    assert ignored == 1 and columns.lines[9000] == 9002
+
+
+# ------------------------------------------- loader against the reference readers
+
+_IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))
+_BAD = st.sampled_from([None, [1], {"a": 1}, True, "abc", "", -1, 1.5, math.nan, math.inf, "0.5", 10 ** 400])
+
+
+def _field(good):
+    # mostly valid values, one in twelve from the bad pool
+    return st.integers(0, 11).flatmap(lambda i: _BAD if i == 0 else good)
+
+
+_FIELD_VALUES = {
+    "id": _field(_IDS),
+    "uncertainty": _field(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))),
+    "group_label": _field(st.sampled_from(["a", "b", "ü", None])),
+    "loss": _field(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, None]))),
+    "thinking_answer": _field(st.text(max_size=3)),
+    "cheap_answer": _field(st.text(max_size=3)),
+    "gold_answer": _field(st.text(max_size=3)),
+    "thinking_embedding": _field(st.lists(st.floats(-2.0, 2.0), max_size=3)),
+    "cheap_embedding": _field(st.lists(st.floats(-2.0, 2.0), max_size=3)),
+    "tokens_thinking": _field(st.integers(0, 10 ** 6)),
+    "tokens_cheap": _field(st.integers(0, 10 ** 6)),
+    "note": st.integers(0, 9),
+}
+
+
+@st.composite
+def jsonl_line(draw):
+    kind = draw(st.sampled_from(["row"] * 24 + ["blank"] * 3 + ["array", "two", "syntax", "fragment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "array":
+        return "[1, 2]"
+    if kind == "syntax":
+        return '{"id": "x", "uncertainty": 0.5'
+    if kind == "fragment":
+        return '"uncertainty": 0.5}'
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), unique=True, max_size=7))
+    row = {"id": draw(_IDS), "uncertainty": draw(st.floats(0.0, 1.0))}
+    row.update({name: draw(_FIELD_VALUES[name]) for name in names})
+    text = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    if kind == "two":
+        return text + draw(st.sampled_from([" ", ", "])) + text
+    return text + draw(st.sampled_from(["", " "]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(jsonl_line(), max_size=8), final_newline=st.booleans())
+def test_jsonl_loader_matches_reference(tmp_path, lines, final_newline):
+    path = tmp_path / "r.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+    assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+
+
+_CSV_CELLS = {
+    "id": _IDS,
+    "uncertainty": st.floats(0.0, 1.0).map(repr),
+    "group_label": st.sampled_from(["a", "b", "ü", ""]),
+    "loss": st.sampled_from(["0", "1", "0.25", ""]),
+    "thinking_answer": st.text(max_size=3),
+    "cheap_answer": st.text(max_size=3),
+    "gold_answer": st.text(max_size=3),
+    "tokens_thinking": st.integers(0, 10 ** 6).map(str),
+    "tokens_cheap": st.integers(0, 10 ** 6).map(str),
+    "note": st.text(max_size=3),
+}
+_BAD_CELLS = st.sampled_from(["", "1.5", "-1", "nan", "inf", "abc", "1_000", " 7 ", "0.5", "é"])
+
+
+@st.composite
+def csv_file(draw):
+    extra = draw(st.lists(st.sampled_from(sorted(_CSV_CELLS)), max_size=5))
+    header = draw(st.permutations(["id", "uncertainty"] + extra))
+    if draw(st.integers(0, 19)) == 0:
+        header = header[1:]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            buffer.write("\n")
+            continue
+        width = len(header) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        writer.writerow([
+            draw(_BAD_CELLS if i >= len(header) or draw(st.integers(0, 11)) == 0 else _CSV_CELLS[header[i]])
+            for i in range(max(width, 0))
+        ])
+    return buffer.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_file())
+def test_csv_loader_matches_reference(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(load_records, path) == outcome(read_records_csv_reference, path)
 
 
 def test_record_to_dict_drops_missing_fields():

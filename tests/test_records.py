@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pac_route.records import (
+    LOSS_SOURCES,
     NO_LABEL,
     LossSpec,
     Record,
@@ -19,6 +20,11 @@ def make_record(**kw):
     base = dict(id="r1", uncertainty=0.5)
     base.update(kw)
     return Record(**base)
+
+
+def resolve(record, spec):
+    """resolve_loss on the record's fields that `spec` reads."""
+    return resolve_loss(tuple(getattr(record, name) for name in LOSS_SOURCES[spec.kind]), spec)
 
 
 def test_record_accepts_boundary_uncertainty():
@@ -107,42 +113,44 @@ def test_loss_spec_rejects_binary_with_other_bound():
 
 def test_resolve_loss_precomputed_path():
     r = make_record(loss=0.25)
-    out = resolve_loss(r, LossSpec(kind="precomputed", bound_B=1.0))
+    out = resolve(r, LossSpec(kind="precomputed", bound_B=1.0))
     assert isinstance(out, float)
     assert out == 0.25
 
 
 def test_resolve_loss_binary_path():
     r = make_record(thinking_answer="4", cheap_answer="7", gold_answer="4")
-    assert resolve_loss(r, default_loss_spec("binary")) == 1.0
+    assert resolve(r, default_loss_spec("binary")) == 1.0
 
 
 def test_resolve_loss_cosine_path():
     r = make_record(thinking_embedding=(1.0, 0.0), cheap_embedding=(1.0, 1.0))
-    out = resolve_loss(r, default_loss_spec("cosine"))
+    out = resolve(r, default_loss_spec("cosine"))
     assert abs(out - (1.0 - math.sqrt(0.5))) < 1e-12
 
 
 def test_resolve_loss_flags_missing_ingredients():
     with pytest.raises(ValueError):
-        resolve_loss(make_record(), LossSpec(kind="precomputed", bound_B=1.0))
+        resolve(make_record(), LossSpec(kind="precomputed", bound_B=1.0))
     with pytest.raises(ValueError):
-        resolve_loss(make_record(), default_loss_spec("binary"))
+        resolve(make_record(), default_loss_spec("binary"))
     with pytest.raises(ValueError):
-        resolve_loss(make_record(), default_loss_spec("cosine"))
+        resolve(make_record(), default_loss_spec("cosine"))
 
 
 def test_resolve_loss_enforces_bound_and_names_record():
     r = make_record(id="r77", loss=1.5)
+    with pytest.raises(ValueError):
+        resolve(r, LossSpec(kind="precomputed", bound_B=1.0))
     with pytest.raises(ValueError) as info:
-        resolve_loss(r, LossSpec(kind="precomputed", bound_B=1.0))
-    assert "r77" in str(info.value)
+        RecordTable.from_records([make_record(id="r1", loss=0.5), r], LossSpec())
+    assert "record r77" in str(info.value)
 
 
 def test_resolved_record_rejects_non_finite_loss():
     for loss in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            resolve_loss(make_record(loss=loss), LossSpec(kind="precomputed", bound_B=1.0))
+            resolve(make_record(loss=loss), LossSpec(kind="precomputed", bound_B=1.0))
 
 
 # ----------------------------------------------------------- record table

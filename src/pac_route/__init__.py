@@ -33,7 +33,6 @@ from .clustering import (
     Partition,
     calibrate_cpac,
     kmeans_1d,
-    partition_gap,
 )
 from .estimator import (
     EstimatorConfig,
@@ -46,7 +45,7 @@ from .estimator import (
     ucb_hoeffding,
 )
 from .evaluation import MetricsReport, error_gap, evaluate, stp, trial_error
-from .io import load_records, write_records_jsonl
+from .io import load_records
 from .records import (
     LossSpec,
     MissingTokensError,
@@ -64,12 +63,10 @@ from .simulation import (
     CoverageReport,
     GroupSpec,
     SyntheticSpec,
-    binomial_slack,
     coverage_experiment,
     generate,
     load_spec,
     policy_true_metrics,
-    sample_group,
     true_risk,
 )
 
@@ -85,12 +82,10 @@ __all__ = [
     "TrivialAssigner", "LabelAssigner", "GroupThreshold", "RoutingPolicy",
     "RouteDecision", "CalibrationReport", "PolicyVersionError",
     "calibrate_group", "calibrate_gpac", "route", "save_policy", "load_policy",
-    "Partition", "ClusterConfig", "kmeans_1d",
-    "partition_gap", "calibrate_cpac",
+    "Partition", "ClusterConfig", "kmeans_1d", "calibrate_cpac",
     "MetricsReport", "trial_error", "error_gap", "stp", "evaluate",
     "GroupSpec", "SyntheticSpec", "CoverageReport", "load_spec",
-    "generate", "sample_group", "true_risk", "policy_true_metrics",
-    "coverage_experiment", "binomial_slack",
-    "load_records", "write_records_jsonl",
+    "generate", "true_risk", "policy_true_metrics", "coverage_experiment",
+    "load_records",
     "derive_seed", "substream",
 ]

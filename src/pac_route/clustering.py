@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
@@ -155,25 +154,6 @@ def kmeans_1d(values, k: int) -> Partition:
     return Partition(centroids)
 
 
-def partition_gap(assignments_a, assignments_b, k: int) -> float:
-    """Smallest disagreement fraction between two k-labelings over any relabeling.
-
-    Minimizes over all label permutations via min-cost matching on the k x k
-    agreement counts, so it is exact for any k.
-    """
-    a = np.asarray(assignments_a, dtype=int)
-    b = np.asarray(assignments_b, dtype=int)
-    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
-        raise ValueError("assignment vectors must be 1-d, non-empty, and equal length")
-    for v in (a, b):
-        if v.min() < 0 or v.max() >= k:
-            raise ValueError(f"assignments must lie in [0, {k})")
-    counts = np.zeros((k, k), dtype=int)
-    np.add.at(counts, (a, b), 1)
-    rows, cols = linear_sum_assignment(-counts)
-    return 1.0 - counts[rows, cols].sum() / len(a)
-
-
 def calibrate_cpac(
     records: RecordTable,
     cluster_config: ClusterConfig,
@@ -219,6 +199,5 @@ __all__ = [
     "Partition",
     "ClusterConfig",
     "kmeans_1d",
-    "partition_gap",
     "calibrate_cpac",
 ]

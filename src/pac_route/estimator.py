@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .records import RecordTable
 
@@ -169,7 +169,7 @@ def ucb_clt(samples: ZSamples, candidates, alpha: float) -> UcbCurve:
     mean = s1 / m
     var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
     sd = np.sqrt(var)
-    ucb = mean + ndtri(1.0 - alpha) * sd / math.sqrt(m)
+    ucb = mean + NormalDist().inv_cdf(1.0 - alpha) * sd / math.sqrt(m)
     return UcbCurve(candidates=cand, mean=mean, ucb=ucb)
 
 

@@ -24,13 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import RECORD_FIELDS, Record, RecordColumns
+from .records import RECORD_FIELDS, RecordColumns
 
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
 _STRING_FIELDS = ("group_label", "thinking_answer", "cheap_answer", "gold_answer")
 _NONE = type(None)
+# a JSON number; bool is a subclass of int but never a number here
+_NUMBER = (float, int)
 _NEEDS = "record needs at least id and uncertainty"
 # rows parsed before their fields are moved into columns; bounds the memory
 # held by per-line dicts
@@ -86,19 +88,20 @@ def _converted(errors: list, name: str, column: list, convert) -> list:
     return out
 
 
-def _floats(errors: list, name: str, column: list, convert=float) -> np.ndarray:
-    """`column` as a float array, converted like `convert(value)`; None, and
-    every value from the first one `convert` rejects on, is NaN."""
-    if set(map(type, column)) <= {float, int, _NONE}:
+def _floats(errors: list, name: str, column: list, types: tuple, what: str) -> np.ndarray:
+    """`column` as a float array, None as NaN.  The first value whose type is
+    not one of `types`, or that no float holds, is an error; it and every
+    value after it are NaN."""
+    if set(map(type, column)) <= {*types, _NONE}:
         with contextlib.suppress(OverflowError):
             return np.array(column, dtype=float)
+
+    def convert(value) -> float:
+        if type(value) not in types:
+            raise TypeError(f"must be {what}, got {value!r}")
+        return float(value)
+
     return np.array(_converted(errors, name, column, convert), dtype=float)
-
-
-def _token_count(value) -> float:
-    if type(value) not in (int, float, bool):
-        raise TypeError(f"a token count must be a number, got {value!r}")
-    return float(value)
 
 
 def _embedding(value) -> tuple[float, ...]:
@@ -120,19 +123,19 @@ def _columns(raw: dict[str, list], lines: list[int], path, failure: str | None) 
         errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
     if None in raw["uncertainty"]:
         errors.append((raw["uncertainty"].index(None), _NEEDS))
-    u = columns["uncertainty"] = _floats(errors, "uncertainty", raw["uncertainty"])
+    u = columns["uncertainty"] = _floats(errors, "uncertainty", raw["uncertainty"], _NUMBER, "a number")
     ok = (u >= 0.0) & (u <= 1.0)
     if not ok.all():
         bad = int(np.argmin(ok))
         errors.append((bad, f"uncertainty {u[bad]} outside [0, 1]"))
     for name in _STRING_FIELDS:
         _check_types(errors, name, raw[name], (str, _NONE), "a string")
-    _check_types(errors, "loss", raw["loss"], (float, int, _NONE), "a number")
+    _check_types(errors, "loss", raw["loss"], (*_NUMBER, _NONE), "a number")
     for name in _EMBEDDING_FIELDS:
         if raw[name].count(None) < len(raw[name]):
             columns[name] = _converted(errors, name, raw[name], _embedding)
     for name in _INT_FIELDS:
-        tokens = columns[name] = _floats(errors, name, raw[name], _token_count)
+        tokens = columns[name] = _floats(errors, name, raw[name], (int,), "an integer")
         if (tokens < 0).any():
             errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
     if errors:
@@ -247,22 +250,6 @@ def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
     raise ValueError(f"unknown records format {fmt!r}")
 
 
-def record_to_dict(record: Record) -> dict:
-    data = {}
-    for name in RECORD_FIELDS:
-        value = getattr(record, name)
-        if value is None:
-            continue
-        data[name] = list(value) if name in _EMBEDDING_FIELDS else value
-    return data
-
-
-def write_records_jsonl(records, path) -> None:
-    atomic_write_text(
-        "".join(json.dumps(record_to_dict(r)) + "\n" for r in records), path
-    )
-
-
 def atomic_write_text(text: str, path) -> None:
     """Write `text` to a fresh temporary file beside `path`, fsync it, and
     rename it into place.  Each call has its own temporary file, so concurrent
@@ -290,8 +277,6 @@ __all__ = [
     "json_object",
     "json_field",
     "load_records",
-    "record_to_dict",
-    "write_records_jsonl",
     "atomic_write_text",
     "atomic_write_json",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,16 +133,6 @@ def _prob_at(group: GroupSpec, u: np.ndarray) -> np.ndarray:
     edges = np.asarray(group.bin_edges)
     idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(group.loss_prob) - 1)
     return np.asarray(group.loss_prob)[idx]
-
-
-def sample_group(
-    spec: SyntheticSpec, group_index: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n (uncertainty, loss) draws from one group's conditional distribution."""
-    group = spec.groups[group_index]
-    u = rng.random(n)
-    loss = (rng.random(n) < _prob_at(group, u)).astype(float)
-    return u, loss
 
 
 @functools.lru_cache(maxsize=4)
@@ -276,11 +265,6 @@ class CoverageReport:
         }
 
 
-def binomial_slack(level: float, trials: int, n_se: float = 3.0) -> float:
-    """n_se standard errors of a trials-sized binomial at rate `level`."""
-    return n_se * math.sqrt(level * (1.0 - level) / trials)
-
-
 def coverage_experiment(
     spec: SyntheticSpec,
     n_cal: int,
@@ -340,12 +324,10 @@ __all__ = [
     "GroupSpec",
     "SyntheticSpec",
     "load_spec",
-    "sample_group",
     "generate",
     "true_risk",
     "mixture_profile",
     "policy_true_metrics",
     "CoverageReport",
-    "binomial_slack",
     "coverage_experiment",
 ]

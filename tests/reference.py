@@ -1,0 +1,70 @@
+"""Helpers only the tests use: oracles, samplers and record writers.
+
+They live here rather than in the package so that the package needs numpy
+alone; `partition_gap` needs scipy, which comes with the `test` extra.
+"""
+
+import json
+import math
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from pac_route.io import atomic_write_text
+from pac_route.records import RECORD_FIELDS, Record
+from pac_route.simulation import SyntheticSpec
+
+_EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
+
+
+def partition_gap(assignments_a, assignments_b, k: int) -> float:
+    """Smallest disagreement fraction between two k-labelings over any relabeling.
+
+    Minimizes over all label permutations via min-cost matching on the k x k
+    agreement counts, so it is exact for any k.
+    """
+    a = np.asarray(assignments_a, dtype=int)
+    b = np.asarray(assignments_b, dtype=int)
+    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
+        raise ValueError("assignment vectors must be 1-d, non-empty, and equal length")
+    for v in (a, b):
+        if v.min() < 0 or v.max() >= k:
+            raise ValueError(f"assignments must lie in [0, {k})")
+    counts = np.zeros((k, k), dtype=int)
+    np.add.at(counts, (a, b), 1)
+    rows, cols = linear_sum_assignment(-counts)
+    return 1.0 - counts[rows, cols].sum() / len(a)
+
+
+def sample_group(
+    spec: SyntheticSpec, group_index: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n (uncertainty, loss) draws from one group's conditional distribution:
+    scores uniform on [0, 1], then one loss coin per score against the loss
+    probability of its bin."""
+    group = spec.groups[group_index]
+    u = rng.random(n)
+    bins = np.searchsorted(np.asarray(group.bin_edges), u, side="right") - 1
+    prob = np.asarray(group.loss_prob)[np.clip(bins, 0, len(group.loss_prob) - 1)]
+    loss = (rng.random(n) < prob).astype(float)
+    return u, loss
+
+
+def binomial_slack(level: float, trials: int, n_se: float = 3.0) -> float:
+    """n_se standard errors of a trials-sized binomial at rate `level`."""
+    return n_se * math.sqrt(level * (1.0 - level) / trials)
+
+
+def record_to_dict(record: Record) -> dict:
+    """The record's set fields as one JSONL object, embeddings as arrays."""
+    data = {}
+    for name in RECORD_FIELDS:
+        value = getattr(record, name)
+        if value is None:
+            continue
+        data[name] = list(value) if name in _EMBEDDING_FIELDS else value
+    return data
+
+
+def write_records_jsonl(records, path) -> None:
+    atomic_write_text("".join(json.dumps(record_to_dict(r)) + "\n" for r in records), path)

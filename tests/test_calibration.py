@@ -28,7 +28,7 @@ from pac_route.calibration import (
     save_policy,
 )
 from pac_route.clustering import Partition
-from pac_route.estimator import EstimatorConfig
+from pac_route.estimator import METHODS, EstimatorConfig
 from pac_route.records import LossSpec, Record, RecordTable
 
 
@@ -201,15 +201,36 @@ def test_ucb_offset_only_shrinks_the_selection():
     assert lo <= hi
 
 
-def test_monotone_in_epsilon():
+# a calibration pool: (uncertainty, loss) rows, binary or fractional losses
+_POOLS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    min_size=10, max_size=120,
+)
+
+
+def _pick(rows, method, seed, epsilon, alpha):
+    # the same draws for every (epsilon, alpha): the rng is seeded afresh
+    records = table([Record(id=f"r{i}", uncertainty=u, loss=l) for i, (u, l) in enumerate(rows)])
+    cfg = EstimatorConfig(method=method, alpha=alpha, seed=seed)
+    t, _ = calibrate_group(records, epsilon, cfg, np.random.default_rng(seed))
+    return -1.0 if t.threshold is None else t.threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_POOLS, method=st.sampled_from(METHODS), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(1e-6, 0.5), epsilons=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=5))
+def test_monotone_in_epsilon(rows, method, seed, alpha, epsilons):
     # a looser tolerance can never pick a smaller threshold from the same draws
-    recs = pool(np.random.default_rng(21).choice([0, 1], 120, p=[0.9, 0.1]),
-                np.random.default_rng(22).uniform(0, 1, 120))
-    cfg = EstimatorConfig(seed=6)
-    picks = []
-    for eps in (0.02, 0.05, 0.1, 0.2, 0.5):
-        t, _ = calibrate_group(table(recs), eps, cfg, np.random.default_rng(6))
-        picks.append(-1.0 if t.threshold is None else t.threshold)
+    picks = [_pick(rows, method, seed, eps, alpha) for eps in sorted(epsilons)]
+    assert picks == sorted(picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_POOLS, method=st.sampled_from(METHODS), seed=st.integers(0, 2 ** 32 - 1),
+       epsilon=st.floats(1e-3, 1.0), alphas=st.lists(st.floats(1e-6, 0.999), min_size=2, max_size=5))
+def test_monotone_in_alpha(rows, method, seed, epsilon, alphas):
+    # a lower confidence level narrows every bound, so the threshold cannot fall
+    picks = [_pick(rows, method, seed, epsilon, alpha) for alpha in sorted(alphas)]
     assert picks == sorted(picks)
 
 

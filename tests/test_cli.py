@@ -216,6 +216,10 @@ BAD_SECOND_LINES = {
     "uncertainty-above-one": '{"id": "b", "uncertainty": 1.5, "loss": 0.0}',
     "uncertainty-nan": '{"id": "b", "uncertainty": NaN, "loss": 0.0}',
     "uncertainty-string": '{"id": "b", "uncertainty": "abc", "loss": 0.0}',
+    "uncertainty-numeric-string": '{"id": "b", "uncertainty": "0.5", "loss": 0.0}',
+    "uncertainty-bool": '{"id": "b", "uncertainty": true, "loss": 0.0}',
+    "float-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_thinking": 1.5}',
+    "bool-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_cheap": true}',
     "negative-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_cheap": -3}',
     "huge-tokens": '{"id": "b", "uncertainty": 0.5, "loss": 0.0, "tokens_cheap": 1' + "0" * 400 + "}",
     "empty-id": '{"id": "", "uncertainty": 0.5, "loss": 0.0}',

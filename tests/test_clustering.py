@@ -1,4 +1,5 @@
-"""Score-axis clustering: optimal 1D k-means, partition gap, clustered calibration."""
+"""Score-axis clustering: optimal 1D k-means, clustered calibration, and the
+partition-gap oracle of the tests."""
 
 import itertools
 
@@ -11,11 +12,11 @@ from pac_route.clustering import (
     Partition,
     calibrate_cpac,
     kmeans_1d,
-    partition_gap,
 )
 from pac_route.estimator import EstimatorConfig
 from pac_route.records import LossSpec, Record, RecordTable
 from pac_route.seeding import derive_seed
+from reference import partition_gap
 
 
 def pool(losses, uncertainties):

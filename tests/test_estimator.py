@@ -1,6 +1,7 @@
 """Importance-sampled loss estimator and its confidence bounds."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_clt_oracle_fixture():
     expected = 1.0 + ndtri(0.95) * math.sqrt(4.0 / 3.0) / 2.0
     assert abs(curve.ucb[0] - expected) < 1e-12
     assert abs(curve.ucb[0] - 1.94969) < 1e-4
+
+
+# alpha levels the CLI is run at, the far tail, and a log-spaced sweep of (0, 1)
+ALPHA_GRID = [0.05, 0.1, 0.01, 1e-6, 0.5, 0.9, *np.geomspace(1e-9, 0.999, 5000).tolist()]
+
+
+def test_normal_quantile_matches_ndtri():
+    # ucb_clt takes z_{1-alpha} from the standard library rather than scipy
+    for alpha in ALPHA_GRID:
+        got = NormalDist().inv_cdf(1.0 - alpha)
+        want = float(ndtri(1.0 - alpha))
+        assert abs(got - want) <= 8 * math.ulp(want), alpha
 
 
 def test_hoeffding_delta_oracle():

@@ -12,32 +12,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pac_route.io import (
-    atomic_write_json,
-    atomic_write_text,
-    load_records,
-    record_to_dict,
-    write_records_jsonl,
-)
+from pac_route.io import atomic_write_json, atomic_write_text, load_records
 from pac_route.records import RECORD_FIELDS, Record, RecordColumns
+from reference import record_to_dict, write_records_jsonl
 
 # ------------------------------------------------- per-record reference readers
-# The record-at-a-time readers load_records replaced, kept as oracles.  Four
+# The record-at-a-time readers load_records replaced, kept as oracles.  Five
 # differences from the originals, each a fix the column loader makes too:
 # every row error names its path:line (a ValueError from Record used to name
 # only the record), a CSV error names the physical line (a blank line used to
 # shift the count), the fields Record stores unchecked must have their JSON
-# type (labels and answers strings, losses numbers, embeddings arrays), and a
-# token count too large for a float is a row error (it used to crash when the
-# table was built).
+# type (labels and answers strings, losses numbers, embeddings arrays), the
+# fields Record converts must have their JSON type too (an uncertainty is a
+# number and a token count an integer, never a bool or a string, as in a CSV
+# cell), and a token count too large for a float is a row error (it used to
+# crash when the table was built).
 
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
-_UNCHECKED_TYPES = {
-    "group_label": (str,), "thinking_answer": (str,), "cheap_answer": (str,),
-    "gold_answer": (str,), "loss": (int, float),
+_JSON_TYPES = {
+    "uncertainty": (int, float), "group_label": (str,), "loss": (int, float),
+    "thinking_answer": (str,), "cheap_answer": (str,), "gold_answer": (str,),
     "thinking_embedding": (list,), "cheap_embedding": (list,),
+    "tokens_thinking": (int,), "tokens_cheap": (int,),
 }
 
 
@@ -51,7 +49,7 @@ def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
             unknown += 1
     if "id" not in known or "uncertainty" not in known:
         raise ValueError(f"{source}: record needs at least id and uncertainty")
-    for name, types in _UNCHECKED_TYPES.items():
+    for name, types in _JSON_TYPES.items():
         if known.get(name) is not None and type(known[name]) not in types:
             raise ValueError(f"{source}: field {name!r} has the wrong type")
     try:
@@ -192,6 +190,27 @@ def test_jsonl_requires_id_and_uncertainty(tmp_path):
     assert "uncertainty" in str(info.value)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("uncertainty", '"0.5"', "a number"),
+    ("uncertainty", "true", "a number"),
+    ("uncertainty", "false", "a number"),
+    ("tokens_thinking", "1.5", "an integer"),
+    ("tokens_thinking", "7.0", "an integer"),
+    ("tokens_cheap", "true", "an integer"),
+    ("tokens_cheap", '"7"', "an integer"),
+])
+def test_jsonl_rejects_values_of_the_wrong_json_type(tmp_path, field, value, what):
+    # as strict as a CSV cell: no string or bool for a number, no float for a count
+    good = '{"id": "a", "uncertainty": 0.5, "tokens_thinking": 10, "tokens_cheap": 2}\n'
+    bad = json.loads(good)
+    bad.update(id="b", **{field: json.loads(value)})
+    path = tmp_path / "records.jsonl"
+    path.write_text(good * 3 + json.dumps(bad) + "\n" + good)
+    with pytest.raises(ValueError) as info:
+        load_records(path)
+    assert str(info.value) == f"{path}:4: field {field!r}: must be {what}, got {json.loads(value)!r}"
+
+
 def test_csv_reading_with_blanks(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(
@@ -260,16 +279,21 @@ def test_loader_keeps_benchmark_sized_input_exact(tmp_path):
 
 _IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))
 _BAD = st.sampled_from([None, [1], {"a": 1}, True, "abc", "", -1, 1.5, math.nan, math.inf, "0.5", 10 ** 400])
+# values of the right size in a JSON type a CSV cell could not convert to
+_NOT_A_NUMBER = st.sampled_from([True, False, "0.5", "1"])
+_NOT_AN_INTEGER = st.sampled_from([True, False, 1.5, 7.0, "7"])
 
 
-def _field(good):
-    # mostly valid values, one in twelve from the bad pool
-    return st.integers(0, 11).flatmap(lambda i: _BAD if i == 0 else good)
+def _field(good, wrong_type=None):
+    # mostly valid values: one in twelve from the bad pool, and one in twelve
+    # of a wrong type where the field has one
+    pools = [_BAD] if wrong_type is None else [_BAD, wrong_type]
+    return st.integers(0, 11).flatmap(lambda i: pools[i] if i < len(pools) else good)
 
 
 _FIELD_VALUES = {
     "id": _field(_IDS),
-    "uncertainty": _field(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))),
+    "uncertainty": _field(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])), _NOT_A_NUMBER),
     "group_label": _field(st.sampled_from(["a", "b", "ü", None])),
     "loss": _field(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, None]))),
     "thinking_answer": _field(st.text(max_size=3)),
@@ -277,8 +301,8 @@ _FIELD_VALUES = {
     "gold_answer": _field(st.text(max_size=3)),
     "thinking_embedding": _field(st.lists(st.floats(-2.0, 2.0), max_size=3)),
     "cheap_embedding": _field(st.lists(st.floats(-2.0, 2.0), max_size=3)),
-    "tokens_thinking": _field(st.integers(0, 10 ** 6)),
-    "tokens_cheap": _field(st.integers(0, 10 ** 6)),
+    "tokens_thinking": _field(st.integers(0, 10 ** 6), _NOT_AN_INTEGER),
+    "tokens_cheap": _field(st.integers(0, 10 ** 6), _NOT_AN_INTEGER),
     "note": st.integers(0, 9),
 }
 

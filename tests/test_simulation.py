@@ -21,15 +21,14 @@ from pac_route.simulation import (
     GroupSpec,
     SyntheticSpec,
     _prob_at,
-    binomial_slack,
     coverage_experiment,
     generate,
     load_spec,
     mixture_profile,
     policy_true_metrics,
-    sample_group,
     true_risk,
 )
+from reference import binomial_slack, sample_group
 
 
 def two_group_spec():

@@ -50,7 +50,6 @@ from .records import (
     LossSpec,
     MissingTokensError,
     NoRecordsError,
-    Record,
     RecordColumns,
     RecordTable,
     binary_loss,
@@ -73,7 +72,7 @@ from .simulation import (
 __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
-    "Record", "RecordColumns", "RecordTable", "LossSpec", "default_loss_spec",
+    "RecordColumns", "RecordTable", "LossSpec", "default_loss_spec",
     "NoRecordsError", "MissingTokensError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",

@@ -148,19 +148,24 @@ def group_sizes(records: RecordTable, policy: RoutingPolicy) -> tuple[dict[Group
     return _group_sizes(_route_all(records, policy))
 
 
+def _trial_averages(trial_group_errors) -> tuple[dict[GroupKey, float], dict[GroupKey, int]]:
+    """Each group's error averaged over the trials where it appears, and the
+    number of those trials."""
+    sums, counts = {}, {}
+    for per_trial in trial_group_errors:
+        for key, value in per_trial.items():
+            sums[key] = sums.get(key, 0.0) + value
+            counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}, counts
+
+
 def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: float) -> float:
     """Sum over groups of the excess of the trial-averaged error above epsilon.
 
     A group missing from some trial (no records drawn) is averaged over the
     trials where it appears.
     """
-    sums: dict[GroupKey, float] = {}
-    counts: dict[GroupKey, int] = {}
-    for per_trial in trial_group_errors:
-        for key, value in per_trial.items():
-            sums[key] = sums.get(key, 0.0) + value
-            counts[key] = counts.get(key, 0) + 1
-    return sum(max(sums[key] / counts[key] - epsilon, 0.0) for key in sums)
+    return sum(max(error - epsilon, 0.0) for error in _trial_averages(trial_group_errors)[0].values())
 
 
 def stp(records: RecordTable, policy: RoutingPolicy, variant: str) -> float:
@@ -200,13 +205,7 @@ def evaluate(
         trial_groups.append(per_group)
         if saved is not None:
             stp_values.append(_sum_in_order(saved[idx]) / n)
-    averaged: dict[GroupKey, float] = {}
-    appearances: dict[GroupKey, int] = {}
-    for per_trial in trial_groups:
-        for key, value in per_trial.items():
-            averaged[key] = averaged.get(key, 0.0) + value
-            appearances[key] = appearances.get(key, 0) + 1
-    per_group_error = {key: averaged[key] / appearances[key] for key in averaged}
+    per_group_error, appearances = _trial_averages(trial_groups)
     flagged = tuple(key for key in per_group_error if appearances[key] < trials)
     n_per_group, n_unresolved = _group_sizes(routed)
     return MetricsReport(

@@ -2,13 +2,15 @@
 
 Records travel as JSONL (one object per line, embeddings as arrays) or CSV
 (header row, no embedding columns).  `load_records` reads a file straight
-into a :class:`~pac_route.records.RecordColumns`, with no object per line,
-and checks it column by column; the first bad row, a syntax error or a bad
-value, is reported with its `path:line`.  Fields we do not know are
-ignored and counted, so callers can surface a warning.  `json_object` and
-`json_field` check policy and spec files field by field.  Outputs are
-written to a temporary sibling and renamed into place, so a failed run
-never leaves a partial file and two runs writing one path each leave it whole.
+into a :class:`~pac_route.records.RecordColumns`, with no object per line;
+this module checks only the syntax and the CSV cells, and the columns check
+every field under the rules rows built in memory follow too.  The first bad
+row, a syntax error or a bad value, is reported with its `path:line`.  Fields
+we do not know are ignored and counted, so callers can surface a warning.
+`json_object` and `json_field` check policy and spec files field by field.
+Outputs are written to a temporary sibling and renamed into place, so a
+failed run never leaves a partial file and two runs writing one path each
+leave it whole.
 """
 
 from __future__ import annotations
@@ -18,22 +20,17 @@ import csv
 import json
 import os
 import tempfile
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .records import RECORD_FIELDS, RecordColumns
+from .records import RECORD_FIELDS, RecordColumns, _move_rows
 
+# CSV has no embedding columns; float and integer cells are converted, the rest stay strings
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
-_STRING_FIELDS = ("group_label", "thinking_answer", "cheap_answer", "gold_answer")
-_NONE = type(None)
-# a JSON number; bool is a subclass of int but never a number here
-_NUMBER = (float, int)
-_NEEDS = "record needs at least id and uncertainty"
 # rows parsed before their fields are moved into columns; bounds the memory
 # held by per-line dicts
 _BLOCK = 8192
@@ -64,95 +61,14 @@ def json_field(data: dict, name: str, convert, default=_REQUIRED):
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
-def _first(column, ok) -> int | None:
-    """Index of the first entry of `column` for which `ok` is false."""
-    return next((i for i, value in enumerate(column) if not ok(value)), None)
-
-
-def _check_types(errors: list, name: str, column: list, types: tuple, what: str) -> None:
-    if not set(map(type, column)) <= set(types):
-        bad = _first(column, lambda value: type(value) in types)
-        errors.append((bad, f"field {name!r} must be {what}, got {column[bad]!r}"))
-
-
-def _converted(errors: list, name: str, column: list, convert) -> list:
-    """convert(value) of each value but None, up to the first value it rejects."""
-    out = [None] * len(column)
-    for i, value in enumerate(column):
-        try:
-            if value is not None:
-                out[i] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append((i, f"field {name!r}: {exc}"))
-            break
-    return out
-
-
-def _floats(errors: list, name: str, column: list, types: tuple, what: str) -> np.ndarray:
-    """`column` as a float array, None as NaN.  The first value whose type is
-    not one of `types`, or that no float holds, is an error; it and every
-    value after it are NaN."""
-    if set(map(type, column)) <= {*types, _NONE}:
-        with contextlib.suppress(OverflowError):
-            return np.array(column, dtype=float)
-
-    def convert(value) -> float:
-        if type(value) not in types:
-            raise TypeError(f"must be {what}, got {value!r}")
-        return float(value)
-
-    return np.array(_converted(errors, name, column, convert), dtype=float)
-
-
-def _embedding(value) -> tuple[float, ...]:
-    if type(value) is not list:
-        raise TypeError(f"an embedding must be an array of numbers, got {value!r}")
-    return tuple(map(float, value))
-
-
 def _columns(raw: dict[str, list], lines: list[int], path, failure: str | None) -> RecordColumns:
-    """The checked columns of `raw` (every Record field, one entry per row
-    read from `path`, None where missing), or the ValueError of the earliest
-    bad row: a bad value (within a row, the first check here wins), else
-    `failure`, the error that stopped reading after the last row of `raw`."""
-    errors: list[tuple[int, str]] = []
-    columns = dict(raw)
-    ids = raw["id"]
-    if not (set(map(type, ids)) <= {str} and all(ids)):
-        bad = _first(ids, lambda value: isinstance(value, str) and value)
-        errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
-    if None in raw["uncertainty"]:
-        errors.append((raw["uncertainty"].index(None), _NEEDS))
-    u = columns["uncertainty"] = _floats(errors, "uncertainty", raw["uncertainty"], _NUMBER, "a number")
-    ok = (u >= 0.0) & (u <= 1.0)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        errors.append((bad, f"uncertainty {u[bad]} outside [0, 1]"))
-    for name in _STRING_FIELDS:
-        _check_types(errors, name, raw[name], (str, _NONE), "a string")
-    _check_types(errors, "loss", raw["loss"], (*_NUMBER, _NONE), "a number")
-    for name in _EMBEDDING_FIELDS:
-        if raw[name].count(None) < len(raw[name]):
-            columns[name] = _converted(errors, name, raw[name], _embedding)
-    for name in _INT_FIELDS:
-        tokens = columns[name] = _floats(errors, name, raw[name], (int,), "an integer")
-        if (tokens < 0).any():
-            errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
-    if errors:
-        row, message = min(errors, key=lambda error: error[0])
-        raise ValueError(f"{path}:{lines[row]}: {message}")
+    """The columns of `raw`, read from `path`, or the ValueError of the earliest
+    bad row: a bad value, else `failure`, the error that stopped reading after
+    the last row of `raw`."""
+    columns = RecordColumns(**raw, source=os.fspath(path), lines=np.array(lines, dtype=np.int64))
     if failure is not None:
         raise ValueError(failure)
-    return RecordColumns(**columns, source=os.fspath(path), lines=np.array(lines, dtype=np.int64))
-
-
-def _move_rows(rows: list[dict], raw: dict[str, list]) -> int:
-    """Append the fields of `rows` to the columns in `raw`; returns the number
-    of unknown fields skipped."""
-    present = set().union(*rows)
-    for name, column in raw.items():
-        column += map(dict.get, rows, repeat(name)) if name in present else repeat(None, len(rows))
-    return sum(sum(map(dict.__contains__, rows, repeat(name))) for name in present.difference(raw))
+    return columns
 
 
 def _read_jsonl(path) -> tuple[RecordColumns, int]:

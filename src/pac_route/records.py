@@ -6,21 +6,23 @@ route is measured relative to the thinking route and can either be supplied
 precomputed, derived from answer strings (binary), or derived from answer
 embeddings (cosine distance).
 
-Record files are read straight into a :class:`RecordColumns`, one list or
-array per field, checked column by column as they are loaded;
-:meth:`RecordTable.from_columns` then resolves each row's loss straight into
-the table's loss column.  A single hand-built :class:`Record` checks itself,
-and :meth:`RecordTable.from_records` transposes a list of them into the same
-column path.  The calibration, evaluation and simulation loops take only a
-:class:`RecordTable`: resolved records as aligned numpy columns, validated
-once when the table is built.
+Records arrive as a :class:`RecordColumns`, one list or array per field,
+which holds every row rule and checks itself when it is built.  Record files
+are read straight into one; rows built in memory, dicts keyed by the JSONL
+field names, go through :meth:`RecordColumns.from_records` under the same
+rules.  :meth:`RecordTable.from_columns` then resolves each row's loss into
+the table's loss column.  The calibration, evaluation and simulation loops
+take only a :class:`RecordTable`: resolved records as aligned numpy columns,
+validated once when the table is built.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,39 +42,6 @@ class NoRecordsError(ValueError):
 
 class MissingTokensError(ValueError):
     """Saved-thinking accounting needs token counts that some record lacks."""
-
-
-@dataclass(frozen=True)
-class Record:
-    """One routed input with its uncertainty score and optional loss sources."""
-
-    id: str
-    uncertainty: float
-    group_label: str | None = None
-    loss: float | None = None
-    thinking_answer: str | None = None
-    cheap_answer: str | None = None
-    gold_answer: str | None = None
-    thinking_embedding: tuple[float, ...] | None = None
-    cheap_embedding: tuple[float, ...] | None = None
-    tokens_thinking: int | None = None
-    tokens_cheap: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError("record id must be a non-empty string")
-        u = float(self.uncertainty)
-        if not math.isfinite(u) or not 0.0 <= u <= 1.0:
-            raise ValueError(f"record {self.id}: uncertainty {u} outside [0, 1]")
-        object.__setattr__(self, "uncertainty", u)
-        for name in ("thinking_embedding", "cheap_embedding"):
-            vec = getattr(self, name)
-            if vec is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in vec))
-        for name in ("tokens_thinking", "tokens_cheap"):
-            tok = getattr(self, name)
-            if tok is not None and tok < 0:
-                raise ValueError(f"record {self.id}: {name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -146,17 +115,95 @@ def resolve_loss(sources: tuple, spec: LossSpec) -> float:
     return value
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(Record))
+RECORD_FIELDS = (
+    "id", "uncertainty", "group_label", "loss", "thinking_answer", "cheap_answer", "gold_answer",
+    "thinking_embedding", "cheap_embedding", "tokens_thinking", "tokens_cheap",
+)
+_STRING_FIELDS = ("group_label", "thinking_answer", "cheap_answer", "gold_answer")
+_EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
+_TOKEN_FIELDS = ("tokens_thinking", "tokens_cheap")
+_NONE = type(None)
+# (exact types, numpy scalar types, what a value must be): a JSON number is an
+# int or a float, never a bool; JSON never yields the numpy scalars, rows
+# built in memory may
+_NUMBER = ((float, int), (np.floating, np.integer), "a number")
+_INTEGER = ((int,), (np.integer,), "an integer")
+_STRING = ((str,), (), "a string")
+_NEEDS = "record needs at least id and uncertainty"
+
+
+def _first(column, ok) -> int | None:
+    """Index of the first entry of `column` for which `ok` is false."""
+    return next((i for i, value in enumerate(column) if not ok(value)), None)
+
+
+def _of(kind: tuple, value) -> bool:
+    types, numpy_types, _ = kind
+    return type(value) in types or isinstance(value, numpy_types)
+
+
+def _check_types(errors: list, name: str, column: list, kind: tuple) -> None:
+    """Note the first value of `column` but None that is not of `kind`."""
+    if not set(map(type, column)) <= {*kind[0], _NONE}:
+        bad = _first(column, lambda value: value is None or _of(kind, value))
+        if bad is not None:
+            errors.append((bad, f"field {name!r} must be {kind[2]}, got {column[bad]!r}"))
+
+
+def _converted(errors: list, name: str, column: list, convert) -> list:
+    """convert(value) of each value but None, up to the first value it rejects."""
+    out = [None] * len(column)
+    for i, value in enumerate(column):
+        try:
+            if value is not None:
+                out[i] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append((i, f"field {name!r}: {exc}"))
+            break
+    return out
+
+
+def _floats(errors: list, name: str, column: list, kind: tuple) -> np.ndarray:
+    """`column` as a float array, None as NaN.  The first value not of `kind`,
+    or that no float holds, is an error; it and every value after it are NaN."""
+    if set(map(type, column)) <= {*kind[0], _NONE}:
+        with contextlib.suppress(OverflowError):
+            return np.array(column, dtype=float)
+
+    def convert(value) -> float:
+        if not _of(kind, value):
+            raise TypeError(f"must be {kind[2]}, got {value!r}")
+        return float(value)
+
+    return np.array(_converted(errors, name, column, convert), dtype=float)
+
+
+def _embedding(value) -> tuple[float, ...]:
+    if type(value) not in (list, tuple):
+        raise TypeError(f"an embedding must be an array of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+def _move_rows(rows: Sequence[dict], raw: dict[str, list]) -> int:
+    """Append the fields of `rows` to the columns in `raw`; returns the number
+    of unknown fields skipped."""
+    present = set().union(*rows)
+    for name, column in raw.items():
+        column += map(dict.get, rows, repeat(name)) if name in present else repeat(None, len(rows))
+    return sum(sum(map(dict.__contains__, rows, repeat(name))) for name in present.difference(raw))
 
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
-    """Records before their losses are resolved, one column per Record field.
+    """Records before their losses are resolved, one column per record field.
 
-    Every column has one entry per record, None where a field is missing; the
-    uncertainty and token columns are float arrays (a missing token count is
-    NaN).  `lines[i]` is the line of `source` row i was read from (None for
-    records built in memory); `origin` names a row in messages.
+    Every column has one entry per record, None where a field is missing.
+    Building the columns checks every row rule and converts the uncertainty
+    and token columns to float arrays (a missing token count is NaN) and the
+    embeddings to float tuples; the earliest bad row raises a ValueError
+    named by its `origin` (within a row, the first check below wins).
+    `lines[i]` is the line of `source` row i was read from (None for records
+    built in memory).
     """
 
     id: list
@@ -173,6 +220,37 @@ class RecordColumns:
     source: str = ""
     lines: np.ndarray | None = None
 
+    def __post_init__(self):
+        errors: list[tuple[int, str]] = []
+        ids = self.id
+        if not (set(map(type, ids)) <= {str} and all(ids)):
+            bad = _first(ids, lambda value: type(value) is str and value)
+            errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
+        if None in self.uncertainty:
+            errors.append((self.uncertainty.index(None), _NEEDS))
+        converted = {}
+        u = converted["uncertainty"] = _floats(errors, "uncertainty", self.uncertainty, _NUMBER)
+        ok = (u >= 0.0) & (u <= 1.0)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            errors.append((bad, f"uncertainty {u[bad]} outside [0, 1]"))
+        for name in _STRING_FIELDS:
+            _check_types(errors, name, getattr(self, name), _STRING)
+        _check_types(errors, "loss", self.loss, _NUMBER)
+        for name in _EMBEDDING_FIELDS:
+            column = getattr(self, name)
+            if column.count(None) < len(column):
+                converted[name] = _converted(errors, name, column, _embedding)
+        for name in _TOKEN_FIELDS:
+            tokens = converted[name] = _floats(errors, name, getattr(self, name), _INTEGER)
+            if (tokens < 0).any():
+                errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
+        if errors:
+            row, message = min(errors, key=lambda error: error[0])
+            raise ValueError(f"{self.origin(row)}: {message}")
+        for name, column in converted.items():
+            object.__setattr__(self, name, column)
+
     def __len__(self) -> int:
         return len(self.id)
 
@@ -183,12 +261,15 @@ class RecordColumns:
         return f"{self.source}:{self.lines[i]}"
 
     @classmethod
-    def from_records(cls, records: Sequence[Record]) -> "RecordColumns":
-        """The columns of already validated records."""
-        columns = {name: [getattr(r, name) for r in records] for name in RECORD_FIELDS}
-        for name in ("uncertainty", "tokens_thinking", "tokens_cheap"):
-            columns[name] = np.array(columns[name], dtype=float)
-        return cls(**columns)
+    def from_records(cls, rows: Sequence[dict]) -> "RecordColumns":
+        """The columns of `rows`, dicts keyed by the JSONL field names, under
+        the JSONL rules; a field we do not know is a bad value here."""
+        raw: dict[str, list] = {name: [] for name in RECORD_FIELDS}
+        if _move_rows(rows, raw):
+            bad, unknown = next((i, name) for i, row in enumerate(rows) for name in row if name not in raw)
+            cls.from_records(rows[:bad])  # a bad value in an earlier row wins
+            raise ValueError(f"record {rows[bad].get('id')}: unknown field {unknown!r}")
+        return cls(**raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +335,10 @@ class RecordTable:
         )
 
     @classmethod
-    def from_records(cls, records: Sequence[Record], spec: LossSpec) -> "RecordTable":
-        """`from_columns` of the records' columns."""
-        return cls.from_columns(RecordColumns.from_records(records), spec)
+    def from_records(cls, rows: Sequence[dict], spec: LossSpec) -> "RecordTable":
+        """`from_columns` of the columns of `rows`, dicts keyed by the JSONL
+        field names."""
+        return cls.from_columns(RecordColumns.from_records(rows), spec)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -286,7 +368,6 @@ __all__ = [
     "NO_LABEL",
     "NoRecordsError",
     "MissingTokensError",
-    "Record",
     "RecordColumns",
     "RecordTable",
     "LossSpec",

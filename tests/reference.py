@@ -11,7 +11,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from pac_route.io import atomic_write_text
-from pac_route.records import RECORD_FIELDS, Record
 from pac_route.simulation import SyntheticSpec
 
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
@@ -55,16 +54,11 @@ def binomial_slack(level: float, trials: int, n_se: float = 3.0) -> float:
     return n_se * math.sqrt(level * (1.0 - level) / trials)
 
 
-def record_to_dict(record: Record) -> dict:
-    """The record's set fields as one JSONL object, embeddings as arrays."""
-    data = {}
-    for name in RECORD_FIELDS:
-        value = getattr(record, name)
-        if value is None:
-            continue
-        data[name] = list(value) if name in _EMBEDDING_FIELDS else value
-    return data
+def record_to_dict(row: dict) -> dict:
+    """The row's set fields as one JSONL object, embeddings as arrays."""
+    return {name: list(value) if name in _EMBEDDING_FIELDS else value
+            for name, value in row.items() if value is not None}
 
 
-def write_records_jsonl(records, path) -> None:
-    atomic_write_text("".join(json.dumps(record_to_dict(r)) + "\n" for r in records), path)
+def write_records_jsonl(rows, path) -> None:
+    atomic_write_text("".join(json.dumps(record_to_dict(row)) + "\n" for row in rows), path)

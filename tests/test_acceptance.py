@@ -33,7 +33,7 @@ from pac_route.estimator import (
     ucb_clt,
 )
 from pac_route.evaluation import error_gap, group_sizes, stp, trial_error
-from pac_route.records import LossSpec, Record, RecordTable, cosine_loss
+from pac_route.records import LossSpec, RecordTable, cosine_loss
 from pac_route.seeding import derive_seed, substream
 from pac_route.simulation import coverage_experiment, generate, load_spec
 from reference import partition_gap, sample_group
@@ -109,7 +109,7 @@ def test_02_estimator_unbiasedness():
     start = time.perf_counter()
     losses = (1.0, 0.0, 0.5, 0.25, 1.0)
     records = RecordTable.from_records([
-        Record(id=f"r{i}", uncertainty=0.1 + 0.2 * i, loss=l)
+        dict(id=f"r{i}", uncertainty=0.1 + 0.2 * i, loss=l)
         for i, l in enumerate(losses)
     ], LossSpec())
     plugin = float(np.mean(losses))
@@ -329,7 +329,7 @@ def test_09_metric_identities():
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         records = RecordTable.from_records([
-            Record(
+            dict(
                 id=f"r{i}",
                 uncertainty=float(rng.random()),
                 group_label=str(rng.choice(("a", "b", "c"))),

@@ -29,19 +29,19 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import Partition
 from pac_route.estimator import METHODS, EstimatorConfig
-from pac_route.records import LossSpec, Record, RecordTable
+from pac_route.records import LossSpec, RecordTable
 
 
 def pool(losses, uncertainties, label=None):
     return [
-        Record(id=f"r{i}", uncertainty=u, loss=l, group_label=label)
+        dict(id=f"r{i}", uncertainty=u, loss=l, group_label=label)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
 
 
 def labeled(label, losses, uncertainties, start=0):
     return [
-        Record(id=f"{label}{start + i}", uncertainty=u, loss=l, group_label=label)
+        dict(id=f"{label}{start + i}", uncertainty=u, loss=l, group_label=label)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
 
@@ -107,7 +107,7 @@ def table_and_assigner(draw):
     score = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
     rows = draw(st.lists(st.tuples(st.sampled_from(LABEL_POOL), score), max_size=40))
     rows_table = table([
-        Record(id=f"r{i}", uncertainty=u, loss=0.0, group_label=label)
+        dict(id=f"r{i}", uncertainty=u, loss=0.0, group_label=label)
         for i, (label, u) in enumerate(rows)
     ])
     # a row subset keeps the full label vocabulary, some of it now absent
@@ -170,7 +170,7 @@ def test_hopeless_group_admits_almost_nothing():
     assert curve is not None
     assert curve.ucb[-1] > 0.5  # the full pool is plainly infeasible
     if t.threshold is not None:
-        admitted = np.mean([r.uncertainty <= t.threshold for r in recs])
+        admitted = np.mean([r["uncertainty"] <= t.threshold for r in recs])
         assert admitted <= 0.1
 
 
@@ -210,7 +210,7 @@ _POOLS = st.lists(
 
 def _pick(rows, method, seed, epsilon, alpha):
     # the same draws for every (epsilon, alpha): the rng is seeded afresh
-    records = table([Record(id=f"r{i}", uncertainty=u, loss=l) for i, (u, l) in enumerate(rows)])
+    records = table([dict(id=f"r{i}", uncertainty=u, loss=l) for i, (u, l) in enumerate(rows)])
     cfg = EstimatorConfig(method=method, alpha=alpha, seed=seed)
     t, _ = calibrate_group(records, epsilon, cfg, np.random.default_rng(seed))
     return -1.0 if t.threshold is None else t.threshold
@@ -252,7 +252,7 @@ def test_gpac_calibrates_each_label_separately():
     bad = policy.threshold_for("bad")
     assert good.threshold == pytest.approx(0.99)
     bad_admitted = 0.0 if bad.always_think else np.mean(
-        [r.uncertainty <= bad.threshold for r in recs if r.group_label == "bad"])
+        [r["uncertainty"] <= bad.threshold for r in recs if r["group_label"] == "bad"])
     assert bad_admitted <= 0.1
     assert report.n_total == 100
     assert report.n_unresolved == 0

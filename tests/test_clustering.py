@@ -14,14 +14,14 @@ from pac_route.clustering import (
     kmeans_1d,
 )
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import LossSpec, Record, RecordTable
+from pac_route.records import LossSpec, RecordTable
 from pac_route.seeding import derive_seed
 from reference import partition_gap
 
 
 def pool(losses, uncertainties):
     return [
-        Record(id=f"r{i}", uncertainty=float(u), loss=float(l))
+        dict(id=f"r{i}", uncertainty=float(u), loss=float(l))
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ]
 
@@ -277,7 +277,7 @@ def test_cpac_split_thresholds_ignore_cluster_side_losses():
     mutated = list(recs)
     for i in order[:n_cluster]:
         r = mutated[i]
-        mutated[i] = Record(id=r.id, uncertainty=r.uncertainty, loss=1.0 - r.loss)
+        mutated[i] = dict(r, loss=1.0 - r["loss"])
     redone, _ = calibrate_cpac(table(mutated), cc, 0.05, EstimatorConfig(seed=3))
     assert redone.to_dict() == base.to_dict()
 

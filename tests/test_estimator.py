@@ -19,12 +19,12 @@ from pac_route.estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from pac_route.records import LossSpec, Record, RecordTable
+from pac_route.records import LossSpec, RecordTable
 
 
 def pool(losses, uncertainties, bound_B=1.0):
     return RecordTable.from_records([
-        Record(id=f"r{i}", uncertainty=u, loss=l)
+        dict(id=f"r{i}", uncertainty=u, loss=l)
         for i, (l, u) in enumerate(zip(losses, uncertainties))
     ], LossSpec(bound_B=bound_B))
 

@@ -22,12 +22,12 @@ from pac_route.evaluation import (
     stp,
     trial_error,
 )
-from pac_route.records import LossSpec, MissingTokensError, NoRecordsError, Record, RecordTable
+from pac_route.records import LossSpec, MissingTokensError, NoRecordsError, RecordTable
 from pac_route.seeding import substream
 
 
 def rec(i, u, loss, label=None, tt=None, tc=None):
-    return Record(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
+    return dict(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
                   tokens_thinking=tt, tokens_cheap=tc)
 
 
@@ -87,7 +87,7 @@ def test_error_decomposes_over_groups():
         n = int(rng.integers(3, 80))
         labels = rng.choice(["a", "b", "c"], size=n)
         records = table([
-            rec(i, float(rng.uniform()), float(rng.choice([0.0, 0.5, 1.0])), labels[i])
+            rec(i, float(rng.uniform()), float(rng.choice([0.0, 0.5, 1.0])), str(labels[i]))
             for i in range(n)
         ])
         policy = label_policy([("a", 0.3), ("b", None), ("c", 0.9)])
@@ -232,13 +232,13 @@ def _evaluate_reference(records, policy, *, trials=1, seed=0, stp_variant=None):
     """The per-record evaluate that routes every resample again, kept as an oracle."""
 
     def decide(sample):
-        return [route(policy, r.group_label, r.uncertainty, record_id=r.id) for r in sample]
+        return [route(policy, r["group_label"], r["uncertainty"], record_id=r["id"]) for r in sample]
 
     def one_trial_error(sample):
         total = 0.0
         sums, counts = {}, {}
         for r, d in zip(sample, decide(sample)):
-            contribution = r.loss if d.action == CHEAP else 0.0
+            contribution = r["loss"] if d.action == CHEAP else 0.0
             total += contribution
             if d.group_key is not None:
                 sums[d.group_key] = sums.get(d.group_key, 0.0) + contribution
@@ -250,15 +250,15 @@ def _evaluate_reference(records, policy, *, trials=1, seed=0, stp_variant=None):
         for r, d in zip(sample, decide(sample)):
             cheap = d.action == CHEAP
             if stp_variant == "cascade":
-                spent = r.tokens_cheap + (0 if cheap else r.tokens_thinking)
+                spent = r["tokens_cheap"] + (0 if cheap else r["tokens_thinking"])
             else:
-                spent = r.tokens_cheap if cheap else r.tokens_thinking
-            saved += 1.0 - spent / r.tokens_thinking
+                spent = r["tokens_cheap"] if cheap else r["tokens_thinking"]
+            saved += 1.0 - spent / r["tokens_thinking"]
         return saved / len(sample)
 
     n_per_group, n_unresolved = {}, 0
     for r in records:
-        key = policy.assigner.resolve(r.group_label, r.uncertainty)
+        key = policy.assigner.resolve(r["group_label"], r["uncertainty"])
         if key is None:
             n_unresolved += 1
         else:

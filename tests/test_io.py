@@ -13,24 +13,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pac_route.io import atomic_write_json, atomic_write_text, load_records
-from pac_route.records import RECORD_FIELDS, Record, RecordColumns
+from pac_route.records import RECORD_FIELDS, RecordColumns
 from reference import record_to_dict, write_records_jsonl
 
 # ------------------------------------------------- per-record reference readers
-# The record-at-a-time readers load_records replaced, kept as oracles.  Five
-# differences from the originals, each a fix the column loader makes too:
-# every row error names its path:line (a ValueError from Record used to name
-# only the record), a CSV error names the physical line (a blank line used to
-# shift the count), the fields Record stores unchecked must have their JSON
-# type (labels and answers strings, losses numbers, embeddings arrays), the
-# fields Record converts must have their JSON type too (an uncertainty is a
-# number and a token count an integer, never a bool or a string, as in a CSV
-# cell), and a token count too large for a float is a row error (it used to
-# crash when the table was built).
+# The record-at-a-time readers load_records replaced, kept as oracles.  They
+# return one dict per record and apply the checks the old per-record class made
+# of itself: a non-empty string id, a finite uncertainty in [0, 1], token counts
+# >= 0 and embeddings as float tuples.  Five differences from the originals,
+# each a fix the column loader makes too: every row error names its path:line
+# (the per-record check used to name only the record), a CSV error names the
+# physical line (a blank line used to shift the count), the fields stored
+# unchecked must have their JSON type (labels and answers strings, losses
+# numbers, embeddings arrays), the fields converted must have their JSON type
+# too (an uncertainty is a number and a token count an integer, never a bool
+# or a string, as in a CSV cell), and a token count too large for a float is
+# a row error (it used to crash when the table was built).
 
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
+_ARRAY_FIELDS = ("uncertainty", *_INT_FIELDS)
 _JSON_TYPES = {
     "uncertainty": (int, float), "group_label": (str,), "loss": (int, float),
     "thinking_answer": (str,), "cheap_answer": (str,), "gold_answer": (str,),
@@ -39,29 +42,32 @@ _JSON_TYPES = {
 }
 
 
-def _record_from_mapping(data: dict, source: str) -> tuple[Record, int]:
-    known = {}
-    unknown = 0
-    for key, value in data.items():
-        if key in RECORD_FIELDS:
-            known[key] = value
-        else:
-            unknown += 1
-    if "id" not in known or "uncertainty" not in known:
+def _record_from_mapping(data: dict, source: str) -> tuple[dict, int]:
+    row = {key: value for key, value in data.items() if key in RECORD_FIELDS}
+    unknown = len(data) - len(row)
+    if "id" not in row or "uncertainty" not in row:
         raise ValueError(f"{source}: record needs at least id and uncertainty")
     for name, types in _JSON_TYPES.items():
-        if known.get(name) is not None and type(known[name]) not in types:
+        if row.get(name) is not None and type(row[name]) not in types:
             raise ValueError(f"{source}: field {name!r} has the wrong type")
     try:
+        if not isinstance(row["id"], str) or not row["id"]:
+            raise ValueError("record id must be a non-empty string")
+        u = row["uncertainty"] = float(row["uncertainty"])
+        if not math.isfinite(u) or not 0.0 <= u <= 1.0:
+            raise ValueError(f"uncertainty {u} outside [0, 1]")
         for name in _INT_FIELDS:
-            if isinstance(known.get(name), int):
-                float(known[name])
-        return Record(**known), unknown
+            if row.get(name) is not None and float(row[name]) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in _EMBEDDING_FIELDS:
+            if row.get(name) is not None:
+                row[name] = tuple(float(x) for x in row[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{source}: {exc}") from exc
+    return row, unknown
 
 
-def read_records_jsonl_reference(path) -> tuple[list[Record], int]:
+def read_records_jsonl_reference(path) -> tuple[list[dict], int]:
     records = []
     ignored = 0
     with open(path, encoding="utf-8") as fh:
@@ -80,7 +86,7 @@ def read_records_jsonl_reference(path) -> tuple[list[Record], int]:
     return records, ignored
 
 
-def read_records_csv_reference(path) -> tuple[list[Record], int]:
+def read_records_csv_reference(path) -> tuple[list[dict], int]:
     records = []
     ignored = 0
     with open(path, encoding="utf-8", newline="") as fh:
@@ -117,16 +123,27 @@ def read_records_csv_reference(path) -> tuple[list[Record], int]:
     return records, ignored
 
 
+def _value(name: str, value) -> str:
+    # repr keeps NaN equal to NaN and an int apart from a float; the float
+    # columns hold None as NaN
+    if name in _ARRAY_FIELDS:
+        return repr(math.nan if value is None else float(value))
+    return repr(value)
+
+
 def column_values(columns: RecordColumns) -> dict:
-    """Every column as comparable values (repr keeps NaN equal to NaN and an
-    int apart from a float)."""
-    return {name: [repr(v) for v in list(getattr(columns, name))] for name in RECORD_FIELDS}
+    """Every column as comparable values."""
+    return {name: [_value(name, v) for v in getattr(columns, name)] for name in RECORD_FIELDS}
 
 
-def assert_same_columns(got: RecordColumns, records: list[Record]) -> None:
-    want = RecordColumns.from_records(records)
-    assert column_values(got) == column_values(want)
-    for name in ("uncertainty", "tokens_thinking", "tokens_cheap"):
+def row_values(rows: list[dict]) -> dict:
+    """The columns of checked rows as `column_values` gives them."""
+    return {name: [_value(name, row.get(name)) for row in rows] for name in RECORD_FIELDS}
+
+
+def assert_same_columns(got: RecordColumns, rows: list[dict]) -> None:
+    assert column_values(got) == row_values(rows)
+    for name in _ARRAY_FIELDS:
         assert getattr(got, name).dtype == np.float64
 
 
@@ -140,7 +157,7 @@ def outcome(read, path):
         return "error", int(match.group(1))
     if isinstance(records, RecordColumns):
         return "ok", column_values(records), ignored
-    return "ok", column_values(RecordColumns.from_records(records)), ignored
+    return "ok", row_values(records), ignored
 
 
 # --------------------------------------------------------------- load_records
@@ -148,11 +165,11 @@ def outcome(read, path):
 
 def test_jsonl_round_trip(tmp_path):
     records = [
-        Record(id="a", uncertainty=0.2, group_label="math", loss=0.5,
-               thinking_answer="4", cheap_answer="7", gold_answer="4",
-               thinking_embedding=(1.0, 0.0), cheap_embedding=(0.5, 0.5),
-               tokens_thinking=120, tokens_cheap=9),
-        Record(id="b", uncertainty=0.9),
+        dict(id="a", uncertainty=0.2, group_label="math", loss=0.5,
+             thinking_answer="4", cheap_answer="7", gold_answer="4",
+             thinking_embedding=(1.0, 0.0), cheap_embedding=(0.5, 0.5),
+             tokens_thinking=120, tokens_cheap=9),
+        dict(id="b", uncertainty=0.9),
     ]
     path = tmp_path / "records.jsonl"
     write_records_jsonl(records, path)
@@ -308,6 +325,14 @@ _FIELD_VALUES = {
 
 
 @st.composite
+def record_row(draw, fields=tuple(sorted(_FIELD_VALUES))):
+    names = draw(st.lists(st.sampled_from(fields), unique=True, max_size=7))
+    row = {"id": draw(_IDS), "uncertainty": draw(st.floats(0.0, 1.0))}
+    row.update({name: draw(_FIELD_VALUES[name]) for name in names})
+    return row
+
+
+@st.composite
 def jsonl_line(draw):
     kind = draw(st.sampled_from(["row"] * 24 + ["blank"] * 3 + ["array", "two", "syntax", "fragment"]))
     if kind == "blank":
@@ -318,10 +343,7 @@ def jsonl_line(draw):
         return '{"id": "x", "uncertainty": 0.5'
     if kind == "fragment":
         return '"uncertainty": 0.5}'
-    names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), unique=True, max_size=7))
-    row = {"id": draw(_IDS), "uncertainty": draw(st.floats(0.0, 1.0))}
-    row.update({name: draw(_FIELD_VALUES[name]) for name in names})
-    text = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    text = json.dumps(draw(record_row()), ensure_ascii=draw(st.booleans()))
     if kind == "two":
         return text + draw(st.sampled_from([" ", ", "])) + text
     return text + draw(st.sampled_from(["", " "]))
@@ -333,6 +355,24 @@ def test_jsonl_loader_matches_reference(tmp_path, lines, final_newline):
     path = tmp_path / "r.jsonl"
     path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
     assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(record_row(RECORD_FIELDS), max_size=5))
+def test_rows_in_memory_follow_the_jsonl_rules(tmp_path, rows):
+    # one rule for both paths: the same rows built in memory and read from a
+    # file give the same columns, or the same error at the same row
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    try:
+        from_file, _ = load_records(path)
+    except ValueError as exc:
+        line, message = re.fullmatch(re.escape(str(path)) + r":(\d+): (.*)", str(exc), re.S).groups()
+        with pytest.raises(ValueError) as info:
+            RecordColumns.from_records(rows)
+        assert str(info.value) == f"record {rows[int(line) - 1]['id']}: {message}"
+    else:
+        assert column_values(RecordColumns.from_records(rows)) == column_values(from_file)
 
 
 _CSV_CELLS = {
@@ -380,9 +420,9 @@ def test_csv_loader_matches_reference(tmp_path, text):
 
 
 def test_record_to_dict_drops_missing_fields():
-    d = record_to_dict(Record(id="a", uncertainty=0.5))
+    d = record_to_dict({"id": "a", "uncertainty": 0.5, "loss": None})
     assert d == {"id": "a", "uncertainty": 0.5}
-    d = record_to_dict(Record(id="a", uncertainty=0.5, thinking_embedding=(1.0,)))
+    d = record_to_dict({"id": "a", "uncertainty": 0.5, "thinking_embedding": (1.0,)})
     assert d["thinking_embedding"] == [1.0]
 
 

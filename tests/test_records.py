@@ -7,7 +7,7 @@ from pac_route.records import (
     LOSS_SOURCES,
     NO_LABEL,
     LossSpec,
-    Record,
+    RecordColumns,
     RecordTable,
     binary_loss,
     cosine_loss,
@@ -17,50 +17,78 @@ from pac_route.records import (
 
 
 def make_record(**kw):
-    base = dict(id="r1", uncertainty=0.5)
-    base.update(kw)
-    return Record(**base)
+    return {"id": "r1", "uncertainty": 0.5, **kw}
 
 
 def resolve(record, spec):
     """resolve_loss on the record's fields that `spec` reads."""
-    return resolve_loss(tuple(getattr(record, name) for name in LOSS_SOURCES[spec.kind]), spec)
+    return resolve_loss(tuple(record.get(name) for name in LOSS_SOURCES[spec.kind]), spec)
 
 
 def test_record_accepts_boundary_uncertainty():
-    assert make_record(uncertainty=0.0).uncertainty == 0.0
-    assert make_record(uncertainty=1.0).uncertainty == 1.0
+    rows = [make_record(uncertainty=0.0), make_record(id="r2", uncertainty=1.0)]
+    assert RecordColumns.from_records(rows).uncertainty.tolist() == [0.0, 1.0]
 
 
 def test_record_rejects_bad_uncertainty():
-    with pytest.raises(ValueError):
-        make_record(uncertainty=-0.01)
-    with pytest.raises(ValueError):
-        make_record(uncertainty=1.01)
-    with pytest.raises(ValueError):
-        make_record(uncertainty=float("nan"))
+    for u in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match=r"^record r1: uncertainty .* outside \[0, 1\]"):
+            RecordTable.from_records([make_record(uncertainty=u, loss=0.0)], LossSpec())
 
 
 def test_record_rejects_empty_id():
-    with pytest.raises(ValueError):
-        make_record(id="")
+    with pytest.raises(ValueError, match="id must be a non-empty string"):
+        RecordTable.from_records([make_record(id="", loss=0.0)], LossSpec())
 
 
 def test_record_rejects_negative_tokens():
-    with pytest.raises(ValueError):
-        make_record(tokens_thinking=-1)
+    with pytest.raises(ValueError, match="^record r1: tokens_thinking must be non-negative"):
+        RecordTable.from_records([make_record(loss=0.0, tokens_thinking=-1)], LossSpec())
 
 
 def test_embeddings_coerced_to_tuples():
-    r = make_record(thinking_embedding=[1.0, 2.0], cheap_embedding=[0.5, 0.5])
-    assert r.thinking_embedding == (1.0, 2.0)
-    assert isinstance(r.cheap_embedding, tuple)
+    rows = [make_record(thinking_embedding=[1, 2.0], cheap_embedding=(0.5, 0.5))]
+    columns = RecordColumns.from_records(rows)
+    assert columns.thinking_embedding == [(1.0, 2.0)]
+    assert type(columns.thinking_embedding[0][0]) is float
+    assert isinstance(columns.cheap_embedding[0], tuple)
 
 
-def test_records_are_frozen():
-    r = make_record()
-    with pytest.raises(AttributeError):
-        r.uncertainty = 0.9
+@pytest.mark.parametrize("field, value", [
+    ("uncertainty", "0.5"),
+    ("uncertainty", True),
+    ("tokens_thinking", 1.5),
+    ("tokens_thinking", True),
+    ("group_label", 3),
+    ("loss", "0.2"),
+    ("thinking_embedding", 5),
+    ("id", np.str_("bad")),
+    ("note", "x"),
+])
+def test_rows_from_memory_follow_the_jsonl_rules(field, value):
+    good = make_record(loss=0.2, tokens_thinking=10)
+    bad = {**good, "id": "bad", field: value}
+    with pytest.raises(ValueError, match="^record bad: "):
+        RecordTable.from_records([good, bad, good], LossSpec())
+
+
+def test_rows_may_carry_numpy_scalars():
+    row = make_record(uncertainty=np.float64(0.25), loss=np.float32(0.5),
+                      tokens_thinking=np.int64(7), tokens_cheap=np.int32(1))
+    table = RecordTable.from_records([row], LossSpec())
+    assert table.uncertainty.tolist() == [0.25] and table.loss.tolist() == [0.5]
+    assert table.tokens_thinking.tolist() == [7.0] and table.tokens_cheap.tolist() == [1.0]
+    for field, value in (("uncertainty", np.bool_(True)), ("tokens_cheap", np.float64(1.0))):
+        with pytest.raises(ValueError, match=f"^record r1: field '{field}'"):
+            RecordTable.from_records([{**row, field: value}], LossSpec())
+
+
+def test_earlier_bad_value_wins_over_a_later_unknown_field():
+    rows = [make_record(id="a"), make_record(id="b", uncertainty=2.0), make_record(id="c", note=1)]
+    with pytest.raises(ValueError, match=r"^record b: uncertainty 2.0 outside"):
+        RecordColumns.from_records(rows)
+    with pytest.raises(ValueError, match="^record c: unknown field 'note'"):
+        RecordColumns.from_records([rows[0], rows[2], rows[1]])
 
 
 def test_binary_loss_penalizes_only_fixable_mistakes():
@@ -157,8 +185,8 @@ def test_resolved_record_rejects_non_finite_loss():
 
 
 def resolved(i, u, loss, label=None, tt=None, tc=None):
-    return Record(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
-                  tokens_thinking=tt, tokens_cheap=tc)
+    return dict(id=f"r{i}", uncertainty=u, loss=loss, group_label=label,
+                tokens_thinking=tt, tokens_cheap=tc)
 
 
 def test_table_from_records_keeps_every_field():

@@ -14,7 +14,6 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import ClusterConfig, Partition
 from pac_route.estimator import EstimatorConfig
-from pac_route.records import Record
 from pac_route.seeding import substream
 from pac_route.simulation import (
     CoverageReport,
@@ -134,7 +133,7 @@ def _generate_reference(spec, n, rng):
             probs[mask] = _prob_at(group, u[mask])
     losses = (coins < probs).astype(float)
     return [
-        Record(
+        dict(
             id=f"s{i}",
             uncertainty=float(u[i]),
             group_label=spec.groups[group_idx[i]].name,
@@ -159,12 +158,12 @@ def test_generate_matches_reference_records(seed, n):
     table = generate(spec, n, substream(seed, "trial", 0, "data"))
     records = _generate_reference(spec, n, substream(seed, "trial", 0, "data"))
     assert len(table) == len(records) == n
-    assert table.ids.tolist() == [r.id for r in records]
-    assert table.uncertainty.tolist() == [r.uncertainty for r in records]
-    assert table.loss.tolist() == [r.loss for r in records]
-    assert table.group_labels.tolist() == [r.group_label for r in records]
-    assert table.tokens_thinking.tolist() == [r.tokens_thinking for r in records]
-    assert table.tokens_cheap.tolist() == [r.tokens_cheap for r in records]
+    assert table.ids.tolist() == [r["id"] for r in records]
+    assert table.uncertainty.tolist() == [r["uncertainty"] for r in records]
+    assert table.loss.tolist() == [r["loss"] for r in records]
+    assert table.group_labels.tolist() == [r["group_label"] for r in records]
+    assert table.tokens_thinking.tolist() == [r["tokens_thinking"] for r in records]
+    assert table.tokens_cheap.tolist() == [r["tokens_cheap"] for r in records]
 
 
 def test_generate_respects_weights_and_tokens():

@@ -50,6 +50,8 @@ EXIT_BAD_PARAM = 4
 EXIT_POLICY_VERSION = 5
 EXIT_MISSING_TOKENS = 6
 EXIT_BAD_SPEC = 7
+# decision lines joined into one string before the next block starts
+_ROUTE_BLOCK = 8192
 
 
 class _CliError(Exception):
@@ -145,37 +147,34 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _decision_lines(decisions) -> str:
-    """One JSON line per decision, byte-identical to json.dumps(d.to_dict())."""
-    fragments: dict = {}  # group key or action -> its JSON text
-
-    def dumped(value) -> str:
-        text = fragments.get(value)
-        if text is None:
-            text = fragments[value] = json.dumps(value)
-        return text
-
-    quoted = json.encoder.encode_basestring_ascii
-    return "".join([
-        f'{{"id": {quoted(d.record_id)}, "group_key": {dumped(d.group_key)}, "action": {dumped(d.action)}}}\n'
-        for d in decisions
-    ])
-
-
 def cmd_route(args) -> int:
+    """Route every record with `route`, in file order, and write each decision
+    as its JSON line at once (byte-identical to json.dumps(d.to_dict())),
+    joined into blocks of _ROUTE_BLOCK lines; no decision outlives its line."""
     policy = _load_policy(args.policy)
     columns = _read_records(args)
+    quoted = json.encoder.encode_basestring_ascii
+    kinds: dict = {}  # (group key, action) -> [the JSON text after the id, decisions]
+    blocks, lines = [], []
     try:
-        decisions = [
-            route(policy, label, u, record_id=record_id)
-            for record_id, label, u in zip(columns.id, columns.group_label, columns.uncertainty.tolist())
-        ]
+        for record_id, label, u in zip(columns.id, columns.group_label, columns.uncertainty.tolist()):
+            d = route(policy, label, u, record_id=record_id)
+            kind = kinds.get((d.group_key, d.action))
+            if kind is None:
+                tail = f', "group_key": {json.dumps(d.group_key)}, "action": {json.dumps(d.action)}}}\n'
+                kind = kinds[d.group_key, d.action] = [tail, 0]
+            kind[1] += 1
+            lines.append(f'{{"id": {quoted(d.record_id)}{kind[0]}')
+            if len(lines) == _ROUTE_BLOCK:
+                blocks.append("".join(lines))
+                lines.clear()
     except ValueError as exc:
         raise _fail(EXIT_INPUT, str(exc)) from exc
-    atomic_write_text(_decision_lines(decisions), args.out)
-    cheap = sum(d.action == CHEAP for d in decisions)
-    unresolved = sum(d.group_key is None for d in decisions)
-    print(f"cheap {cheap} think {len(decisions) - cheap} (unresolved group {unresolved})")
+    blocks.append("".join(lines))
+    atomic_write_text(blocks, args.out)
+    cheap = sum(n for (_, action), (_, n) in kinds.items() if action == CHEAP)
+    unresolved = sum(n for (key, _), (_, n) in kinds.items() if key is None)
+    print(f"cheap {cheap} think {len(columns) - cheap} (unresolved group {unresolved})")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -10,11 +10,13 @@ always thinking, in two accounting styles:
     cascade: the cheap model always runs, thinking runs on routed-think inputs;
     router:  exactly one model runs per input.
 
-Every record is routed once.  Routing is deterministic per record, so a
-bootstrap trial resamples those decisions by index rather than routing the
-resample again.  Sums run left to right over the (resampled) records, per
-group through `np.bincount`, so every figure is bit-identical to a loop that
-routes and adds one record at a time.
+Every record is routed once, by one `assign` call over the table and one
+comparison with each group's threshold; the decisions are those of `route`.
+Routing is deterministic per record, so a bootstrap trial resamples those
+decisions by index rather than routing the resample again.  Sums run left to
+right over the (resampled) records, per group through `np.bincount`, so
+every figure is bit-identical to a loop that routes and adds one record at a
+time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CHEAP, GroupKey, RoutingPolicy, route
+from .calibration import GroupKey, RoutingPolicy
 from .records import MissingTokensError, NoRecordsError, RecordTable
 from .seeding import substream
 
@@ -68,13 +70,20 @@ class _Routed:
 
 
 def _route_all(table: RecordTable, policy: RoutingPolicy) -> _Routed:
-    code_of: dict[GroupKey, int] = {}
-    cheap, codes = [], []
-    for label, u, record_id in zip(table.group_labels, table.uncertainty.tolist(), table.ids):
-        d = route(policy, label, u, record_id=record_id)
-        cheap.append(d.action == CHEAP)
-        codes.append(-1 if d.group_key is None else code_of.setdefault(d.group_key, len(code_of)))
-    return _Routed(np.array(cheap, dtype=bool), np.array(codes, dtype=np.int64), tuple(code_of))
+    """What `route` decides for every row, from one `assign` call: a row is
+    cheap iff its group has a threshold (not always_think) at or above its
+    score."""
+    codes, keys = policy.assigner.assign(table)
+    thresholds = [policy.by_key.get(key) for key in keys]
+    # the appended -inf is the limit of code -1 (unresolved): never cheap
+    limits = np.array([-np.inf if t is None or t.always_think else t.threshold for t in thresholds] + [-np.inf])
+    cheap = table.uncertainty <= limits[codes]
+    # renumber the groups in first-appearance order; -1 stays -1
+    present, first = np.unique(codes[codes >= 0], return_index=True)
+    order = present[np.argsort(first)]
+    renumber = np.full(len(keys) + 1, -1, dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return _Routed(cheap, renumber[codes], tuple(keys[c] for c in order))
 
 
 def _sum_in_order(values: np.ndarray) -> float:

@@ -166,16 +166,17 @@ def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
     raise ValueError(f"unknown records format {fmt!r}")
 
 
-def atomic_write_text(text: str, path) -> None:
-    """Write `text` to a fresh temporary file beside `path`, fsync it, and
-    rename it into place.  Each call has its own temporary file, so concurrent
-    writers never collide; the last rename wins whole."""
+def atomic_write_text(text: str | list[str], path) -> None:
+    """Write `text`, or the concatenation of a list of chunks, to a fresh
+    temporary file beside `path`, fsync it, and rename it into place.  Each
+    call has its own temporary file, so concurrent writers never collide; the
+    last rename wins whole."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
     try:
         os.fchmod(fd, 0o666 & ~_UMASK)
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -137,6 +137,12 @@ def _first(column, ok) -> int | None:
     return next((i for i, value in enumerate(column) if not ok(value)), None)
 
 
+def _missing(column: list) -> bool:
+    """Whether every value of `column` is None; only a column that starts
+    with None is counted through."""
+    return not column or (column[0] is None and column.count(None) == len(column))
+
+
 def _of(kind: tuple, value) -> bool:
     types, numpy_types, _ = kind
     return type(value) in types or isinstance(value, numpy_types)
@@ -144,7 +150,7 @@ def _of(kind: tuple, value) -> bool:
 
 def _check_types(errors: list, name: str, column: list, kind: tuple) -> None:
     """Note the first value of `column` but None that is not of `kind`."""
-    if not set(map(type, column)) <= {*kind[0], _NONE}:
+    if not _missing(column) and not set(map(type, column)) <= {*kind[0], _NONE}:
         bad = _first(column, lambda value: value is None or _of(kind, value))
         if bad is not None:
             errors.append((bad, f"field {name!r} must be {kind[2]}, got {column[bad]!r}"))
@@ -166,6 +172,8 @@ def _converted(errors: list, name: str, column: list, convert) -> list:
 def _floats(errors: list, name: str, column: list, kind: tuple) -> np.ndarray:
     """`column` as a float array, None as NaN.  The first value not of `kind`,
     or that no float holds, is an error; it and every value after it are NaN."""
+    if _missing(column):
+        return np.full(len(column), np.nan)
     if set(map(type, column)) <= {*kind[0], _NONE}:
         with contextlib.suppress(OverflowError):
             return np.array(column, dtype=float)
@@ -239,7 +247,7 @@ class RecordColumns:
         _check_types(errors, "loss", self.loss, _NUMBER)
         for name in _EMBEDDING_FIELDS:
             column = getattr(self, name)
-            if column.count(None) < len(column):
+            if not _missing(column):
                 converted[name] = _converted(errors, name, column, _embedding)
         for name in _TOKEN_FIELDS:
             tokens = converted[name] = _floats(errors, name, getattr(self, name), _INTEGER)

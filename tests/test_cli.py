@@ -1,16 +1,21 @@
 """End-to-end runs of every subcommand through main()."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pac_route.cli as cli
 from pac_route.calibration import (
+    CHEAP,
+    THINK,
     GroupThreshold,
     LabelAssigner,
     RoutingPolicy,
     TrivialAssigner,
+    load_policy,
     route,
     save_policy,
 )
@@ -421,19 +426,25 @@ ROUTE_POLICIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROUTE_POLICIES))
-def test_route_output_matches_per_decision_json_dumps(tmp_path, name):
-    policy = ROUTE_POLICIES[name]
-    save_policy(policy, tmp_path / "policy.json")
+def _route_rows(n):
+    """Rows with odd ids, every label case and scores on the thresholds."""
     rng = np.random.default_rng(11)
     rows = []
-    for i in range(400):
+    for i in range(n):
         row = {"id": f"{ODD_IDS[i % len(ODD_IDS)]}{i}",
                "uncertainty": float(rng.choice([rng.uniform(), 0.3, 0.5, 0.0, 1.0]))}
         label = ["easy", "hard", "ü", "other", None][i % 5]
         if label is not None:
             row["group_label"] = label
         rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_POLICIES))
+def test_route_output_matches_per_decision_json_dumps(tmp_path, name):
+    policy = ROUTE_POLICIES[name]
+    save_policy(policy, tmp_path / "policy.json")
+    rows = _route_rows(400)
     path = tmp_path / "r.jsonl"
     path.write_text("".join(json.dumps(r, ensure_ascii=bool(i % 2)) + "\n" for i, r in enumerate(rows)),
                     encoding="utf-8")
@@ -443,6 +454,71 @@ def test_route_output_matches_per_decision_json_dumps(tmp_path, name):
     decisions = [route(policy, r.get("group_label"), r["uncertainty"], record_id=r["id"]) for r in rows]
     assert out.read_bytes() == _decisions_reference(decisions).encode("utf-8")
     assert {d.action for d in decisions} == {"cheap", "think"}
+
+
+@pytest.mark.parametrize("n", [8192, 8193, 20000])
+def test_route_writes_whole_blocks_and_counts_them(tmp_path, capsys, n):
+    policy = ROUTE_POLICIES["labels"]
+    save_policy(policy, tmp_path / "policy.json")
+    rows = _route_rows(n)
+    path = write_jsonl(tmp_path / "r.jsonl", rows)
+    out = tmp_path / "decisions.jsonl"
+    assert main(["route", "--policy", str(tmp_path / "policy.json"), "--records", path,
+                 "--out", str(out)]) == 0
+    decisions = [route(policy, r.get("group_label"), r["uncertainty"], record_id=r["id"]) for r in rows]
+    assert out.read_bytes() == _decisions_reference(decisions).encode("utf-8")
+    written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    cheap = sum(d["action"] == "cheap" for d in written)
+    unresolved = sum(d["group_key"] is None for d in written)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"cheap {cheap} think {n - cheap} (unresolved group {unresolved})"
+    )
+
+
+def test_route_calls_cli_route_once_per_record_in_file_order(tmp_path, records_file, policy_file,
+                                                             monkeypatch, capsys):
+    """The benchmark's self-test injects its faults by replacing cli.route, so
+    the route command must call it once per record and write what it returns."""
+    rows = [json.loads(line) for line in Path(records_file).read_text().splitlines()]
+    flip = rows[7]["id"]
+    calls = []
+
+    def spy(policy, group_hint, uncertainty, *, record_id=""):
+        calls.append((record_id, group_hint, uncertainty))
+        decision = route(policy, group_hint, uncertainty, record_id=record_id)
+        if record_id == flip:
+            decision = dataclasses.replace(decision, action=THINK if decision.action == CHEAP else CHEAP)
+        return decision
+
+    monkeypatch.setattr(cli, "route", spy)
+    out = tmp_path / "d.jsonl"
+    assert main(["route", "--policy", policy_file, "--records", records_file, "--out", str(out)]) == 0
+    assert calls == [(r["id"], r["group_label"], r["uncertainty"]) for r in rows]
+    policy = load_policy(policy_file)
+    expected = [route(policy, r["group_label"], r["uncertainty"], record_id=r["id"]).to_dict() for r in rows]
+    expected[7]["action"] = THINK if expected[7]["action"] == CHEAP else CHEAP
+    assert [json.loads(line) for line in out.read_text().splitlines()] == expected
+    cheap = sum(d["action"] == CHEAP for d in expected)
+    assert f"cheap {cheap} think {len(rows) - cheap}" in capsys.readouterr().out
+
+
+def test_route_error_mid_file_writes_nothing(tmp_path, monkeypatch, capsys):
+    save_policy(ROUTE_POLICIES["labels"], tmp_path / "policy.json")
+    path = write_jsonl(tmp_path / "r.jsonl", _route_rows(8193))
+    calls = []
+
+    def failing(policy, group_hint, uncertainty, *, record_id=""):
+        calls.append(record_id)
+        if len(calls) == 8193:  # after the first block has been joined
+            raise ValueError(f"cannot route {record_id}")
+        return route(policy, group_hint, uncertainty, record_id=record_id)
+
+    monkeypatch.setattr(cli, "route", failing)
+    out = tmp_path / "decisions.jsonl"
+    assert main(["route", "--policy", str(tmp_path / "policy.json"), "--records", path,
+                 "--out", str(out)]) == 2
+    assert f"error: cannot route {calls[-1]}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.json", "r.jsonl"]
 
 
 # ---------------------------------------------------------------- evaluate

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pac_route.calibration import (
     CHEAP,
@@ -16,6 +18,7 @@ from pac_route.clustering import Partition
 from pac_route.evaluation import (
     STP_VARIANTS,
     MetricsReport,
+    _route_all,
     error_gap,
     evaluate,
     group_sizes,
@@ -333,3 +336,56 @@ def test_evaluate_matches_per_record_reference(policy_name, trials, variant):
         assert got.to_dict() == expected.to_dict()
         assert list(got.per_group_error) == list(expected.per_group_error)
         assert list(got.n_per_group) == list(expected.n_per_group)
+
+
+# ------------------------------------------------ batch routing against route
+
+ROUTE_LABELS = ("a", "b", "c", "zz")
+
+
+@st.composite
+def policy_and_rows(draw):
+    """A policy on one of the four assigners, some groups without a threshold
+    or always thinking, and rows whose scores often sit exactly on a threshold
+    or a partition boundary."""
+    kind = draw(st.sampled_from(["trivial", "labels", "open", "partition"]))
+    edges = []
+    if kind == "trivial":
+        mode, assigner, keys = "marginal", TrivialAssigner(), [GROUP_ALL]
+    elif kind == "labels":
+        labels = draw(st.lists(st.sampled_from(ROUTE_LABELS[:3]), min_size=1, unique=True))
+        mode, assigner, keys = "gpac", LabelAssigner(tuple(labels)), labels
+    elif kind == "open":
+        mode, assigner, keys = "gpac", LabelAssigner(), list(ROUTE_LABELS)
+    else:
+        centroids = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+        assigner = Partition(tuple(centroids))
+        mode, keys, edges = "cpac", list(range(assigner.k)), list(assigner.boundaries)
+    listed = draw(st.lists(st.sampled_from(keys), unique=True))
+    thresholds = tuple(
+        GroupThreshold(key, draw(st.none() | st.floats(0.0, 1.0)), None, 10) for key in listed
+    )
+    policy = RoutingPolicy(mode=mode, epsilon=0.05, alpha=0.05, seed=0, assigner=assigner,
+                           thresholds=thresholds)
+    special = [0.0, 1.0, *edges, *(t.threshold for t in thresholds if t.threshold is not None)]
+    score = st.floats(0.0, 1.0) | st.sampled_from(special)
+    rows = draw(st.lists(st.tuples(st.sampled_from([*ROUTE_LABELS, None]), score),
+                         min_size=1, max_size=40))
+    return policy, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(policy_and_rows())
+def test_batch_routing_agrees_with_route(case):
+    policy, rows = case
+    routed = _route_all(table([rec(i, u, 0.0, label) for i, (label, u) in enumerate(rows)]), policy)
+    decisions = [route(policy, label, u, record_id=f"r{i}") for i, (label, u) in enumerate(rows)]
+    for i, d in enumerate(decisions):
+        assert bool(routed.cheap[i]) == (d.action == CHEAP)
+        if d.group_key is None:
+            assert routed.codes[i] == -1
+        else:
+            key = routed.keys[routed.codes[i]]
+            assert key == d.group_key and type(key) is type(d.group_key)
+    # groups are numbered in the order they first appear
+    assert list(routed.keys) == list(dict.fromkeys(d.group_key for d in decisions if d.group_key is not None))

@@ -441,6 +441,15 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert path.read_text() == "new"
 
 
+def test_atomic_write_joins_a_list_of_chunks(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(["ab", "", "c\n", "ü日"], path)
+    assert path.read_text(encoding="utf-8") == "abc\nü日"
+    atomic_write_text([], path)
+    assert path.read_text() == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_concurrent_atomic_writes_do_not_collide(tmp_path):
     # more writers than cores, switching often: a shared temp name fails here
     path = tmp_path / "out.txt"

@@ -6,6 +6,7 @@ import pytest
 from pac_route.records import (
     LOSS_SOURCES,
     NO_LABEL,
+    RECORD_FIELDS,
     LossSpec,
     RecordColumns,
     RecordTable,
@@ -89,6 +90,57 @@ def test_earlier_bad_value_wins_over_a_later_unknown_field():
         RecordColumns.from_records(rows)
     with pytest.raises(ValueError, match="^record c: unknown field 'note'"):
         RecordColumns.from_records([rows[0], rows[2], rows[1]])
+
+
+def _missing_columns_cases():
+    def rows(n, **at_row_2):
+        out = [make_record(id=f"r{i}") for i in range(n)]
+        if n > 2:
+            out[2].update(at_row_2)
+        return out
+
+    return {
+        "none": [],
+        "one": rows(1),
+        "many": rows(1000),
+        "bad uncertainty": rows(5, uncertainty=1.5),
+        "token after missing": rows(5, tokens_cheap=1.5),
+        "bool token after missing": rows(5, tokens_thinking=True),
+        "label after missing": rows(5, group_label=3),
+        "answer after missing": rows(5, gold_answer=["x"]),
+        "loss after missing": rows(5, loss="0.2"),
+        "embedding after missing": rows(5, cheap_embedding=5),
+        "good values after missing": rows(5, tokens_cheap=4, group_label="g", thinking_embedding=[1]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_missing_columns_cases()))
+def test_missing_columns_convert_as_when_scanned(monkeypatch, case):
+    """All-missing columns skip their per-row work; the full scan they skip
+    (forced here) gives the same columns and the same error."""
+    rows = _missing_columns_cases()[case]
+
+    def build():
+        try:
+            return RecordColumns.from_records(rows)
+        except ValueError as exc:
+            return str(exc)
+
+    fast = build()
+    monkeypatch.setattr("pac_route.records._missing", lambda column: False)
+    scanned = build()
+    if isinstance(scanned, str):
+        assert fast == scanned
+        return
+    for name in RECORD_FIELDS:
+        got, want = getattr(fast, name), getattr(scanned, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want
+    if case == "many":
+        assert np.isnan(fast.tokens_thinking).all() and fast.group_label == [None] * 1000
 
 
 def test_binary_loss_penalizes_only_fixable_mistakes():

@@ -18,6 +18,7 @@ from .calibration import (
     CalibrationReport,
     GroupThreshold,
     LabelAssigner,
+    Partition,
     PolicyVersionError,
     RouteDecision,
     RoutingPolicy,
@@ -28,12 +29,7 @@ from .calibration import (
     route,
     save_policy,
 )
-from .clustering import (
-    ClusterConfig,
-    Partition,
-    calibrate_cpac,
-    kmeans_1d,
-)
+from .clustering import ClusterConfig, calibrate_cpac, kmeans_1d
 from .estimator import (
     EstimatorConfig,
     UcbCurve,

@@ -12,17 +12,21 @@ tolerance.  At routing time a score equal to the threshold goes to the cheap
 model, and any input whose group cannot be resolved goes to the thinking
 model.
 
-Calibration runs on a :class:`~pac_route.records.RecordTable`.  Every
-assigner maps a whole table to integer group codes in one call (`assign`),
-calibration buckets rows by that code, and each group's table is a `take`
-of its rows in their original order.  `resolve` is the same mapping for one
-input, used by `route`.
+Each assigner names its mode: `TrivialAssigner` marginal, `LabelAssigner`
+gpac, `Partition` cpac.  Calibration runs on a
+:class:`~pac_route.records.RecordTable`.  Every assigner maps a whole table
+to integer group codes in one call (`assign`), calibration buckets rows by
+that code, and each group's table is a `take` of its rows in their original
+order.  `resolve` is the same mapping for one input.  Every route goes by
+`RoutingPolicy.limits`, each group's highest score routed cheap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,7 +41,7 @@ from .estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from .io import json_field, json_object
+from .io import atomic_write_json, json_field, json_object
 from .records import NO_LABEL, NoRecordsError, RecordTable
 from .seeding import substream
 
@@ -47,6 +51,8 @@ GROUP_ALL = "all"
 CHEAP = "cheap"
 THINK = "think"
 DEFAULT_N_MIN = 10
+# the limit of a group that never routes cheap: always_think, no threshold, unresolved
+_NEVER = -math.inf
 
 GroupKey = str | int
 
@@ -58,6 +64,8 @@ class PolicyVersionError(ValueError):
 @dataclass(frozen=True)
 class TrivialAssigner:
     """Puts every record into the single group "all" (marginal calibration)."""
+
+    mode = "marginal"
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
         return GROUP_ALL
@@ -83,6 +91,7 @@ class LabelAssigner:
     record routes to the thinking model.
     """
 
+    mode = "gpac"
     labels: tuple[str, ...] = ()
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
@@ -116,6 +125,57 @@ class LabelAssigner:
 
 
 @dataclass(frozen=True)
+class Partition:
+    """k ascending centroids; inputs go to the nearest one (ties downward)."""
+
+    mode = "cpac"
+    centroids: tuple[float, ...]
+    boundaries: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        c = tuple(float(x) for x in self.centroids)
+        if len(c) == 0 or not all(a < b for a, b in zip(c, c[1:])):
+            raise ValueError("centroids must be non-empty and strictly ascending")
+        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "boundaries", tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1)))
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    def resolve(self, group_label: str | None, uncertainty: float) -> int:
+        """Index of the nearest centroid; a score on a boundary takes the lower index."""
+        return bisect_left(self.boundaries, uncertainty)
+
+    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Cluster index of every row; a score on a boundary takes the lower index."""
+        return np.searchsorted(self.boundaries, table.uncertainty, side="left"), self.known_keys()
+
+    def known_keys(self) -> tuple[int, ...]:
+        return tuple(range(self.k))
+
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """The score interval owned by each cluster, covering [0, 1]."""
+        edges = (0.0,) + self.boundaries + (1.0,)
+        return tuple((edges[i], edges[i + 1]) for i in range(self.k))
+
+    def to_dict(self) -> dict:
+        return {"kind": "centroids", "centroids": list(self.centroids)}
+
+
+def _json_typed(value, types: tuple, what: str):
+    """`value` if its exact type is one of `types` (a bool is no integer), else a TypeError."""
+    if type(value) not in types:
+        raise TypeError(f"must be {what}, got {value!r}")
+    return value
+
+
+def _json_array(value, types: tuple, what: str) -> tuple:
+    """A JSON array whose items are all of `types`, as a tuple."""
+    return tuple(_json_typed(item, types, what) for item in _json_typed(value, (list,), "an array"))
+
+
+@dataclass(frozen=True)
 class GroupThreshold:
     """Calibration outcome for one group."""
 
@@ -139,9 +199,7 @@ class GroupThreshold:
     @classmethod
     def from_dict(cls, data: dict) -> "GroupThreshold":
         data = json_object(data, "a threshold entry")
-        key = data["group_key"]
-        if not isinstance(key, (str, int)):
-            raise ValueError(f"group_key must be a string or an integer, got {key!r}")
+        key = json_field(data, "group_key", lambda key: _json_typed(key, (str, int), "a string or an integer"))
         threshold = json_field(data, "threshold", lambda raw: None if raw == "always_think" else float(raw))
         if threshold is not None and not 0.0 <= threshold <= 1.0:
             raise ValueError(f"group {key!r}: threshold {threshold} outside [0, 1]")
@@ -149,7 +207,7 @@ class GroupThreshold:
             group_key=key,
             threshold=threshold,
             ucb_at_threshold=json_field(data, "ucb", lambda ucb: None if ucb is None else float(ucb), None),
-            n_calibration=json_field(data, "n", int),
+            n_calibration=json_field(data, "n", lambda n: _json_typed(n, (int,), "an integer")),
         )
 
 
@@ -157,30 +215,32 @@ class GroupThreshold:
 class RoutingPolicy:
     """Everything needed to route new inputs: assigner plus per-group thresholds."""
 
-    mode: str
     epsilon: float
     alpha: float
     seed: int
     assigner: Any
     thresholds: tuple[GroupThreshold, ...]
     config_hash: str = ""
-    # group key -> its threshold (the first one listed), derived from thresholds
-    by_key: dict = field(init=False, repr=False, compare=False)
+    # group key -> the highest score routed cheap (_NEVER for always_think);
+    # derived from thresholds, where the first entry of a key wins
+    limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.epsilon > 0:
             raise ValueError(f"tolerance epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        by_key: dict = {}
+        limits: dict = {}
         for t in self.thresholds:
-            by_key.setdefault(t.group_key, t)
-        object.__setattr__(self, "by_key", by_key)
+            limits.setdefault(t.group_key, _NEVER if t.always_think else t.threshold)
+        object.__setattr__(self, "limits", limits)
+
+    @property
+    def mode(self) -> str:
+        return self.assigner.mode
 
     def threshold_for(self, group_key: GroupKey) -> GroupThreshold | None:
-        return self.by_key.get(group_key)
+        return next((t for t in self.thresholds if t.group_key == group_key), None)
 
     def to_dict(self) -> dict:
         return {
@@ -202,6 +262,8 @@ class RoutingPolicy:
                 f"unsupported policy version {version!r}; this build speaks {POLICY_VERSION}"
             )
         assigner = assigner_from_dict(data["assigner"])
+        if data["mode"] != assigner.mode:
+            raise ValueError(f"policy mode {data['mode']!r} is not its assigner's ({assigner.mode!r})")
         thresholds = tuple(GroupThreshold.from_dict(t) for t in json_field(data, "thresholds", list))
         keys = [t.group_key for t in thresholds]
         if len(set(keys)) != len(keys):
@@ -211,7 +273,6 @@ class RoutingPolicy:
         if unknown:
             raise ValueError(f"policy thresholds name groups its assigner does not know: {unknown}")
         return cls(
-            mode=data["mode"],
             epsilon=json_field(data, "epsilon", float),
             alpha=json_field(data, "alpha", float),
             seed=json_field(data, "seed", int),
@@ -264,11 +325,9 @@ def assigner_from_dict(data: dict):
     if kind == "trivial":
         return TrivialAssigner()
     if kind == "labels":
-        return LabelAssigner(labels=json_field(data, "labels", tuple))
+        return LabelAssigner(labels=json_field(data, "labels", lambda v: _json_array(v, (str,), "a string")))
     if kind == "centroids":
-        from .clustering import Partition
-
-        return json_field(data, "centroids", Partition)
+        return Partition(json_field(data, "centroids", lambda v: _json_array(v, (int, float), "a number")))
     raise ValueError(f"unknown assigner kind {kind!r}")
 
 
@@ -317,7 +376,6 @@ def calibrate_gpac(
     epsilon: float,
     config: EstimatorConfig,
     *,
-    mode: str = "gpac",
     n_min: int = DEFAULT_N_MIN,
     ucb_offset: float = 0.0,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
@@ -351,13 +409,12 @@ def calibrate_gpac(
     if isinstance(assigner, LabelAssigner) and not assigner.labels:
         assigner = LabelAssigner(labels=keys)
     policy = RoutingPolicy(
-        mode=mode,
         epsilon=epsilon,
         alpha=config.alpha,
         seed=config.seed,
         assigner=assigner,
         thresholds=tuple(thresholds),
-        config_hash=config_hash(config, mode=mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset),
+        config_hash=config_hash(config, mode=assigner.mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset),
     )
     report = CalibrationReport(
         groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
@@ -376,13 +433,7 @@ def route(
     if not 0.0 <= uncertainty <= 1.0:
         raise ValueError(f"uncertainty {uncertainty} outside [0, 1]")
     key = policy.assigner.resolve(group_hint, uncertainty)
-    if key is None:
-        return RouteDecision(record_id, None, THINK)
-    threshold = policy.by_key.get(key)
-    if threshold is None or threshold.always_think:
-        return RouteDecision(record_id, key, THINK)
-    action = CHEAP if uncertainty <= threshold.threshold else THINK
-    return RouteDecision(record_id, key, action)
+    return RouteDecision(record_id, key, CHEAP if uncertainty <= policy.limits.get(key, _NEVER) else THINK)
 
 
 def config_hash(config: EstimatorConfig, **extras) -> str:
@@ -402,8 +453,6 @@ def config_hash(config: EstimatorConfig, **extras) -> str:
 
 def save_policy(policy: RoutingPolicy, path) -> None:
     """Write the policy JSON atomically (write-then-rename)."""
-    from .io import atomic_write_json
-
     atomic_write_json(policy.to_dict(), path)
 
 
@@ -422,6 +471,7 @@ __all__ = [
     "PolicyVersionError",
     "TrivialAssigner",
     "LabelAssigner",
+    "Partition",
     "GroupThreshold",
     "RoutingPolicy",
     "RouteDecision",

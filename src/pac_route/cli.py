@@ -21,6 +21,7 @@ import sys
 from . import __version__
 from .calibration import (
     CHEAP,
+    MODES,
     LabelAssigner,
     PolicyVersionError,
     TrivialAssigner,
@@ -60,28 +61,24 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> _CliError:
-    return _CliError(code, message)
-
-
 def _loss_spec(args) -> LossSpec:
     if args.bound_b is None:
         return default_loss_spec(args.loss_kind)
     try:
         return LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
 
 
 def _read_records(args) -> RecordColumns:
     try:
         columns, ignored = load_records(args.records, args.format)
     except (OSError, ValueError) as exc:
-        raise _fail(EXIT_INPUT, f"cannot read records: {exc}") from exc
+        raise _CliError(EXIT_INPUT, f"cannot read records: {exc}") from exc
     if ignored:
         print(f"warning: ignored {ignored} unknown field(s) in {args.records}", file=sys.stderr)
     if not len(columns):
-        raise _fail(EXIT_NO_RECORDS, f"no records found in {args.records}")
+        raise _CliError(EXIT_NO_RECORDS, f"no records found in {args.records}")
     return columns
 
 
@@ -89,16 +86,16 @@ def _resolve_all(columns: RecordColumns, spec: LossSpec) -> RecordTable:
     try:
         return RecordTable.from_columns(columns, spec)
     except ValueError as exc:
-        raise _fail(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
+        raise _CliError(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
 
 
 def _load_policy(path):
     try:
         return load_policy(path)
     except PolicyVersionError as exc:
-        raise _fail(EXIT_POLICY_VERSION, str(exc)) from exc
+        raise _CliError(EXIT_POLICY_VERSION, str(exc)) from exc
     except (OSError, ValueError, KeyError) as exc:
-        raise _fail(EXIT_INPUT, f"cannot read policy: {exc}") from exc
+        raise _CliError(EXIT_INPUT, f"cannot read policy: {exc}") from exc
 
 
 def _configs(args, method: str, bound_B: float, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
@@ -110,13 +107,13 @@ def _configs(args, method: str, bound_B: float, cpac: bool) -> tuple[EstimatorCo
         if not cpac:
             return config, None
         if args.k is None:
-            raise _fail(EXIT_BAD_PARAM, f"cpac {args.command} needs --k")
+            raise _CliError(EXIT_BAD_PARAM, f"cpac {args.command} needs --k")
         return config, ClusterConfig(
             k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
             joint_slack=args.joint_slack, seed=args.seed,
         )
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
 
 
 def cmd_calibrate(args) -> int:
@@ -128,13 +125,11 @@ def cmd_calibrate(args) -> int:
             policy, report = calibrate_cpac(records, cluster, args.epsilon, config, n_min=args.n_min)
         else:
             assigner = TrivialAssigner() if args.mode == "marginal" else LabelAssigner()
-            policy, report = calibrate_gpac(
-                records, assigner, args.epsilon, config, mode=args.mode, n_min=args.n_min
-            )
+            policy, report = calibrate_gpac(records, assigner, args.epsilon, config, n_min=args.n_min)
     except NoRecordsError as exc:
-        raise _fail(EXIT_NO_RECORDS, str(exc)) from exc
+        raise _CliError(EXIT_NO_RECORDS, str(exc)) from exc
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
     save_policy(policy, args.out)
     if args.report:
         atomic_write_json(report.to_dict(), args.report)
@@ -169,7 +164,7 @@ def cmd_route(args) -> int:
                 blocks.append("".join(lines))
                 lines.clear()
     except ValueError as exc:
-        raise _fail(EXIT_INPUT, str(exc)) from exc
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
     blocks.append("".join(lines))
     atomic_write_text(blocks, args.out)
     cheap = sum(n for (_, action), (_, n) in kinds.items() if action == CHEAP)
@@ -188,9 +183,9 @@ def cmd_evaluate(args) -> int:
             records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp
         )
     except MissingTokensError as exc:
-        raise _fail(EXIT_MISSING_TOKENS, str(exc)) from exc
+        raise _CliError(EXIT_MISSING_TOKENS, str(exc)) from exc
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")
     if report.stp is not None:
@@ -205,14 +200,14 @@ def cmd_simulate(args) -> int:
     try:
         spec = load_spec(args.spec)
     except (OSError, ValueError, KeyError) as exc:
-        raise _fail(EXIT_BAD_SPEC, f"invalid synthetic spec: {exc}") from exc
+        raise _CliError(EXIT_BAD_SPEC, f"invalid synthetic spec: {exc}") from exc
     try:
         report = coverage_experiment(
             spec, args.n_cal, args.trials, args.epsilon, args.alpha,
             args.sim_method, config, cluster,
         )
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(report.to_dict(), args.out)
     worst = min(report.per_group_coverage.values())
     print(f"coverage(min) {worst:.4f} efficiency {report.efficiency:.4f} over {report.trials} trials")
@@ -225,7 +220,7 @@ def cmd_cluster(args) -> int:
     try:
         partition = kmeans_1d(uncertainty, args.k)
     except ValueError as exc:
-        raise _fail(EXIT_BAD_PARAM, str(exc)) from exc
+        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(partition.to_dict(), args.out)
     centroids = " ".join(f"{c:.6g}" for c in partition.centroids)
     print(f"centroids {centroids}")
@@ -277,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="learn per-group thresholds from calibration records")
     _add_records_arguments(p)
     _add_loss_arguments(p)
-    p.add_argument("--mode", choices=("marginal", "gpac", "cpac"), default="gpac",
+    p.add_argument("--mode", choices=MODES, default="gpac",
                    help="one pooled group, labeled groups, or learned score clusters")
     p.add_argument("--epsilon", type=float, required=True, help="loss tolerance per group")
     p.add_argument("--method", choices=("clt", "hoeffding"), default="clt",
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage check on a synthetic spec")
     p.add_argument("--spec", required=True, help="synthetic population spec JSON")
-    p.add_argument("--method", dest="sim_method", choices=("marginal", "gpac", "cpac"),
+    p.add_argument("--method", dest="sim_method", choices=MODES,
                    default="gpac", help="calibration scheme under test")
     p.add_argument("--n-cal", type=int, required=True, help="calibration records per trial")
     p.add_argument("--trials", type=int, default=500, help="number of Monte Carlo trials")

@@ -6,61 +6,23 @@ prefix sums; no Lloyd iterations and no restarts, hence fully deterministic.
 The optimal start of the last cluster is monotone in the prefix end, so each
 cluster-count layer of the program is a divide and conquer over that split,
 O(k n log n) in all, with ties broken toward the earliest split.
-A fitted partition is stored as ascending centroids with midpoint boundaries
-and doubles as a group assigner for calibration and routing.
+A fitted partition is a :class:`~pac_route.calibration.Partition`: ascending
+centroids with midpoint boundaries, the group assigner of cpac calibration
+and routing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import CalibrationReport, RoutingPolicy, calibrate_gpac, config_hash
+from .calibration import CalibrationReport, Partition, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
 from .records import RecordTable
 from .seeding import substream
 
 CLUSTER_MODES = ("split", "joint")
-
-
-@dataclass(frozen=True)
-class Partition:
-    """k ascending centroids; inputs go to the nearest one (ties downward)."""
-
-    centroids: tuple[float, ...]
-    boundaries: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.centroids)
-        if len(c) == 0 or not all(a < b for a, b in zip(c, c[1:])):
-            raise ValueError("centroids must be non-empty and strictly ascending")
-        object.__setattr__(self, "centroids", c)
-        object.__setattr__(self, "boundaries", tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1)))
-
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
-
-    def resolve(self, group_label: str | None, uncertainty: float) -> int:
-        """Index of the nearest centroid; a score on a boundary takes the lower index."""
-        return bisect_left(self.boundaries, uncertainty)
-
-    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Cluster index of every row; a score on a boundary takes the lower index."""
-        return np.searchsorted(self.boundaries, table.uncertainty, side="left"), self.known_keys()
-
-    def known_keys(self) -> tuple[int, ...]:
-        return tuple(range(self.k))
-
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        """The score interval owned by each cluster, covering [0, 1]."""
-        edges = (0.0,) + self.boundaries + (1.0,)
-        return tuple((edges[i], edges[i + 1]) for i in range(self.k))
-
-    def to_dict(self) -> dict:
-        return {"kind": "centroids", "centroids": list(self.centroids)}
 
 
 @dataclass(frozen=True)
@@ -182,12 +144,9 @@ def calibrate_cpac(
         cluster_side = cal_side = records
         offset = cluster_config.joint_slack
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
-    policy, report = calibrate_gpac(
-        cal_side, partition, epsilon, est_config,
-        mode="cpac", n_min=n_min, ucb_offset=offset,
-    )
+    policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, n_min=n_min, ucb_offset=offset)
     stamp = config_hash(
-        est_config, mode="cpac", epsilon=epsilon, n_min=n_min, ucb_offset=offset,
+        est_config, mode=partition.mode, epsilon=epsilon, n_min=n_min, ucb_offset=offset,
         k=cluster_config.k, cluster_mode=cluster_config.mode,
         split_fraction=cluster_config.split_fraction, cluster_seed=cluster_config.seed,
     )

@@ -71,12 +71,10 @@ class _Routed:
 
 def _route_all(table: RecordTable, policy: RoutingPolicy) -> _Routed:
     """What `route` decides for every row, from one `assign` call: a row is
-    cheap iff its group has a threshold (not always_think) at or above its
-    score."""
+    cheap iff its score is at or below its group's limit."""
     codes, keys = policy.assigner.assign(table)
-    thresholds = [policy.by_key.get(key) for key in keys]
     # the appended -inf is the limit of code -1 (unresolved): never cheap
-    limits = np.array([-np.inf if t is None or t.always_think else t.threshold for t in thresholds] + [-np.inf])
+    limits = np.array([policy.limits.get(key, -np.inf) for key in keys] + [-np.inf])
     cheap = table.uncertainty <= limits[codes]
     # renumber the groups in first-appearance order; -1 stays -1
     present, first = np.unique(codes[codes >= 0], return_index=True)

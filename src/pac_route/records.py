@@ -138,9 +138,12 @@ def _first(column, ok) -> int | None:
 
 
 def _missing(column: list) -> bool:
-    """Whether every value of `column` is None; only a column that starts
-    with None is counted through."""
-    return not column or (column[0] is None and column.count(None) == len(column))
+    """Whether every value of `column` is None.  Only a column that starts
+    with None is counted through, at C speed but by ==; a value that cannot
+    answer (a numpy array) sends the column to the type scan."""
+    with contextlib.suppress(TypeError, ValueError):
+        return not column or (column[0] is None and column.count(None) == len(column))
+    return False
 
 
 def _of(kind: tuple, value) -> bool:
@@ -234,8 +237,8 @@ class RecordColumns:
         if not (set(map(type, ids)) <= {str} and all(ids)):
             bad = _first(ids, lambda value: type(value) is str and value)
             errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
-        if None in self.uncertainty:
-            errors.append((self.uncertainty.index(None), _NEEDS))
+        if _NONE in set(map(type, self.uncertainty)):
+            errors.append((_first(self.uncertainty, lambda value: value is not None), _NEEDS))
         converted = {}
         u = converted["uncertainty"] = _floats(errors, "uncertainty", self.uncertainty, _NUMBER)
         ok = (u >= 0.0) & (u <= 1.0)

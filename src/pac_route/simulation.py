@@ -18,20 +18,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import (
+    GROUP_ALL,
+    MODES,
     GroupKey,
     LabelAssigner,
+    Partition,
     RoutingPolicy,
     TrivialAssigner,
     calibrate_gpac,
-    GROUP_ALL,
 )
-from .clustering import ClusterConfig, Partition, calibrate_cpac
+from .clustering import ClusterConfig, calibrate_cpac
 from .estimator import EstimatorConfig
 from .io import json_field, json_object
 from .records import RecordTable
 from .seeding import derive_seed, substream
-
-SIM_METHODS = ("marginal", "gpac", "cpac")
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -204,36 +204,27 @@ def policy_true_metrics(
     For marginal policies the risks are reported against the spec's real
     groups (the single learned threshold applies to each); for label policies
     against the labeled groups; for partition policies against the learned
-    score intervals, whose records are a mixture of the real groups.
+    score intervals, whose records are a mixture of the real groups.  A
+    group's cut is its limit clipped to the group's score range.
     """
-
-    def threshold_value(key) -> float | None:
-        t = policy.threshold_for(key)
-        if t is None or t.always_think:
-            return None
-        return t.threshold
-
     assigner = policy.assigner
     if isinstance(assigner, Partition):
         edges, probs = mixture_profile(spec)
         risks: dict[GroupKey, float] = {}
         efficiency = 0.0
         for j, (lo, hi) in enumerate(assigner.intervals()):
-            u = threshold_value(j)
-            top = lo if u is None else min(max(u, lo), hi)
+            top = min(max(policy.limits.get(j, -np.inf), lo), hi)
             risks[j] = _mixture_integral(edges, probs, lo, top) / (hi - lo)
             efficiency += top - lo
         return risks, efficiency
     if isinstance(assigner, TrivialAssigner):
-        u = threshold_value(GROUP_ALL)
-        cut = 0.0 if u is None else u
+        cut = max(policy.limits.get(GROUP_ALL, -np.inf), 0.0)
         risks = {g.name: true_risk(spec, j, cut) for j, g in enumerate(spec.groups)}
         return risks, cut
     risks = {}
     efficiency = 0.0
     for j, g in enumerate(spec.groups):
-        u = threshold_value(g.name)
-        cut = 0.0 if u is None else u
+        cut = max(policy.limits.get(g.name, -np.inf), 0.0)
         risks[g.name] = true_risk(spec, j, cut)
         efficiency += g.weight * cut
     return risks, efficiency
@@ -282,8 +273,8 @@ def coverage_experiment(
     alpha overrides the estimator config's level so the two cannot drift
     apart.
     """
-    if method not in SIM_METHODS:
-        raise ValueError(f"method must be one of {SIM_METHODS}, got {method!r}")
+    if method not in MODES:
+        raise ValueError(f"method must be one of {MODES}, got {method!r}")
     if method == "cpac" and cluster_config is None:
         raise ValueError("cpac needs a cluster config")
     if trials < 1:
@@ -295,13 +286,12 @@ def coverage_experiment(
     for t in range(trials):
         records = generate(spec, n_cal, substream(master, "trial", t, "data"))
         cfg = replace(est_config, alpha=alpha, seed=derive_seed(master, "trial", t, "calibrate"))
-        if method == "marginal":
-            policy, _ = calibrate_gpac(records, TrivialAssigner(), epsilon, cfg, mode="marginal")
-        elif method == "gpac":
-            policy, _ = calibrate_gpac(records, LabelAssigner(), epsilon, cfg, mode="gpac")
-        else:
+        if method == "cpac":
             cc = replace(cluster_config, seed=derive_seed(master, "trial", t, "cluster"))
             policy, _ = calibrate_cpac(records, cc, epsilon, cfg)
+        else:
+            assigner = TrivialAssigner() if method == "marginal" else LabelAssigner()
+            policy, _ = calibrate_gpac(records, assigner, epsilon, cfg)
         risks, efficiency = policy_true_metrics(spec, policy)
         efficiency_sum += efficiency
         for key, risk in risks.items():
@@ -320,7 +310,6 @@ def coverage_experiment(
 
 
 __all__ = [
-    "SIM_METHODS",
     "GroupSpec",
     "SyntheticSpec",
     "load_spec",

@@ -341,7 +341,7 @@ def test_09_metric_identities():
         ], LossSpec())
         threshold = None if rng.random() < 0.2 else float(rng.random())
         policy = RoutingPolicy(
-            mode="marginal", epsilon=EPS, alpha=ALPHA, seed=0,
+            epsilon=EPS, alpha=ALPHA, seed=0,
             assigner=TrivialAssigner(),
             thresholds=(GroupThreshold("all", threshold, 0.0, n),),
         )
@@ -349,7 +349,7 @@ def test_09_metric_identities():
             stp(records, policy, "router") >= stp(records, policy, "cascade") - 1e-12
         )
         labeled = RoutingPolicy(
-            mode="gpac", epsilon=EPS, alpha=ALPHA, seed=0,
+            epsilon=EPS, alpha=ALPHA, seed=0,
             assigner=LabelAssigner(("a", "b", "c")),
             thresholds=tuple(
                 GroupThreshold(g, float(rng.random()), 0.0, n) for g in ("a", "b", "c")

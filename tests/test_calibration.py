@@ -247,7 +247,7 @@ def test_gpac_calibrates_each_label_separately():
     recs = labeled("good", [0.0] * 50, np.linspace(0.01, 0.99, 50)) + \
         labeled("bad", [1.0] * 50, np.linspace(0.01, 0.99, 50))
     policy, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                                    EstimatorConfig(seed=10), mode="gpac")
+                                    EstimatorConfig(seed=10))
     good = policy.threshold_for("good")
     bad = policy.threshold_for("bad")
     assert good.threshold == pytest.approx(0.99)
@@ -262,7 +262,7 @@ def test_marginal_mode_pools_labels():
     recs = labeled("a", [0.0] * 30, np.linspace(0, 1, 30)) + \
         labeled("b", [0.0] * 30, np.linspace(0, 1, 30))
     policy, report = calibrate_gpac(table(recs), TrivialAssigner(), 0.05,
-                                    EstimatorConfig(seed=11), mode="marginal")
+                                    EstimatorConfig(seed=11))
     assert [t.group_key for t in policy.thresholds] == [GROUP_ALL]
     assert policy.thresholds[0].n_calibration == 60
 
@@ -334,7 +334,7 @@ def test_report_curves_cover_each_calibrated_group():
 
 def test_route_boundary_goes_cheap():
     policy = RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("g",)),
         thresholds=(GroupThreshold("g", 0.4, 0.01, 50),),
     )
@@ -345,7 +345,7 @@ def test_route_boundary_goes_cheap():
 
 def test_route_always_think_and_unresolved():
     policy = RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("g", "h")),
         thresholds=(GroupThreshold("g", None, None, 3),),
     )
@@ -357,7 +357,7 @@ def test_route_always_think_and_unresolved():
 
 def test_route_validates_uncertainty():
     policy = RoutingPolicy(
-        mode="marginal", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=TrivialAssigner(),
         thresholds=(GroupThreshold(GROUP_ALL, 0.5, 0.01, 20),),
     )
@@ -402,7 +402,6 @@ def policies(draw):
         ucb = None if threshold is None else draw(st.floats(0.0, 1.0))
         thresholds.append(GroupThreshold(key, threshold, ucb, draw(st.integers(0, 10 ** 6))))
     return RoutingPolicy(
-        mode=draw(st.sampled_from(["marginal", "gpac", "cpac"])),
         epsilon=draw(st.floats(1e-9, 1.0)),
         alpha=draw(st.floats(1e-9, 1.0, exclude_max=True)),
         seed=draw(st.integers(0, 2 ** 63)),
@@ -418,12 +417,12 @@ def test_policy_survives_json_round_trip(policy):
     back = RoutingPolicy.from_dict(json.loads(json.dumps(policy.to_dict())))
     assert back == policy
     assert json.dumps(back.to_dict()) == json.dumps(policy.to_dict())
-    assert back.by_key == policy.by_key
+    assert back.limits == policy.limits
 
 
 def test_threshold_lookup_follows_replace():
     policy = RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("g", "h")),
         thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3)),
     )
@@ -434,11 +433,46 @@ def test_threshold_lookup_follows_replace():
     assert route(moved, "g", 0.5).action == CHEAP and route(policy, "g", 0.5).action == THINK
 
 
-@pytest.mark.parametrize("settings_", [dict(mode="bogus"), dict(epsilon=0.0), dict(epsilon=-1.0),
+ASSIGNERS = {"marginal": TrivialAssigner(), "gpac": LabelAssigner(labels=("g",)),
+             "cpac": Partition((0.2, 0.7))}
+
+
+@pytest.mark.parametrize("assigner_mode", sorted(ASSIGNERS))
+def test_policy_mode_is_its_assigners(assigner_mode):
+    policy = RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0, assigner=ASSIGNERS[assigner_mode], thresholds=())
+    assert policy.mode == assigner_mode == policy.to_dict()["mode"]
+
+
+@pytest.mark.parametrize("assigner_mode", sorted(ASSIGNERS))
+@pytest.mark.parametrize("mode", sorted(ASSIGNERS))
+def test_policy_file_loads_only_with_its_assigners_mode(assigner_mode, mode):
+    policy = RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0, assigner=ASSIGNERS[assigner_mode], thresholds=())
+    data = {**policy.to_dict(), "mode": mode}
+    if mode == assigner_mode:
+        assert RoutingPolicy.from_dict(data) == policy
+    else:
+        with pytest.raises(ValueError, match=f"policy mode '{mode}' is not its assigner's"):
+            RoutingPolicy.from_dict(data)
+
+
+def test_limits_hold_the_highest_score_routed_cheap():
+    policy = RoutingPolicy(
+        epsilon=0.05, alpha=0.05, seed=0,
+        assigner=LabelAssigner(labels=("g", "h", "x")),
+        thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3),
+                    GroupThreshold("g", 0.9, 0.01, 50)),
+    )
+    # always_think never routes cheap, an unlisted key is absent, a repeated key keeps its first entry
+    assert policy.limits == {"g": 0.4, "h": float("-inf")}
+    assert route(policy, "g", 0.5).action == THINK and route(policy, "g", 0.4).action == CHEAP
+    assert policy.threshold_for("g").threshold == 0.4
+
+
+@pytest.mark.parametrize("settings_", [dict(epsilon=0.0), dict(epsilon=-1.0),
                                        dict(epsilon=float("nan")), dict(alpha=0.0), dict(alpha=1.0),
                                        dict(alpha=7.0)])
 def test_policy_rejects_invalid_settings(settings_):
-    base = dict(mode="gpac", epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(), thresholds=())
+    base = dict(epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(), thresholds=())
     RoutingPolicy(**base)
     with pytest.raises(ValueError):
         RoutingPolicy(**{**base, **settings_})

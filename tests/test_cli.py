@@ -363,6 +363,33 @@ def _bogus_mode(data):
     return {**data, "mode": "bogus"}
 
 
+def _mode_of_another_assigner(data):
+    return {**data, "mode": "marginal"}
+
+
+# JSON values of the wrong type that tuple() or int() would accept, each with
+# the field its error must name
+def _labels_string(data):
+    return {**data, "assigner": {"kind": "labels", "labels": "math"}}
+
+
+def _centroids_string(data):
+    return {**data, "mode": "cpac", "assigner": {"kind": "centroids", "centroids": "12"}, "thresholds": []}
+
+
+def _n_fraction(data):
+    data["thresholds"][0]["n"] = 50.7
+    return data
+
+
+def _n_bool(data):
+    data["thresholds"][0]["n"] = True
+    return data
+
+
+WRONG_TYPES = {_labels_string: "labels", _centroids_string: "centroids", _n_fraction: "n", _n_bool: "n"}
+
+
 def _negative_epsilon(data):
     return {**data, "epsilon": -1.0}
 
@@ -384,6 +411,7 @@ POLICY_EDITS = [
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
     _bogus_mode, _negative_epsilon, _zero_epsilon, _alpha_seven, _alpha_zero,
+    _mode_of_another_assigner,
 ]
 
 
@@ -397,6 +425,18 @@ def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", WRONG_TYPES, ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("command", ["route", "evaluate"])
+def test_policy_value_of_the_wrong_json_type_names_its_field(
+    tmp_path, records_file, policy_file, capsys, edit, command
+):
+    bad = _edited_policy(tmp_path, policy_file, edit)
+    out = tmp_path / "out"
+    assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
+    assert f"cannot read policy: field '{WRONG_TYPES[edit]}': must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _decisions_reference(decisions) -> str:
     """decisions.jsonl as it was written before: one json.dumps per decision."""
     return "".join(json.dumps(d.to_dict()) + "\n" for d in decisions)
@@ -405,22 +445,22 @@ def _decisions_reference(decisions) -> str:
 ODD_IDS = ['q"uote', "back\\slash", "ünï", "日本語", "emoji😀", "tab\tctl\x01", "line\u2028sep", "/slash"]
 ROUTE_POLICIES = {
     "labels": RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("easy", "hard", "ü")),
         thresholds=(GroupThreshold("easy", 0.6, 0.01, 30), GroupThreshold("hard", None, None, 3),
                     GroupThreshold("ü", 0.3, 0.02, 40)),
     ),
     "open": RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0, assigner=LabelAssigner(),
+        epsilon=0.05, alpha=0.05, seed=0, assigner=LabelAssigner(),
         thresholds=(GroupThreshold("easy", 0.4, 0.0, 10),),
     ),
     "partition": RoutingPolicy(
-        mode="cpac", epsilon=0.05, alpha=0.05, seed=0, assigner=Partition((0.2, 0.5, 0.8)),
+        epsilon=0.05, alpha=0.05, seed=0, assigner=Partition((0.2, 0.5, 0.8)),
         thresholds=(GroupThreshold(0, 0.3, 0.0, 10), GroupThreshold(1, None, None, 10),
                     GroupThreshold(2, 0.9, 0.0, 10)),
     ),
     "trivial": RoutingPolicy(
-        mode="marginal", epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(),
+        epsilon=0.05, alpha=0.05, seed=0, assigner=TrivialAssigner(),
         thresholds=(GroupThreshold("all", 0.45, 0.01, 50),),
     ),
 }

@@ -321,7 +321,7 @@ def test_cpac_k1_joint_matches_marginal_calibration():
     cc = ClusterConfig(k=1, mode="joint", seed=4)
     clustered, _ = calibrate_cpac(table(recs), cc, 0.05, EstimatorConfig(seed=4))
     pooled, _ = calibrate_gpac(table(recs), TrivialAssigner(), 0.05,
-                               EstimatorConfig(seed=4), mode="marginal")
+                               EstimatorConfig(seed=4))
     a = clustered.thresholds[0]
     b = pooled.thresholds[0]
     assert a.n_calibration == b.n_calibration

@@ -40,7 +40,7 @@ def table(records):
 
 def label_policy(thresholds, epsilon=0.05):
     return RoutingPolicy(
-        mode="gpac", epsilon=epsilon, alpha=0.05, seed=0,
+        epsilon=epsilon, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=tuple(k for k, _ in thresholds)),
         thresholds=tuple(
             GroupThreshold(k, v, 0.0 if v is not None else None, 10)
@@ -51,7 +51,7 @@ def label_policy(thresholds, epsilon=0.05):
 
 def marginal_policy(threshold, epsilon=0.05):
     return RoutingPolicy(
-        mode="marginal", epsilon=epsilon, alpha=0.05, seed=0,
+        epsilon=epsilon, alpha=0.05, seed=0,
         assigner=TrivialAssigner(),
         thresholds=(GroupThreshold(GROUP_ALL, threshold, 0.0, 10),),
     )
@@ -311,11 +311,11 @@ def seeded_records(seed, n):
 
 POLICIES = {
     "labels": label_policy([("a", 0.55), ("b", None), ("c", 0.3)]),
-    "open": RoutingPolicy(mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+    "open": RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0,
                           assigner=LabelAssigner(),
                           thresholds=(GroupThreshold("a", 0.4, 0.0, 10),)),
     "marginal": marginal_policy(0.62),
-    "partition": RoutingPolicy(mode="cpac", epsilon=0.05, alpha=0.05, seed=0,
+    "partition": RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0,
                                assigner=Partition([0.2, 0.5, 0.8]),
                                thresholds=(GroupThreshold(0, 0.3, 0.0, 10),
                                            GroupThreshold(1, None, None, 10),
@@ -351,21 +351,21 @@ def policy_and_rows(draw):
     kind = draw(st.sampled_from(["trivial", "labels", "open", "partition"]))
     edges = []
     if kind == "trivial":
-        mode, assigner, keys = "marginal", TrivialAssigner(), [GROUP_ALL]
+        assigner, keys = TrivialAssigner(), [GROUP_ALL]
     elif kind == "labels":
         labels = draw(st.lists(st.sampled_from(ROUTE_LABELS[:3]), min_size=1, unique=True))
-        mode, assigner, keys = "gpac", LabelAssigner(tuple(labels)), labels
+        assigner, keys = LabelAssigner(tuple(labels)), labels
     elif kind == "open":
-        mode, assigner, keys = "gpac", LabelAssigner(), list(ROUTE_LABELS)
+        assigner, keys = LabelAssigner(), list(ROUTE_LABELS)
     else:
         centroids = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=4)))
         assigner = Partition(tuple(centroids))
-        mode, keys, edges = "cpac", list(range(assigner.k)), list(assigner.boundaries)
+        keys, edges = list(range(assigner.k)), list(assigner.boundaries)
     listed = draw(st.lists(st.sampled_from(keys), unique=True))
     thresholds = tuple(
         GroupThreshold(key, draw(st.none() | st.floats(0.0, 1.0)), None, 10) for key in listed
     )
-    policy = RoutingPolicy(mode=mode, epsilon=0.05, alpha=0.05, seed=0, assigner=assigner,
+    policy = RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0, assigner=assigner,
                            thresholds=thresholds)
     special = [0.0, 1.0, *edges, *(t.threshold for t in thresholds if t.threshold is not None)]
     score = st.floats(0.0, 1.0) | st.sampled_from(special)

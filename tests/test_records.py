@@ -92,6 +92,21 @@ def test_earlier_bad_value_wins_over_a_later_unknown_field():
         RecordColumns.from_records([rows[0], rows[2], rows[1]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([make_record(id="a"), make_record(id="b", uncertainty=np.array([0.1, 0.2]))],
+     "record b: field 'uncertainty': must be a number"),
+    ([make_record(id="a"), make_record(id="b", thinking_embedding=np.array([0.1, 0.2]))],
+     "record b: field 'thinking_embedding': an embedding must be an array of numbers"),
+    ([make_record(id="a", uncertainty=2.0), make_record(id="b", uncertainty=np.array([0.1, 0.2]))],
+     r"record a: uncertainty 2.0 outside \[0, 1\]"),
+], ids=["array uncertainty", "array embedding after missing", "earlier row wins"])
+def test_numpy_arrays_in_rows_are_bad_values_of_their_row(rows, message):
+    """None is found by identity: an array value, which == cannot compare with
+    None, is a bad value named by its row, and an earlier bad row still wins."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        RecordColumns.from_records(rows)
+
+
 def _missing_columns_cases():
     def rows(n, **at_row_2):
         out = [make_record(id=f"r{i}") for i in range(n)]

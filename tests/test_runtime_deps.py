@@ -1,10 +1,13 @@
-"""numpy is the only runtime dependency: no subcommand loads scipy.
+"""numpy is the only runtime dependency: no subcommand loads scipy.  The
+module structure holds: `calibration` does not depend on `clustering`, and
+every import sits at module level.
 
 Each subcommand runs in a fresh interpreter, so modules imported by the test
 suite itself (scipy included, for the oracles) cannot mask an import the
 command makes.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -74,3 +77,37 @@ COMMANDS = {
 def test_subcommand_never_imports_scipy(inputs, command):
     result = run_probe(COMMANDS[command], inputs)
     assert result == {"code": 0, "scipy": []}
+
+
+# registers the package without running its __init__ (which imports every
+# module), imports calibration, loads a partition assigner and prints the
+# pac_route modules that were loaded
+CALIBRATION_PROBE = """
+import json, sys, types
+package = types.ModuleType("pac_route")
+package.__path__ = [sys.argv[1]]
+sys.modules["pac_route"] = package
+import pac_route.calibration
+pac_route.calibration.assigner_from_dict({"kind": "centroids", "centroids": [0.2, 0.8]})
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("pac_route."))))
+"""
+
+
+def test_calibration_does_not_load_clustering():
+    done = subprocess.run(
+        [sys.executable, "-c", CALIBRATION_PROBE, str(SRC / "pac_route")], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "pac_route.calibration" in loaded and "pac_route.clustering" not in loaded
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted((SRC / "pac_route").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{inner.lineno} in {node.name}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []

@@ -200,7 +200,7 @@ def test_mixture_profile_integrates_to_weighted_risk():
 def test_metrics_for_marginal_policy():
     spec = two_group_spec()
     policy = RoutingPolicy(
-        mode="marginal", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=TrivialAssigner(),
         thresholds=(GroupThreshold(GROUP_ALL, 0.5, 0.0, 100),),
     )
@@ -213,7 +213,7 @@ def test_metrics_for_marginal_policy():
 def test_metrics_for_label_policy_with_fallback():
     spec = two_group_spec()
     policy = RoutingPolicy(
-        mode="gpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("lo", "hi")),
         thresholds=(GroupThreshold("lo", 0.5, 0.0, 100),
                     GroupThreshold("hi", None, None, 100)),
@@ -228,7 +228,7 @@ def test_metrics_for_partition_policy():
     spec = two_group_spec()
     part = Partition([0.25, 0.75])
     policy = RoutingPolicy(
-        mode="cpac", epsilon=0.05, alpha=0.05, seed=0,
+        epsilon=0.05, alpha=0.05, seed=0,
         assigner=part,
         thresholds=(GroupThreshold(0, 0.5, 0.0, 50),
                     GroupThreshold(1, 0.5, 0.0, 50)),

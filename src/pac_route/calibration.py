@@ -12,13 +12,13 @@ tolerance.  At routing time a score equal to the threshold goes to the cheap
 model, and any input whose group cannot be resolved goes to the thinking
 model.
 
-Each assigner names its mode: `TrivialAssigner` marginal, `LabelAssigner`
-gpac, `Partition` cpac.  Calibration runs on a
-:class:`~pac_route.records.RecordTable`.  Every assigner maps a whole table
-to integer group codes in one call (`assign`), calibration buckets rows by
-that code, and each group's table is a `take` of its rows in their original
-order.  `resolve` is the same mapping for one input.  Every route goes by
-`RoutingPolicy.limits`, each group's highest score routed cheap.
+Every assigner is a fixed partition whose `keys` name its groups, and names
+its mode: `TrivialAssigner` marginal, `LabelAssigner` gpac, `Partition` cpac.
+Calibration runs on a :class:`~pac_route.records.RecordTable`.  `assign` maps
+a whole table to group codes, indices into `keys`; calibration buckets rows
+by code, and each group's table is a `take` of its rows in their original
+order.  `resolve` is the same mapping for one input.  A policy checks its
+keys when it is built; every route goes by `RoutingPolicy.limits`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from .io import atomic_write_json, json_field, json_object
-from .records import NO_LABEL, NoRecordsError, RecordTable
+from .io import atomic_write_json, json_array, json_field, json_integer, json_number, json_numbers, json_object
+from .io import json_list, json_string, json_typed
+from .records import NoRecordsError, RecordTable
 from .seeding import substream
 
 POLICY_VERSION = "pac-route/1"
@@ -66,16 +67,14 @@ class TrivialAssigner:
     """Puts every record into the single group "all" (marginal calibration)."""
 
     mode = "marginal"
+    keys = (GROUP_ALL,)
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
         return GROUP_ALL
 
-    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[GroupKey, ...]]:
-        """Group code of every row (an index into the returned keys; -1 = none)."""
-        return np.zeros(len(table), dtype=np.int64), (GROUP_ALL,)
-
-    def known_keys(self) -> tuple[GroupKey, ...] | None:
-        return (GROUP_ALL,)
+    def assign(self, table: RecordTable) -> np.ndarray:
+        """Group code of every row, an index into `keys`."""
+        return np.zeros(len(table), dtype=np.int64)
 
     def to_dict(self) -> dict:
         return {"kind": "trivial"}
@@ -83,42 +82,24 @@ class TrivialAssigner:
 
 @dataclass(frozen=True)
 class LabelAssigner:
-    """Groups records by their group_label.
+    """Groups records by their group_label, one group per label in `labels`.
 
-    With an empty label tuple the assigner is open: any present label resolves
-    to itself, which is how calibration discovers the groups.  A policy stores
-    the closed form, where labels outside the tuple are unresolvable and the
-    record routes to the thinking model.
+    A record without a label, or with a label outside the tuple, is
+    unresolvable and routes to the thinking model.
     """
 
     mode = "gpac"
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
+    keys = property(lambda self: self.labels)
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
-        if group_label is None:
-            return None
-        if self.labels and group_label not in self.labels:
-            return None
-        return group_label
+        return group_label if group_label in self.labels else None
 
-    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[GroupKey, ...]]:
-        """Group code of every row (an index into the returned keys; -1 = none).
-
-        The open form's keys are the labels present, in first-appearance order.
-        """
-        keys = self.labels
-        if not keys:
-            present, first = np.unique(table.label_code[table.label_code != NO_LABEL], return_index=True)
-            keys = tuple(table.labels[c] for c in present[np.argsort(first)])
-        code_of: dict[str, int] = {}
-        for code, key in enumerate(keys):
-            code_of.setdefault(key, code)
+    def assign(self, table: RecordTable) -> np.ndarray:
+        """Group code of every row, an index into `keys` (-1 = none)."""
+        codes = [self.labels.index(label) if label in self.labels else -1 for label in table.labels]
         # the appended -1 is where a row without a label (code NO_LABEL) lands
-        lookup = np.array([code_of.get(label, -1) for label in table.labels] + [-1], dtype=np.int64)
-        return lookup[table.label_code], keys
-
-    def known_keys(self) -> tuple[GroupKey, ...] | None:
-        return self.labels if self.labels else None
+        return np.array(codes + [-1], dtype=np.int64)[table.label_code]
 
     def to_dict(self) -> dict:
         return {"kind": "labels", "labels": list(self.labels)}
@@ -131,6 +112,7 @@ class Partition:
     mode = "cpac"
     centroids: tuple[float, ...]
     boundaries: tuple[float, ...] = field(init=False)
+    keys: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.centroids)
@@ -138,6 +120,7 @@ class Partition:
             raise ValueError("centroids must be non-empty and strictly ascending")
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "boundaries", tuple((c[i] + c[i + 1]) / 2.0 for i in range(len(c) - 1)))
+        object.__setattr__(self, "keys", tuple(range(len(c))))
 
     @property
     def k(self) -> int:
@@ -147,12 +130,9 @@ class Partition:
         """Index of the nearest centroid; a score on a boundary takes the lower index."""
         return bisect_left(self.boundaries, uncertainty)
 
-    def assign(self, table: RecordTable) -> tuple[np.ndarray, tuple[int, ...]]:
+    def assign(self, table: RecordTable) -> np.ndarray:
         """Cluster index of every row; a score on a boundary takes the lower index."""
-        return np.searchsorted(self.boundaries, table.uncertainty, side="left"), self.known_keys()
-
-    def known_keys(self) -> tuple[int, ...]:
-        return tuple(range(self.k))
+        return np.searchsorted(self.boundaries, table.uncertainty, side="left")
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         """The score interval owned by each cluster, covering [0, 1]."""
@@ -161,18 +141,6 @@ class Partition:
 
     def to_dict(self) -> dict:
         return {"kind": "centroids", "centroids": list(self.centroids)}
-
-
-def _json_typed(value, types: tuple, what: str):
-    """`value` if its exact type is one of `types` (a bool is no integer), else a TypeError."""
-    if type(value) not in types:
-        raise TypeError(f"must be {what}, got {value!r}")
-    return value
-
-
-def _json_array(value, types: tuple, what: str) -> tuple:
-    """A JSON array whose items are all of `types`, as a tuple."""
-    return tuple(_json_typed(item, types, what) for item in _json_typed(value, (list,), "an array"))
 
 
 @dataclass(frozen=True)
@@ -199,15 +167,15 @@ class GroupThreshold:
     @classmethod
     def from_dict(cls, data: dict) -> "GroupThreshold":
         data = json_object(data, "a threshold entry")
-        key = json_field(data, "group_key", lambda key: _json_typed(key, (str, int), "a string or an integer"))
-        threshold = json_field(data, "threshold", lambda raw: None if raw == "always_think" else float(raw))
+        key = json_field(data, "group_key", lambda key: json_typed(key, (str, int), "a string or an integer"))
+        threshold = json_field(data, "threshold", lambda t: None if t == "always_think" else json_number(t))
         if threshold is not None and not 0.0 <= threshold <= 1.0:
             raise ValueError(f"group {key!r}: threshold {threshold} outside [0, 1]")
         return cls(
             group_key=key,
             threshold=threshold,
-            ucb_at_threshold=json_field(data, "ucb", lambda ucb: None if ucb is None else float(ucb), None),
-            n_calibration=json_field(data, "n", lambda n: _json_typed(n, (int,), "an integer")),
+            ucb_at_threshold=json_field(data, "ucb", lambda u: None if u is None else json_number(u), None),
+            n_calibration=json_field(data, "n", json_integer),
         )
 
 
@@ -221,8 +189,7 @@ class RoutingPolicy:
     assigner: Any
     thresholds: tuple[GroupThreshold, ...]
     config_hash: str = ""
-    # group key -> the highest score routed cheap (_NEVER for always_think);
-    # derived from thresholds, where the first entry of a key wins
+    # group key -> the highest score routed cheap (_NEVER for always_think)
     limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,9 +197,13 @@ class RoutingPolicy:
             raise ValueError(f"tolerance epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        limits: dict = {}
-        for t in self.thresholds:
-            limits.setdefault(t.group_key, _NEVER if t.always_think else t.threshold)
+        keys = [t.group_key for t in self.thresholds]
+        if len(set(keys)) != len(keys):
+            raise ValueError("policy lists a group key more than once")
+        unknown = [k for k in keys if k not in self.assigner.keys]
+        if unknown:
+            raise ValueError(f"policy thresholds name groups its assigner does not know: {unknown}")
+        limits = {t.group_key: _NEVER if t.always_think else t.threshold for t in self.thresholds}
         object.__setattr__(self, "limits", limits)
 
     @property
@@ -261,24 +232,17 @@ class RoutingPolicy:
             raise PolicyVersionError(
                 f"unsupported policy version {version!r}; this build speaks {POLICY_VERSION}"
             )
-        assigner = assigner_from_dict(data["assigner"])
-        if data["mode"] != assigner.mode:
+        assigner = assigner_from_dict(data.get("assigner"))
+        if json_field(data, "mode", json_string) != assigner.mode:
             raise ValueError(f"policy mode {data['mode']!r} is not its assigner's ({assigner.mode!r})")
-        thresholds = tuple(GroupThreshold.from_dict(t) for t in json_field(data, "thresholds", list))
-        keys = [t.group_key for t in thresholds]
-        if len(set(keys)) != len(keys):
-            raise ValueError("policy lists a group key more than once")
-        known = assigner.known_keys()
-        unknown = [k for k in keys if known is not None and k not in known]
-        if unknown:
-            raise ValueError(f"policy thresholds name groups its assigner does not know: {unknown}")
+        provenance = json_object(data.get("provenance", {}), "provenance")
         return cls(
-            epsilon=json_field(data, "epsilon", float),
-            alpha=json_field(data, "alpha", float),
-            seed=json_field(data, "seed", int),
+            epsilon=json_field(data, "epsilon", json_number),
+            alpha=json_field(data, "alpha", json_number),
+            seed=json_field(data, "seed", json_integer),
             assigner=assigner,
-            thresholds=thresholds,
-            config_hash=json_object(data.get("provenance", {}), "provenance").get("config_hash", ""),
+            thresholds=tuple(GroupThreshold.from_dict(t) for t in json_field(data, "thresholds", json_list)),
+            config_hash=json_field(provenance, "config_hash", json_string, ""),
         )
 
 
@@ -325,9 +289,9 @@ def assigner_from_dict(data: dict):
     if kind == "trivial":
         return TrivialAssigner()
     if kind == "labels":
-        return LabelAssigner(labels=json_field(data, "labels", lambda v: _json_array(v, (str,), "a string")))
+        return LabelAssigner(labels=json_field(data, "labels", lambda v: json_array(v, (str,), "a string")))
     if kind == "centroids":
-        return Partition(json_field(data, "centroids", lambda v: _json_array(v, (int, float), "a number")))
+        return Partition(json_field(data, "centroids", json_numbers))
     raise ValueError(f"unknown assigner kind {kind!r}")
 
 
@@ -387,14 +351,14 @@ def calibrate_gpac(
     """
     if n_min < 0:
         raise ValueError(f"n_min must be non-negative, got {n_min}")
-    codes, keys = assigner.assign(records)
+    codes = assigner.assign(records)
     n_unresolved = int(np.count_nonzero(codes < 0))
     if n_unresolved == len(records):
         raise NoRecordsError("no record resolves to any group; nothing to calibrate")
 
     thresholds = []
     group_entries = []
-    for code, key in enumerate(keys):
+    for code, key in enumerate(assigner.keys):
         rng = substream(config.seed, "calibrate", key)
         threshold, curve = calibrate_group(
             records.take(np.flatnonzero(codes == code)), epsilon, config, rng,
@@ -406,8 +370,6 @@ def calibrate_gpac(
             entry["curve"] = curve
         group_entries.append(entry)
 
-    if isinstance(assigner, LabelAssigner) and not assigner.labels:
-        assigner = LabelAssigner(labels=keys)
     policy = RoutingPolicy(
         epsilon=epsilon,
         alpha=config.alpha,

@@ -21,6 +21,7 @@ import sys
 from . import __version__
 from .calibration import (
     CHEAP,
+    DEFAULT_N_MIN,
     MODES,
     LabelAssigner,
     PolicyVersionError,
@@ -30,11 +31,12 @@ from .calibration import (
     route,
     save_policy,
 )
-from .clustering import ClusterConfig, calibrate_cpac, kmeans_1d
-from .estimator import EstimatorConfig
-from .evaluation import evaluate
+from .clustering import CLUSTER_MODES, ClusterConfig, calibrate_cpac, kmeans_1d
+from .estimator import METHODS, EstimatorConfig
+from .evaluation import STP_VARIANTS, evaluate
 from .io import atomic_write_json, atomic_write_text, load_records
 from .records import (
+    LOSS_KINDS,
     LossSpec,
     MissingTokensError,
     NoRecordsError,
@@ -94,7 +96,7 @@ def _load_policy(path):
         return load_policy(path)
     except PolicyVersionError as exc:
         raise _CliError(EXIT_POLICY_VERSION, str(exc)) from exc
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read policy: {exc}") from exc
 
 
@@ -124,7 +126,7 @@ def cmd_calibrate(args) -> int:
         if cluster is not None:
             policy, report = calibrate_cpac(records, cluster, args.epsilon, config, n_min=args.n_min)
         else:
-            assigner = TrivialAssigner() if args.mode == "marginal" else LabelAssigner()
+            assigner = TrivialAssigner() if args.mode == "marginal" else LabelAssigner(records.labels)
             policy, report = calibrate_gpac(records, assigner, args.epsilon, config, n_min=args.n_min)
     except NoRecordsError as exc:
         raise _CliError(EXIT_NO_RECORDS, str(exc)) from exc
@@ -199,13 +201,11 @@ def cmd_simulate(args) -> int:
     config, cluster = _configs(args, args.ucb, bound_B, args.sim_method == "cpac")
     try:
         spec = load_spec(args.spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(EXIT_BAD_SPEC, f"invalid synthetic spec: {exc}") from exc
     try:
-        report = coverage_experiment(
-            spec, args.n_cal, args.trials, args.epsilon, args.alpha,
-            args.sim_method, config, cluster,
-        )
+        report = coverage_experiment(spec, args.n_cal, args.trials, args.epsilon, args.sim_method, config,
+                                     cluster)
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
     atomic_write_json(report.to_dict(), args.out)
@@ -235,8 +235,8 @@ def _add_records_arguments(parser) -> None:
 
 
 def _add_loss_arguments(parser) -> None:
-    parser.add_argument("--loss-kind", choices=("precomputed", "binary", "cosine"),
-                        default="precomputed", help="how to obtain each record's loss")
+    parser.add_argument("--loss-kind", choices=LOSS_KINDS, default="precomputed",
+                        help="how to obtain each record's loss")
     parser.add_argument("--bound-b", type=float, default=None,
                         help="a-priori loss bound B; defaults to 1 (2 for cosine)")
 
@@ -249,10 +249,9 @@ def _add_estimator_arguments(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 
 
-def _add_cluster_arguments(parser, *, required_k: bool) -> None:
-    parser.add_argument("--k", type=int, default=None, required=required_k,
-                        help="number of learned groups")
-    parser.add_argument("--cluster-mode", choices=("split", "joint"), default="split",
+def _add_cluster_arguments(parser) -> None:
+    parser.add_argument("--k", type=int, default=None, help="number of learned groups")
+    parser.add_argument("--cluster-mode", choices=CLUSTER_MODES, default="split",
                         help="fit groups on a held-out split, or reuse all records with slack")
     parser.add_argument("--split-fraction", type=float, default=0.5,
                         help="fraction of records used for clustering in split mode")
@@ -275,12 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="gpac",
                    help="one pooled group, labeled groups, or learned score clusters")
     p.add_argument("--epsilon", type=float, required=True, help="loss tolerance per group")
-    p.add_argument("--method", choices=("clt", "hoeffding"), default="clt",
-                   help="upper confidence bound construction")
+    p.add_argument("--method", choices=METHODS, default="clt", help="upper confidence bound construction")
     _add_estimator_arguments(p)
-    p.add_argument("--n-min", type=int, default=10,
+    p.add_argument("--n-min", type=int, default=DEFAULT_N_MIN,
                    help="groups below this size always route to the thinking model")
-    _add_cluster_arguments(p, required_k=False)
+    _add_cluster_arguments(p)
     p.add_argument("--out", required=True, help="policy JSON output path")
     p.add_argument("--report", default=None, help="optional per-group diagnostics JSON")
     p.set_defaults(func=cmd_calibrate)
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy JSON from calibrate")
     _add_records_arguments(p)
     _add_loss_arguments(p)
-    p.add_argument("--stp", choices=("cascade", "router"), default=None,
+    p.add_argument("--stp", choices=STP_VARIANTS, default=None,
                    help="also report saved thinking percentage under this accounting")
     p.add_argument("--trials", type=int, default=1,
                    help="bootstrap resamples for trial-averaged group errors")
@@ -310,10 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cal", type=int, required=True, help="calibration records per trial")
     p.add_argument("--trials", type=int, default=500, help="number of Monte Carlo trials")
     p.add_argument("--epsilon", type=float, required=True, help="loss tolerance per group")
-    p.add_argument("--ucb", choices=("clt", "hoeffding"), default="clt",
-                   help="upper confidence bound construction")
+    p.add_argument("--ucb", choices=METHODS, default="clt", help="upper confidence bound construction")
     _add_estimator_arguments(p)
-    _add_cluster_arguments(p, required_k=False)
+    _add_cluster_arguments(p)
     p.add_argument("--out", required=True, help="coverage report JSON output path")
     p.set_defaults(func=cmd_simulate)
     p.add_argument("--bound-b", type=float, default=None, help="a-priori loss bound B")

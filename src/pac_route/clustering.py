@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import CalibrationReport, Partition, RoutingPolicy, calibrate_gpac, config_hash
+from .calibration import DEFAULT_N_MIN, CalibrationReport, Partition, RoutingPolicy, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
 from .records import RecordTable
 from .seeding import substream
@@ -122,7 +122,7 @@ def calibrate_cpac(
     epsilon: float,
     est_config: EstimatorConfig,
     *,
-    n_min: int = 10,
+    n_min: int = DEFAULT_N_MIN,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
     """Learn a k-group partition of the uncertainty axis, then calibrate it.
 

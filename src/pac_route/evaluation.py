@@ -72,7 +72,7 @@ class _Routed:
 def _route_all(table: RecordTable, policy: RoutingPolicy) -> _Routed:
     """What `route` decides for every row, from one `assign` call: a row is
     cheap iff its score is at or below its group's limit."""
-    codes, keys = policy.assigner.assign(table)
+    codes, keys = policy.assigner.assign(table), policy.assigner.keys
     # the appended -inf is the limit of code -1 (unresolved): never cheap
     limits = np.array([policy.limits.get(key, -np.inf) for key in keys] + [-np.inf])
     cheap = table.uncertainty <= limits[codes]

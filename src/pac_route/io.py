@@ -7,7 +7,7 @@ this module checks only the syntax and the CSV cells, and the columns check
 every field under the rules rows built in memory follow too.  The first bad
 row, a syntax error or a bad value, is reported with its `path:line`.  Fields
 we do not know are ignored and counted, so callers can surface a warning.
-`json_object` and `json_field` check policy and spec files field by field.
+`json_field` and the other `json_*` checks read policy and spec files.
 Outputs are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial file and two runs writing one path each
 leave it whole.
@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import tempfile
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,21 +48,43 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_typed(value, types: tuple, what: str):
+    """`value` if its exact type is one of `types` (a bool is no integer), else a TypeError."""
+    if type(value) not in types:
+        raise TypeError(f"must be {what}, got {value!r}")
+    return value
+
+
+def json_array(value, types: tuple, what: str) -> tuple:
+    """A JSON array whose items are all of `types`, as a tuple."""
+    return tuple(json_typed(item, types, what) for item in json_list(value))
+
+
+def json_number(value) -> float:
+    """A JSON number, an int or a float but never a bool, as a float."""
+    return float(json_typed(value, (int, float), "a number"))
+
+
+json_list = partial(json_typed, types=(list,), what="an array")
+json_string = partial(json_typed, types=(str,), what="a string")
+json_integer = partial(json_typed, types=(int,), what="an integer")
+json_numbers = partial(json_array, types=(int, float), what="a number")
 _REQUIRED = object()
 
 
 def json_field(data: dict, name: str, convert, default=_REQUIRED):
     """convert(data[name]), or convert(default) when the field is absent and a
-    default is given; a TypeError or ValueError from the conversion becomes a
-    ValueError that names the field."""
-    value = data[name] if default is _REQUIRED else data.get(name, default)
+    default is given; a missing field, or a TypeError or ValueError from the
+    conversion, is a ValueError that names the field."""
+    if default is _REQUIRED and name not in data:
+        raise ValueError(f"field {name!r} is missing")
     try:
-        return convert(value)
+        return convert(data.get(name, default))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
-def _columns(raw: dict[str, list], lines: list[int], path, failure: str | None) -> RecordColumns:
+def _columns(raw: dict[str, list | None], lines: list[int], path, failure: str | None) -> RecordColumns:
     """The columns of `raw`, read from `path`, or the ValueError of the earliest
     bad row: a bad value, else `failure`, the error that stopped reading after
     the last row of `raw`."""
@@ -72,7 +95,7 @@ def _columns(raw: dict[str, list], lines: list[int], path, failure: str | None) 
 
 
 def _read_jsonl(path) -> tuple[RecordColumns, int]:
-    raw: dict[str, list] = {name: [] for name in RECORD_FIELDS}
+    raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
     rows: list[dict] = []
     lines: list[int] = []
     ignored = 0
@@ -132,11 +155,11 @@ def _read_csv(path) -> tuple[RecordColumns, int]:
     # the header count as one more unknown field
     ignored = len(rows) * len(set(header).difference(RECORD_FIELDS)) + long_rows
     column_of = {name: i for i, name in enumerate(header)}
-    raw: dict[str, list] = {}
+    raw: dict[str, list | None] = {"id": [None] * len(rows)}
     failure = None  # (row, header position, message) of the first bad cell
     for name in RECORD_FIELDS:
         if name not in column_of:
-            raw[name] = [None] * len(rows)
+            raw.setdefault(name, None)
             continue
         convert = float if name in _FLOAT_FIELDS else int if name in _INT_FIELDS else str
         raw[name] = column = []
@@ -148,7 +171,7 @@ def _read_csv(path) -> tuple[RecordColumns, int]:
             failure = error if failure is None else min(failure, error)
     if failure is not None:
         row = failure[0]
-        for column in raw.values():
+        for column in filter(None, raw.values()):
             del column[row:]
         failure, lines = f"{path}:{lines[row]}: {failure[2]}", lines[:row]
     return _columns(raw, lines, path, failure), ignored
@@ -192,6 +215,13 @@ def atomic_write_json(data, path) -> None:
 
 __all__ = [
     "json_object",
+    "json_typed",
+    "json_array",
+    "json_number",
+    "json_list",
+    "json_string",
+    "json_integer",
+    "json_numbers",
     "json_field",
     "load_records",
     "atomic_write_text",

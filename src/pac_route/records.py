@@ -137,15 +137,6 @@ def _first(column, ok) -> int | None:
     return next((i for i, value in enumerate(column) if not ok(value)), None)
 
 
-def _missing(column: list) -> bool:
-    """Whether every value of `column` is None.  Only a column that starts
-    with None is counted through, at C speed but by ==; a value that cannot
-    answer (a numpy array) sends the column to the type scan."""
-    with contextlib.suppress(TypeError, ValueError):
-        return not column or (column[0] is None and column.count(None) == len(column))
-    return False
-
-
 def _of(kind: tuple, value) -> bool:
     types, numpy_types, _ = kind
     return type(value) in types or isinstance(value, numpy_types)
@@ -153,7 +144,7 @@ def _of(kind: tuple, value) -> bool:
 
 def _check_types(errors: list, name: str, column: list, kind: tuple) -> None:
     """Note the first value of `column` but None that is not of `kind`."""
-    if not _missing(column) and not set(map(type, column)) <= {*kind[0], _NONE}:
+    if not set(map(type, column)) <= {*kind[0], _NONE}:
         bad = _first(column, lambda value: value is None or _of(kind, value))
         if bad is not None:
             errors.append((bad, f"field {name!r} must be {kind[2]}, got {column[bad]!r}"))
@@ -175,8 +166,6 @@ def _converted(errors: list, name: str, column: list, convert) -> list:
 def _floats(errors: list, name: str, column: list, kind: tuple) -> np.ndarray:
     """`column` as a float array, None as NaN.  The first value not of `kind`,
     or that no float holds, is an error; it and every value after it are NaN."""
-    if _missing(column):
-        return np.full(len(column), np.nan)
     if set(map(type, column)) <= {*kind[0], _NONE}:
         with contextlib.suppress(OverflowError):
             return np.array(column, dtype=float)
@@ -195,12 +184,17 @@ def _embedding(value) -> tuple[float, ...]:
     return tuple(map(float, value))
 
 
-def _move_rows(rows: Sequence[dict], raw: dict[str, list]) -> int:
-    """Append the fields of `rows` to the columns in `raw`; returns the number
-    of unknown fields skipped."""
+def _move_rows(rows: Sequence[dict], raw: dict[str, list | None]) -> int:
+    """Append the fields of `rows` to the columns in `raw`, where a column no
+    row has held yet stays None (the id column is always a list); returns the
+    number of unknown fields skipped."""
     present = set().union(*rows)
+    before = len(raw["id"])
     for name, column in raw.items():
-        column += map(dict.get, rows, repeat(name)) if name in present else repeat(None, len(rows))
+        if name in present and column is None:
+            column = raw[name] = [None] * before
+        if column is not None:
+            column += map(dict.get, rows, repeat(name)) if name in present else repeat(None, len(rows))
     return sum(sum(map(dict.__contains__, rows, repeat(name))) for name in present.difference(raw))
 
 
@@ -208,11 +202,12 @@ def _move_rows(rows: Sequence[dict], raw: dict[str, list]) -> int:
 class RecordColumns:
     """Records before their losses are resolved, one column per record field.
 
-    Every column has one entry per record, None where a field is missing.
-    Building the columns checks every row rule and converts the uncertainty
-    and token columns to float arrays (a missing token count is NaN) and the
-    embeddings to float tuples; the earliest bad row raises a ValueError
-    named by its `origin` (within a row, the first check below wins).
+    Every column has one entry per record, None where a field is missing; a
+    column but id given as None is one no row holds, missing by construction
+    and never checked.  Building the columns checks every row rule, converts
+    the uncertainty and token columns to float arrays (a missing token count is
+    NaN) and the embeddings to float tuples; the earliest bad row raises a
+    ValueError named by its `origin` (within a row, the first check below wins).
     `lines[i]` is the line of `source` row i was read from (None for records
     built in memory).
     """
@@ -234,6 +229,10 @@ class RecordColumns:
     def __post_init__(self):
         errors: list[tuple[int, str]] = []
         ids = self.id
+        absent = {name for name in RECORD_FIELDS if getattr(self, name) is None}
+        none = [None] * len(ids)  # shared by every absent column
+        for name in absent:
+            object.__setattr__(self, name, none)
         if not (set(map(type, ids)) <= {str} and all(ids)):
             bad = _first(ids, lambda value: type(value) is str and value)
             errors.append((bad, "id must be a non-empty string" if ids[bad] is not None else _NEEDS))
@@ -246,14 +245,16 @@ class RecordColumns:
             bad = int(np.argmin(ok))
             errors.append((bad, f"uncertainty {u[bad]} outside [0, 1]"))
         for name in _STRING_FIELDS:
-            _check_types(errors, name, getattr(self, name), _STRING)
-        _check_types(errors, "loss", self.loss, _NUMBER)
+            if name not in absent:
+                _check_types(errors, name, getattr(self, name), _STRING)
+        if "loss" not in absent:
+            _check_types(errors, "loss", self.loss, _NUMBER)
         for name in _EMBEDDING_FIELDS:
-            column = getattr(self, name)
-            if not _missing(column):
-                converted[name] = _converted(errors, name, column, _embedding)
+            if name not in absent:
+                converted[name] = _converted(errors, name, getattr(self, name), _embedding)
         for name in _TOKEN_FIELDS:
-            tokens = converted[name] = _floats(errors, name, getattr(self, name), _INTEGER)
+            tokens = converted[name] = (np.full(len(ids), np.nan) if name in absent
+                                        else _floats(errors, name, getattr(self, name), _INTEGER))
             if (tokens < 0).any():
                 errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
         if errors:
@@ -275,7 +276,7 @@ class RecordColumns:
     def from_records(cls, rows: Sequence[dict]) -> "RecordColumns":
         """The columns of `rows`, dicts keyed by the JSONL field names, under
         the JSONL rules; a field we do not know is a bad value here."""
-        raw: dict[str, list] = {name: [] for name in RECORD_FIELDS}
+        raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
         if _move_rows(rows, raw):
             bad, unknown = next((i, name) for i, row in enumerate(rows) for name in row if name not in raw)
             cls.from_records(rows[:bad])  # a bad value in an earlier row wins

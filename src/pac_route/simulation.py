@@ -29,13 +29,9 @@ from .calibration import (
 )
 from .clustering import ClusterConfig, calibrate_cpac
 from .estimator import EstimatorConfig
-from .io import json_field, json_object
+from .io import json_field, json_integer, json_list, json_number, json_numbers, json_object, json_string
 from .records import RecordTable
 from .seeding import derive_seed, substream
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,8 @@ class GroupSpec:
     tokens_cheap: int = 50
 
     def __post_init__(self):
-        edges = _floats(self.bin_edges)
-        probs = _floats(self.loss_prob)
+        edges = tuple(map(float, self.bin_edges))
+        probs = tuple(map(float, self.loss_prob))
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "loss_prob", probs)
         if not self.weight > 0:
@@ -108,19 +104,19 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
         data = json_object(data, "a synthetic spec")
-        groups = tuple(_group_from_dict(i, g) for i, g in enumerate(json_field(data, "groups", list)))
-        return cls(groups=groups, name=str(data.get("name", "")), notes=str(data.get("notes", "")))
+        groups = tuple(_group_from_dict(i, g) for i, g in enumerate(json_field(data, "groups", json_list)))
+        return cls(groups, json_field(data, "name", json_string, ""), json_field(data, "notes", json_string, ""))
 
 
 def _group_from_dict(i: int, data: dict) -> GroupSpec:
     data = json_object(data, f"group {i}")
     return GroupSpec(
-        name=str(data.get("name", f"g{i}")),
-        weight=json_field(data, "weight", float),
-        bin_edges=json_field(data, "bins", _floats),
-        loss_prob=json_field(data, "loss_prob", _floats),
-        tokens_thinking=json_field(data, "tokens_thinking", int, 400),
-        tokens_cheap=json_field(data, "tokens_cheap", int, 50),
+        name=json_field(data, "name", json_string, f"g{i}"),
+        weight=json_field(data, "weight", json_number),
+        bin_edges=json_field(data, "bins", json_numbers),
+        loss_prob=json_field(data, "loss_prob", json_numbers),
+        tokens_thinking=json_field(data, "tokens_thinking", json_integer, 400),
+        tokens_cheap=json_field(data, "tokens_cheap", json_integer, 50),
     )
 
 
@@ -171,11 +167,7 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTab
 
 def true_risk(spec: SyntheticSpec, group_index: int, u: float) -> float:
     """Exact E[loss * 1{U <= u}] within one group: sum of covered bin mass times bin probability."""
-    group = spec.groups[group_index]
-    lo = np.asarray(group.bin_edges[:-1])
-    hi = np.asarray(group.bin_edges[1:])
-    covered = np.clip(np.minimum(hi, u) - lo, 0.0, None)
-    return float(np.sum(covered * np.asarray(group.loss_prob)))
+    return _integral(spec.groups[group_index].bin_edges, spec.groups[group_index].loss_prob, 0.0, u)
 
 
 def mixture_profile(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +180,8 @@ def mixture_profile(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     return edges, probs
 
 
-def _mixture_integral(edges: np.ndarray, probs: np.ndarray, lo: float, hi: float) -> float:
-    """Integral of the piecewise-constant mixture probability over [lo, hi]."""
+def _integral(edges, probs, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the step function that is probs[i] between edges[i] and edges[i + 1]."""
     if hi <= lo:
         return 0.0
     covered = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
@@ -214,7 +206,7 @@ def policy_true_metrics(
         efficiency = 0.0
         for j, (lo, hi) in enumerate(assigner.intervals()):
             top = min(max(policy.limits.get(j, -np.inf), lo), hi)
-            risks[j] = _mixture_integral(edges, probs, lo, top) / (hi - lo)
+            risks[j] = _integral(edges, probs, lo, top) / (hi - lo)
             efficiency += top - lo
         return risks, efficiency
     if isinstance(assigner, TrivialAssigner):
@@ -261,7 +253,6 @@ def coverage_experiment(
     n_cal: int,
     trials: int,
     epsilon: float,
-    alpha: float,
     method: str,
     est_config: EstimatorConfig,
     cluster_config: ClusterConfig | None = None,
@@ -270,8 +261,6 @@ def coverage_experiment(
 
     Every trial derives its data and estimator streams from (seed, trial
     index), so runs are reproducible and trials are mutually independent.
-    alpha overrides the estimator config's level so the two cannot drift
-    apart.
     """
     if method not in MODES:
         raise ValueError(f"method must be one of {MODES}, got {method!r}")
@@ -285,12 +274,12 @@ def coverage_experiment(
     efficiency_sum = 0.0
     for t in range(trials):
         records = generate(spec, n_cal, substream(master, "trial", t, "data"))
-        cfg = replace(est_config, alpha=alpha, seed=derive_seed(master, "trial", t, "calibrate"))
+        cfg = replace(est_config, seed=derive_seed(master, "trial", t, "calibrate"))
         if method == "cpac":
             cc = replace(cluster_config, seed=derive_seed(master, "trial", t, "cluster"))
             policy, _ = calibrate_cpac(records, cc, epsilon, cfg)
         else:
-            assigner = TrivialAssigner() if method == "marginal" else LabelAssigner()
+            assigner = TrivialAssigner() if method == "marginal" else LabelAssigner(records.labels)
             policy, _ = calibrate_gpac(records, assigner, epsilon, cfg)
         risks, efficiency = policy_true_metrics(spec, policy)
         efficiency_sum += efficiency
@@ -304,7 +293,7 @@ def coverage_experiment(
         trials=trials,
         method=method,
         epsilon=epsilon,
-        alpha=alpha,
+        alpha=est_config.alpha,
         n_cal=n_cal,
     )
 

@@ -70,8 +70,8 @@ def run_experiment(spec_name, method, ucb, n_cal, cluster=None):
         spec = load_spec(DATA / f"{spec_name}.json")
         start = time.perf_counter()
         report = coverage_experiment(
-            spec, n_cal, TRIALS, EPS, ALPHA, method,
-            EstimatorConfig(method=ucb, seed=SEED), cluster_config=cluster,
+            spec, n_cal, TRIALS, EPS, method,
+            EstimatorConfig(method=ucb, alpha=ALPHA, seed=SEED), cluster_config=cluster,
         )
         _RUNS[key] = (report, time.perf_counter() - start)
     return _RUNS[key]
@@ -291,7 +291,7 @@ def test_08_heldout_concentration():
             method="clt", alpha=ALPHA,
             seed=derive_seed(master, "trial", trial, "calibrate"),
         )
-        policy, _ = calibrate_gpac(records, LabelAssigner(), EPS, cfg)
+        policy, _ = calibrate_gpac(records, LabelAssigner(records.labels), EPS, cfg)
         for j, group in enumerate(spec.groups):
             row = policy.threshold_for(group.name)
             cut = -1.0 if row is None or row.threshold is None else row.threshold

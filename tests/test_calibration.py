@@ -50,6 +50,12 @@ def table(records):
     return RecordTable.from_records(records, LossSpec())
 
 
+def gpac(records, epsilon, config):
+    """calibrate_gpac over the labels of `records`, as the CLI builds its assigner."""
+    records = table(records)
+    return calibrate_gpac(records, LabelAssigner(records.labels), epsilon, config)
+
+
 # ------------------------------------------------------------- assigners
 
 
@@ -57,17 +63,17 @@ def test_trivial_assigner_pools_everything():
     a = TrivialAssigner()
     assert a.resolve("x", 0.2) == GROUP_ALL
     assert a.resolve(None, 0.9) == GROUP_ALL
-    assert a.known_keys() == (GROUP_ALL,)
+    assert a.keys == (GROUP_ALL,)
 
 
-def test_label_assigner_open_and_closed():
-    open_a = LabelAssigner()
-    assert open_a.resolve("math", 0.5) == "math"
-    assert open_a.resolve(None, 0.5) is None
-    closed = LabelAssigner(labels=("math", "code"))
-    assert closed.resolve("math", 0.5) == "math"
-    assert closed.resolve("poetry", 0.5) is None
-    assert closed.known_keys() == ("math", "code")
+def test_label_assigner_resolves_only_its_labels():
+    a = LabelAssigner(labels=("math", "code"))
+    assert a.resolve("math", 0.5) == "math"
+    assert a.resolve("poetry", 0.5) is None
+    assert a.resolve(None, 0.5) is None
+    assert a.keys == ("math", "code")
+    assert LabelAssigner(()).resolve("math", 0.5) is None
+    assert Partition([0.2, 0.5, 0.8]).keys == (0, 1, 2)
 
 
 def test_assigner_round_trip_through_dict():
@@ -91,7 +97,7 @@ LABEL_POOL = ("a", "b", "c", "d", None)
 
 @st.composite
 def table_and_assigner(draw):
-    kind = draw(st.sampled_from(("trivial", "open", "closed", "partition")))
+    kind = draw(st.sampled_from(("trivial", "labels", "partition")))
     if kind == "partition":
         centroids = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True))
         assigner = Partition(sorted(centroids))
@@ -99,8 +105,7 @@ def table_and_assigner(draw):
     else:
         assigner = {
             "trivial": TrivialAssigner(),
-            "open": LabelAssigner(),
-            "closed": LabelAssigner(labels=tuple(draw(st.lists(
+            "labels": LabelAssigner(labels=tuple(draw(st.lists(
                 st.sampled_from(("a", "b", "c", "x")), min_size=1, max_size=3, unique=True)))),
         }[kind]
         special = [0.0, 1.0]
@@ -121,15 +126,11 @@ def table_and_assigner(draw):
 @given(table_and_assigner())
 def test_assign_agrees_with_resolve(case):
     table, assigner = case
-    codes, keys = assigner.assign(table)
+    codes = assigner.assign(table)
     assert codes.shape == (len(table),)
+    assert ((-1 <= codes) & (codes < len(assigner.keys))).all()  # codes index the assigner's keys
     expected = [assigner.resolve(label, u) for label, u in zip(table.group_labels, table.uncertainty)]
-    assert [None if c < 0 else keys[c] for c in codes] == expected
-    known = assigner.known_keys()
-    if known is not None:
-        assert keys == known
-    else:  # open labels: the labels present, in first-appearance order
-        assert list(keys) == list(dict.fromkeys(k for k in expected if k is not None))
+    assert [None if c < 0 else assigner.keys[c] for c in codes] == expected
 
 
 # ------------------------------------------------------- group calibration
@@ -246,8 +247,7 @@ def test_rejects_nonpositive_epsilon():
 def test_gpac_calibrates_each_label_separately():
     recs = labeled("good", [0.0] * 50, np.linspace(0.01, 0.99, 50)) + \
         labeled("bad", [1.0] * 50, np.linspace(0.01, 0.99, 50))
-    policy, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                                    EstimatorConfig(seed=10))
+    policy, report = gpac(recs, 0.05, EstimatorConfig(seed=10))
     good = policy.threshold_for("good")
     bad = policy.threshold_for("bad")
     assert good.threshold == pytest.approx(0.99)
@@ -270,8 +270,7 @@ def test_marginal_mode_pools_labels():
 def test_unlabeled_records_are_dropped_and_counted():
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         pool([0.0] * 7, np.linspace(0.1, 0.7, 7))
-    policy, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                                    EstimatorConfig(seed=12))
+    policy, report = gpac(recs, 0.05, EstimatorConfig(seed=12))
     assert report.n_unresolved == 7
     assert policy.threshold_for("a").n_calibration == 20
 
@@ -279,33 +278,34 @@ def test_unlabeled_records_are_dropped_and_counted():
 def test_no_resolvable_records_is_an_error():
     recs = pool([0.0] * 5, np.linspace(0.1, 0.5, 5))
     with pytest.raises(ValueError):
-        calibrate_gpac(table(recs), LabelAssigner(), 0.05, EstimatorConfig(seed=13))
+        gpac(recs, 0.05, EstimatorConfig(seed=13))
 
 
-def test_open_label_assigner_closes_over_seen_groups():
-    recs = labeled("x", [0.0] * 15, np.linspace(0, 1, 15))
-    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=14))
-    assert policy.assigner.known_keys() == ("x",)
-    # an unseen label at routing time goes to the thinking model
-    assert route(policy, "y", 0.01).action == THINK
+def test_calibrate_gpac_returns_the_assigner_it_was_given():
+    recs = table(labeled("x", [0.0] * 15, np.linspace(0, 1, 15)))
+    assigner = LabelAssigner(("y", "x"))
+    policy, _ = calibrate_gpac(recs, assigner, 0.05, EstimatorConfig(seed=14))
+    assert policy.assigner is assigner
+    # a group without records always thinks; a label outside the assigner goes to the thinking model
+    assert policy.thresholds[0].to_dict() == {"group_key": "y", "threshold": "always_think", "ucb": None, "n": 0}
+    assert route(policy, "z", 0.01).action == THINK and route(policy, "x", 0.01).action == CHEAP
 
 
 def test_gpac_group_order_is_first_seen_for_open_assigners():
     recs = labeled("zeta", [0.0] * 12, np.linspace(0, 1, 12)) + \
         labeled("alpha", [0.0] * 12, np.linspace(0, 1, 12))
-    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=15))
+    # the CLI's assigner takes the table's labels, which come in first-appearance order
+    policy, _ = gpac(recs, 0.05, EstimatorConfig(seed=15))
     assert [t.group_key for t in policy.thresholds] == ["zeta", "alpha"]
 
 
 def test_calibration_is_deterministic_in_seed():
     recs = labeled("a", np.random.default_rng(1).choice([0, 1], 40, p=[0.9, 0.1]),
                    np.random.default_rng(2).uniform(0, 1, 40))
-    p1, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=99))
-    p2, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=99))
+    p1, _ = gpac(recs, 0.1, EstimatorConfig(seed=99))
+    p2, _ = gpac(recs, 0.1, EstimatorConfig(seed=99))
     assert p1.to_dict() == p2.to_dict()
-    p3, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.1, EstimatorConfig(seed=100))
+    p3, _ = gpac(recs, 0.1, EstimatorConfig(seed=100))
     assert p3.config_hash != p1.config_hash
 
 
@@ -314,16 +314,15 @@ def test_group_streams_do_not_bleed_into_each_other():
     a = labeled("a", np.random.default_rng(3).choice([0, 1], 60, p=[0.85, 0.15]),
                 np.random.default_rng(4).uniform(0, 1, 60))
     b = labeled("b", [1.0] * 60, np.linspace(0, 1, 60))
-    alone, _ = calibrate_gpac(table(a), LabelAssigner(), 0.1, EstimatorConfig(seed=55))
-    both, _ = calibrate_gpac(table(a + b), LabelAssigner(), 0.1, EstimatorConfig(seed=55))
+    alone, _ = gpac(a, 0.1, EstimatorConfig(seed=55))
+    both, _ = gpac(a + b, 0.1, EstimatorConfig(seed=55))
     assert alone.threshold_for("a").to_dict() == both.threshold_for("a").to_dict()
 
 
 def test_report_curves_cover_each_calibrated_group():
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         labeled("b", [0.0] * 4, np.linspace(0.2, 0.8, 4))
-    _, report = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=16))
+    _, report = gpac(recs, 0.05, EstimatorConfig(seed=16))
     by_key = {g["group_key"]: g for g in report.groups}
     assert "curve" in by_key["a"]
     assert "curve" not in by_key["b"]  # below n_min, never sampled
@@ -371,8 +370,7 @@ def test_route_validates_uncertainty():
 def test_policy_json_round_trip(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
         labeled("b", [1.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=17))
+    policy, _ = gpac(recs, 0.05, EstimatorConfig(seed=17))
     path = tmp_path / "policy.json"
     save_policy(policy, path)
     back = load_policy(path)
@@ -384,18 +382,15 @@ def test_policy_json_round_trip(tmp_path):
 
 @st.composite
 def policies(draw):
-    kind = draw(st.sampled_from(["labels", "open", "partition", "trivial"]))
+    kind = draw(st.sampled_from(["labels", "partition", "trivial"]))
     if kind == "partition":
         centroids = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
         assigner = Partition(tuple(sorted(centroids)))
-        keys = list(range(len(centroids)))
     elif kind == "trivial":
-        assigner, keys = TrivialAssigner(), [GROUP_ALL]
+        assigner = TrivialAssigner()
     else:
-        labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-        assigner = LabelAssigner(labels=tuple(labels) if kind == "labels" else ())
-        keys = labels
-    keys = draw(st.permutations(keys))[:draw(st.integers(0, len(keys)))]
+        assigner = LabelAssigner(tuple(draw(st.lists(st.text(max_size=4), max_size=4, unique=True))))
+    keys = draw(st.permutations(assigner.keys))[:draw(st.integers(0, len(assigner.keys)))]
     thresholds = []
     for key in keys:
         threshold = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
@@ -459,13 +454,29 @@ def test_limits_hold_the_highest_score_routed_cheap():
     policy = RoutingPolicy(
         epsilon=0.05, alpha=0.05, seed=0,
         assigner=LabelAssigner(labels=("g", "h", "x")),
-        thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3),
-                    GroupThreshold("g", 0.9, 0.01, 50)),
+        thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3)),
     )
-    # always_think never routes cheap, an unlisted key is absent, a repeated key keeps its first entry
+    # always_think never routes cheap, an unlisted key is absent
     assert policy.limits == {"g": 0.4, "h": float("-inf")}
     assert route(policy, "g", 0.5).action == THINK and route(policy, "g", 0.4).action == CHEAP
     assert policy.threshold_for("g").threshold == 0.4
+
+
+BAD_KEYS = {"marginal": (GROUP_ALL, "x"), "gpac": ("g", "h"), "cpac": (1, 2)}
+
+
+@pytest.mark.parametrize("assigner_mode", sorted(ASSIGNERS))
+def test_policy_rejects_repeated_and_unknown_keys_when_built(assigner_mode):
+    """The key rules hold for a policy built in memory, as for one loaded from a file."""
+    known, unknown = BAD_KEYS[assigner_mode]
+    base = dict(epsilon=0.05, alpha=0.05, seed=0, assigner=ASSIGNERS[assigner_mode])
+    first = GroupThreshold(known, 0.4, 0.0, 9)
+    with pytest.raises(ValueError, match="^policy lists a group key more than once$"):
+        RoutingPolicy(**base, thresholds=(first, GroupThreshold(known, None, None, 9)))
+    unknown_message = rf"^policy thresholds name groups its assigner does not know: \[{unknown!r}\]$"
+    with pytest.raises(ValueError, match=unknown_message):
+        RoutingPolicy(**base, thresholds=(first, GroupThreshold(unknown, 0.4, 0.0, 9)))
+    assert RoutingPolicy(**base, thresholds=(first,)).limits == {known: 0.4}
 
 
 @pytest.mark.parametrize("settings_", [dict(epsilon=0.0), dict(epsilon=-1.0),
@@ -480,8 +491,7 @@ def test_policy_rejects_invalid_settings(settings_):
 
 def test_policy_file_shape(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=18))
+    policy, _ = gpac(recs, 0.05, EstimatorConfig(seed=18))
     path = tmp_path / "policy.json"
     save_policy(policy, path)
     data = json.loads(path.read_text())
@@ -499,8 +509,7 @@ def test_always_think_serializes_as_string():
 
 def test_version_mismatch_is_rejected(tmp_path):
     recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20))
-    policy, _ = calibrate_gpac(table(recs), LabelAssigner(), 0.05,
-                               EstimatorConfig(seed=19))
+    policy, _ = gpac(recs, 0.05, EstimatorConfig(seed=19))
     data = policy.to_dict()
     data["version"] = "pac-route/2"
     path = tmp_path / "policy.json"

@@ -367,7 +367,17 @@ def _mode_of_another_assigner(data):
     return {**data, "mode": "marginal"}
 
 
-# JSON values of the wrong type that tuple() or int() would accept, each with
+def _mode_missing(data):
+    del data["mode"]
+    return data
+
+
+def _assigner_missing(data):
+    del data["assigner"]
+    return data
+
+
+# JSON values of the wrong type that tuple(), int() or float() would accept, each with
 # the field its error must name
 def _labels_string(data):
     return {**data, "assigner": {"kind": "labels", "labels": "math"}}
@@ -387,7 +397,44 @@ def _n_bool(data):
     return data
 
 
-WRONG_TYPES = {_labels_string: "labels", _centroids_string: "centroids", _n_fraction: "n", _n_bool: "n"}
+def _epsilon_bool(data):
+    return {**data, "epsilon": True}
+
+
+def _alpha_string(data):
+    return {**data, "alpha": "0.05"}
+
+
+def _seed_fraction(data):
+    return {**data, "seed": 1.5}
+
+
+def _mode_number(data):
+    return {**data, "mode": 5}
+
+
+def _config_hash_number(data):
+    return {**data, "provenance": {"config_hash": 5}}
+
+
+def _threshold_string(data):
+    data["thresholds"][0]["threshold"] = "0.5"
+    return data
+
+
+def _ucb_string(data):
+    data["thresholds"][0]["ucb"] = "0.01"
+    return data
+
+
+def _thresholds_empty_object(data):
+    return {**data, "thresholds": {}}
+
+
+WRONG_TYPES = {_labels_string: "labels", _centroids_string: "centroids", _n_fraction: "n", _n_bool: "n",
+               _epsilon_bool: "epsilon", _alpha_string: "alpha", _seed_fraction: "seed", _mode_number: "mode",
+               _config_hash_number: "config_hash", _threshold_string: "threshold", _ucb_string: "ucb",
+               _thresholds_empty_object: "thresholds"}
 
 
 def _negative_epsilon(data):
@@ -411,7 +458,7 @@ POLICY_EDITS = [
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
     _bogus_mode, _negative_epsilon, _zero_epsilon, _alpha_seven, _alpha_zero,
-    _mode_of_another_assigner,
+    _mode_of_another_assigner, _mode_missing, _assigner_missing,
 ]
 
 
@@ -437,6 +484,21 @@ def test_policy_value_of_the_wrong_json_type_names_its_field(
     assert not out.exists()
 
 
+def test_policy_without_labels_resolves_no_record(tmp_path, records_file, policy_file, capsys):
+    data = json.loads(Path(policy_file).read_text())
+    data["assigner"]["labels"] = []
+    out = tmp_path / "decisions.jsonl"
+    for thresholds in (data["thresholds"], [{"group_key": "zzz", "threshold": 0.5, "ucb": 0.0, "n": 30}]):
+        bad = _edited_policy(tmp_path, policy_file, lambda _: {**data, "thresholds": thresholds})
+        assert main(["route", "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
+        assert "its assigner does not know" in capsys.readouterr().err
+        assert not out.exists()
+    empty = _edited_policy(tmp_path, policy_file, lambda _: {**data, "thresholds": []})
+    assert main(["route", "--policy", empty, "--records", records_file, "--out", str(out)]) == 0
+    decisions = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(decisions) == 60 and all(d["group_key"] is None and d["action"] == THINK for d in decisions)
+
+
 def _decisions_reference(decisions) -> str:
     """decisions.jsonl as it was written before: one json.dumps per decision."""
     return "".join(json.dumps(d.to_dict()) + "\n" for d in decisions)
@@ -450,8 +512,9 @@ ROUTE_POLICIES = {
         thresholds=(GroupThreshold("easy", 0.6, 0.01, 30), GroupThreshold("hard", None, None, 3),
                     GroupThreshold("ü", 0.3, 0.02, 40)),
     ),
+    # every label the rows carry is a group, and most groups have no threshold
     "open": RoutingPolicy(
-        epsilon=0.05, alpha=0.05, seed=0, assigner=LabelAssigner(),
+        epsilon=0.05, alpha=0.05, seed=0, assigner=LabelAssigner(("easy", "hard", "ü", "other")),
         thresholds=(GroupThreshold("easy", 0.4, 0.0, 10),),
     ),
     "partition": RoutingPolicy(
@@ -658,7 +721,41 @@ def _spec_weight_list(spec):
     return spec
 
 
-SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_weight_list]
+# JSON values of the wrong type that str(), float(), tuple() or int() would
+# accept, each with the field its error must name
+def _spec_name_number(spec):
+    spec["groups"][0]["name"] = 7
+    return spec
+
+
+def _spec_weight_string(spec):
+    spec["groups"][0]["weight"] = "1"
+    return spec
+
+
+def _spec_bins_string(spec):
+    spec["groups"][0]["bins"] = "01"
+    return spec
+
+
+def _spec_tokens_fraction(spec):
+    spec["groups"][0]["tokens_thinking"] = 1.5
+    return spec
+
+
+def _spec_tokens_bool(spec):
+    spec["groups"][0]["tokens_cheap"] = True
+    return spec
+
+
+def _spec_groups_string(spec):
+    return {**spec, "groups": "ab"}
+
+
+SPEC_WRONG_TYPES = {_spec_name_number: "name", _spec_weight_string: "weight", _spec_bins_string: "bins",
+                    _spec_tokens_fraction: "tokens_thinking", _spec_tokens_bool: "tokens_cheap",
+                    _spec_groups_string: "groups"}
+SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_weight_list, *SPEC_WRONG_TYPES]
 
 
 @pytest.mark.parametrize("edit", SPEC_EDITS, ids=lambda f: f.__name__[len("_spec_"):])
@@ -668,7 +765,9 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, edit):
     out = tmp_path / "c.json"
     assert main(["simulate", "--spec", str(bad), "--n-cal", "50", "--trials", "2",
                  "--epsilon", "0.05", "--out", str(out)]) == 7
-    assert "invalid synthetic spec" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid synthetic spec" in err
+    assert edit not in SPEC_WRONG_TYPES or f"field '{SPEC_WRONG_TYPES[edit]}': must be" in err
     assert not out.exists()
 
 

@@ -311,8 +311,9 @@ def seeded_records(seed, n):
 
 POLICIES = {
     "labels": label_policy([("a", 0.55), ("b", None), ("c", 0.3)]),
+    # every label the records carry is a group, and most groups have no threshold
     "open": RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0,
-                          assigner=LabelAssigner(),
+                          assigner=LabelAssigner(("a", "b", "c", "zz")),
                           thresholds=(GroupThreshold("a", 0.4, 0.0, 10),)),
     "marginal": marginal_policy(0.62),
     "partition": RoutingPolicy(epsilon=0.05, alpha=0.05, seed=0,
@@ -345,23 +346,20 @@ ROUTE_LABELS = ("a", "b", "c", "zz")
 
 @st.composite
 def policy_and_rows(draw):
-    """A policy on one of the four assigners, some groups without a threshold
+    """A policy on one of the three assigners, some groups without a threshold
     or always thinking, and rows whose scores often sit exactly on a threshold
     or a partition boundary."""
-    kind = draw(st.sampled_from(["trivial", "labels", "open", "partition"]))
+    kind = draw(st.sampled_from(["trivial", "labels", "partition"]))
     edges = []
     if kind == "trivial":
-        assigner, keys = TrivialAssigner(), [GROUP_ALL]
+        assigner = TrivialAssigner()
     elif kind == "labels":
-        labels = draw(st.lists(st.sampled_from(ROUTE_LABELS[:3]), min_size=1, unique=True))
-        assigner, keys = LabelAssigner(tuple(labels)), labels
-    elif kind == "open":
-        assigner, keys = LabelAssigner(), list(ROUTE_LABELS)
+        assigner = LabelAssigner(tuple(draw(st.lists(st.sampled_from(ROUTE_LABELS), min_size=1, unique=True))))
     else:
         centroids = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=4)))
         assigner = Partition(tuple(centroids))
-        keys, edges = list(range(assigner.k)), list(assigner.boundaries)
-    listed = draw(st.lists(st.sampled_from(keys), unique=True))
+        edges = list(assigner.boundaries)
+    listed = draw(st.lists(st.sampled_from(assigner.keys), unique=True))
     thresholds = tuple(
         GroupThreshold(key, draw(st.none() | st.floats(0.0, 1.0)), None, 10) for key in listed
     )

@@ -99,10 +99,12 @@ def test_earlier_bad_value_wins_over_a_later_unknown_field():
      "record b: field 'thinking_embedding': an embedding must be an array of numbers"),
     ([make_record(id="a", uncertainty=2.0), make_record(id="b", uncertainty=np.array([0.1, 0.2]))],
      r"record a: uncertainty 2.0 outside \[0, 1\]"),
-], ids=["array uncertainty", "array embedding after missing", "earlier row wins"])
+    ([make_record(id="a"), make_record(id="b", group_label=np.array([None], dtype=object))],
+     r"record b: field 'group_label' must be a string, got array\(\[None\], dtype=object\)"),
+], ids=["array uncertainty", "array embedding after missing", "earlier row wins", "array equal to None"])
 def test_numpy_arrays_in_rows_are_bad_values_of_their_row(rows, message):
-    """None is found by identity: an array value, which == cannot compare with
-    None, is a bad value named by its row, and an earlier bad row still wins."""
+    """None is found by identity: an array value, even one that == calls equal
+    to None, is a bad value named by its row, and an earlier bad row still wins."""
     with pytest.raises(ValueError, match=f"^{message}"):
         RecordColumns.from_records(rows)
 
@@ -130,20 +132,20 @@ def _missing_columns_cases():
 
 
 @pytest.mark.parametrize("case", sorted(_missing_columns_cases()))
-def test_missing_columns_convert_as_when_scanned(monkeypatch, case):
-    """All-missing columns skip their per-row work; the full scan they skip
-    (forced here) gives the same columns and the same error."""
+def test_missing_columns_convert_as_when_scanned(case):
+    """A field no row holds skips its per-row work; the full scan it skips
+    (forced here by passing its column of None as a list) gives the same
+    columns and the same error."""
     rows = _missing_columns_cases()[case]
 
-    def build():
+    def build(make):
         try:
-            return RecordColumns.from_records(rows)
+            return make()
         except ValueError as exc:
             return str(exc)
 
-    fast = build()
-    monkeypatch.setattr("pac_route.records._missing", lambda column: False)
-    scanned = build()
+    fast = build(lambda: RecordColumns.from_records(rows))
+    scanned = build(lambda: RecordColumns(**{name: [row.get(name) for row in rows] for name in RECORD_FIELDS}))
     if isinstance(scanned, str):
         assert fast == scanned
         return

@@ -252,17 +252,17 @@ def test_binomial_slack_value():
 def test_coverage_experiment_shapes_and_determinism():
     spec = two_group_spec()
     cfg = EstimatorConfig(seed=77)
-    rep = coverage_experiment(spec, 120, 8, 0.05, 0.05, "gpac", cfg)
+    rep = coverage_experiment(spec, 120, 8, 0.05, "gpac", cfg)
     assert isinstance(rep, CoverageReport)
     assert set(rep.per_group_coverage) == {"lo", "hi"}
     assert rep.trials == 8 and rep.n_cal == 120
-    again = coverage_experiment(spec, 120, 8, 0.05, 0.05, "gpac", cfg)
+    again = coverage_experiment(spec, 120, 8, 0.05, "gpac", cfg)
     assert again.to_dict() == rep.to_dict()
 
 
 def test_coverage_experiment_marginal_uses_one_threshold():
     spec = two_group_spec()
-    rep = coverage_experiment(spec, 80, 4, 0.05, 0.05, "marginal",
+    rep = coverage_experiment(spec, 80, 4, 0.05, "marginal",
                               EstimatorConfig(seed=1))
     assert set(rep.per_group_coverage) == {"lo", "hi"}  # judged per real group
 
@@ -270,9 +270,9 @@ def test_coverage_experiment_marginal_uses_one_threshold():
 def test_coverage_experiment_cpac_needs_config():
     spec = two_group_spec()
     with pytest.raises(ValueError):
-        coverage_experiment(spec, 80, 2, 0.05, 0.05, "cpac", EstimatorConfig(seed=1))
+        coverage_experiment(spec, 80, 2, 0.05, "cpac", EstimatorConfig(seed=1))
     rep = coverage_experiment(
-        spec, 80, 2, 0.05, 0.05, "cpac", EstimatorConfig(seed=1),
+        spec, 80, 2, 0.05, "cpac", EstimatorConfig(seed=1),
         cluster_config=ClusterConfig(k=2, mode="joint", seed=1))
     assert set(rep.per_group_coverage) == {0, 1}
 
@@ -280,27 +280,29 @@ def test_coverage_experiment_cpac_needs_config():
 def test_coverage_experiment_rejects_bad_arguments():
     spec = two_group_spec()
     with pytest.raises(ValueError):
-        coverage_experiment(spec, 80, 0, 0.05, 0.05, "gpac", EstimatorConfig())
+        coverage_experiment(spec, 80, 0, 0.05, "gpac", EstimatorConfig())
     with pytest.raises(ValueError):
-        coverage_experiment(spec, 80, 2, 0.05, 0.05, "bootstrap", EstimatorConfig())
+        coverage_experiment(spec, 80, 2, 0.05, "bootstrap", EstimatorConfig())
 
 
-def test_alpha_overrides_estimator_config():
-    # a sloppy config alpha must not leak into the experiment's bounds
+def test_alpha_comes_from_the_estimator_config():
+    # the report's alpha is the level every trial's bounds used
     spec = two_group_spec()
-    a = coverage_experiment(spec, 150, 6, 0.05, 0.05, "gpac",
+    a = coverage_experiment(spec, 150, 6, 0.05, "gpac",
                             EstimatorConfig(seed=2, alpha=0.5))
-    b = coverage_experiment(spec, 150, 6, 0.05, 0.05, "gpac",
+    b = coverage_experiment(spec, 150, 6, 0.05, "gpac",
                             EstimatorConfig(seed=2, alpha=0.05))
-    assert a.to_dict() == b.to_dict()
+    assert (a.alpha, b.alpha) == (0.5, 0.05)
+    # the same draws under a lower confidence level: narrower bounds, no threshold falls
+    assert a.efficiency > b.efficiency
 
 
 def test_substreams_make_trials_independent_of_count():
     # the first trials of a longer run replay a shorter run exactly
     spec = two_group_spec()
     cfg = EstimatorConfig(seed=33)
-    short = coverage_experiment(spec, 100, 3, 0.05, 0.05, "gpac", cfg)
-    long = coverage_experiment(spec, 100, 6, 0.05, 0.05, "gpac", cfg)
+    short = coverage_experiment(spec, 100, 3, 0.05, "gpac", cfg)
+    long = coverage_experiment(spec, 100, 6, 0.05, "gpac", cfg)
     # coverage counts are averages; rebuild the trial-level agreement instead
     records_a = generate(spec, 100, substream(33, "trial", 2, "data"))
     records_b = generate(spec, 100, substream(33, "trial", 2, "data"))

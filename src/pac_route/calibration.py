@@ -92,6 +92,10 @@ class LabelAssigner:
     labels: tuple[str, ...]
     keys = property(lambda self: self.labels)
 
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"labels must be distinct, got {list(self.labels)}")
+
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
         return group_label if group_label in self.labels else None
 
@@ -116,6 +120,8 @@ class Partition:
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.centroids)
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"centroids must be finite, got {list(c)}")
         if len(c) == 0 or not all(a < b for a, b in zip(c, c[1:])):
             raise ValueError("centroids must be non-empty and strictly ascending")
         object.__setattr__(self, "centroids", c)

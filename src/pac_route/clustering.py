@@ -40,7 +40,7 @@ class ClusterConfig:
             raise ValueError(f"mode must be one of {CLUSTER_MODES}, got {self.mode!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie strictly inside (0, 1)")
-        if self.joint_slack < 0.0:
+        if not self.joint_slack >= 0.0:
             raise ValueError("joint_slack must be non-negative")
 
 

@@ -59,29 +59,20 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True)
-class _Routed:
-    """One decision per record: routed cheap or not, and the group code
-    (an index into keys, numbered in first-appearance order; -1 = unresolved)."""
-
-    cheap: np.ndarray
-    codes: np.ndarray
-    keys: tuple[GroupKey, ...]
-
-
-def _route_all(table: RecordTable, policy: RoutingPolicy) -> _Routed:
-    """What `route` decides for every row, from one `assign` call: a row is
-    cheap iff its score is at or below its group's limit."""
+def _route_all(table: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """What `route` decides for every row, from one `assign` call: its group
+    code (an index into the assigner's keys; -1 = unresolved) and whether it
+    goes cheap, which it does iff its score is at or below its group's limit."""
     codes, keys = policy.assigner.assign(table), policy.assigner.keys
     # the appended -inf is the limit of code -1 (unresolved): never cheap
     limits = np.array([policy.limits.get(key, -np.inf) for key in keys] + [-np.inf])
-    cheap = table.uncertainty <= limits[codes]
-    # renumber the groups in first-appearance order; -1 stays -1
+    return codes, table.uncertainty <= limits[codes]
+
+
+def _first_appearance(codes: np.ndarray) -> np.ndarray:
+    """The distinct non-negative codes, in the order they first appear."""
     present, first = np.unique(codes[codes >= 0], return_index=True)
-    order = present[np.argsort(first)]
-    renumber = np.full(len(keys) + 1, -1, dtype=np.int64)
-    renumber[order] = np.arange(len(order))
-    return _Routed(cheap, renumber[codes], tuple(keys[c] for c in order))
+    return present[np.argsort(first)]
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -89,35 +80,28 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _scored(records: RecordTable, policy: RoutingPolicy) -> _Routed:
+def _scored(records: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:
     if not len(records):
         raise NoRecordsError("cannot score an empty record set")
     return _route_all(records, policy)
 
 
 def _trial_error(
-    loss: np.ndarray, routed: _Routed, idx: np.ndarray
+    charged: np.ndarray, codes: np.ndarray, keys: tuple[GroupKey, ...], idx: np.ndarray
 ) -> tuple[float, dict[GroupKey, float]]:
     """Error and per-group errors of the records at positions idx, in that order."""
-    contribution = np.where(routed.cheap, loss, 0.0)[idx]
-    codes = routed.codes[idx]
+    contribution, codes = charged[idx], codes[idx]
     resolved = codes >= 0
     grouped = codes[resolved]
-    sums = np.bincount(grouped, weights=contribution[resolved], minlength=len(routed.keys))
-    counts = np.bincount(grouped, minlength=len(routed.keys))
-    present, first = np.unique(grouped, return_index=True)
-    per_group = {
-        routed.keys[c]: float(sums[c]) / int(counts[c]) for c in present[np.argsort(first)]
-    }
+    sums = np.bincount(grouped, weights=contribution[resolved], minlength=len(keys))
+    counts = np.bincount(grouped, minlength=len(keys))
+    per_group = {keys[c]: float(sums[c]) / int(counts[c]) for c in _first_appearance(grouped)}
     return _sum_in_order(contribution) / len(contribution), per_group
 
 
-def _group_sizes(routed: _Routed) -> tuple[dict[GroupKey, int], int]:
-    counts = np.bincount(routed.codes[routed.codes >= 0], minlength=len(routed.keys))
-    return (
-        {key: int(count) for key, count in zip(routed.keys, counts)},
-        int(np.count_nonzero(routed.codes < 0)),
-    )
+def _group_sizes(codes: np.ndarray, keys: tuple[GroupKey, ...]) -> tuple[dict[GroupKey, int], int]:
+    counts = np.bincount(codes[codes >= 0], minlength=len(keys))
+    return {keys[c]: int(counts[c]) for c in _first_appearance(codes)}, int(np.count_nonzero(codes < 0))
 
 
 def _saved(table: RecordTable, cheap: np.ndarray, variant: str) -> np.ndarray:
@@ -147,12 +131,14 @@ def trial_error(records: RecordTable, policy: RoutingPolicy) -> tuple[float, dic
     they count toward the overall mean but belong to no group bucket, so the
     overall error stays the group-size weighted mean of the group errors.
     """
-    return _trial_error(records.loss, _scored(records, policy), np.arange(len(records)))
+    codes, cheap = _scored(records, policy)
+    charged = np.where(cheap, records.loss, 0.0)
+    return _trial_error(charged, codes, policy.assigner.keys, np.arange(len(records)))
 
 
 def group_sizes(records: RecordTable, policy: RoutingPolicy) -> tuple[dict[GroupKey, int], int]:
     """Resolved-group record counts and the number of unresolvable records."""
-    return _group_sizes(_route_all(records, policy))
+    return _group_sizes(policy.assigner.assign(records), policy.assigner.keys)
 
 
 def _trial_averages(trial_group_errors) -> tuple[dict[GroupKey, float], dict[GroupKey, int]]:
@@ -177,8 +163,7 @@ def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: f
 
 def stp(records: RecordTable, policy: RoutingPolicy, variant: str) -> float:
     """Mean saved-thinking fraction under the chosen accounting (<= 1, may be < 0)."""
-    routed = _scored(records, policy)
-    return _sum_in_order(_saved(records, routed.cheap, variant)) / len(records)
+    return _sum_in_order(_saved(records, _scored(records, policy)[1], variant)) / len(records)
 
 
 def evaluate(
@@ -199,22 +184,23 @@ def evaluate(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    routed = _scored(records, policy)
-    saved = None if stp_variant is None else _saved(records, routed.cheap, stp_variant)
+    codes, cheap = _scored(records, policy)
+    charged = np.where(cheap, records.loss, 0.0)
+    saved = None if stp_variant is None else _saved(records, cheap, stp_variant)
     n = len(records)
     trial_errors = []
     trial_groups: list[dict[GroupKey, float]] = []
     stp_values = []
     for t in range(trials):
         idx = np.arange(n) if trials == 1 else substream(seed, "evaluate", t).integers(0, n, n)
-        err, per_group = _trial_error(records.loss, routed, idx)
+        err, per_group = _trial_error(charged, codes, policy.assigner.keys, idx)
         trial_errors.append(err)
         trial_groups.append(per_group)
         if saved is not None:
             stp_values.append(_sum_in_order(saved[idx]) / n)
     per_group_error, appearances = _trial_averages(trial_groups)
     flagged = tuple(key for key in per_group_error if appearances[key] < trials)
-    n_per_group, n_unresolved = _group_sizes(routed)
+    n_per_group, n_unresolved = _group_sizes(codes, policy.assigner.keys)
     return MetricsReport(
         error=sum(trial_errors) / trials,
         per_group_error=per_group_error,

@@ -56,7 +56,7 @@ class GroupSpec:
             raise ValueError(f"group {self.name}: need one loss probability per bin")
         if edges[0] != 0.0 or edges[-1] != 1.0:
             raise ValueError(f"group {self.name}: bin edges must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if not all(a < b for a, b in zip(edges, edges[1:])):
             raise ValueError(f"group {self.name}: bin edges must be strictly ascending")
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"group {self.name}: loss probabilities must lie in [0, 1]")

@@ -376,6 +376,21 @@ def _write_rows(path, rows):
     return str(path)
 
 
+def _is_strict_json(name, data):
+    """Whether every JSON document of an output (each line of a .jsonl) parses
+    without the NaN and +-Infinity tokens that RFC 8259 leaves out."""
+    def refuse(token):
+        raise ValueError(f"{name}: {token} is not a JSON number")
+
+    texts = data.decode().splitlines() if name.endswith(".jsonl") else [data.decode()]
+    try:
+        for text in texts:
+            json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
 def test_10_cli_determinism(tmp_path):
     rng = np.random.default_rng(7)
     rows = [
@@ -422,10 +437,12 @@ def test_10_cli_determinism(tmp_path):
         name for name in outputs["first"]
         if outputs["first"][name] != outputs["second"][name]
     ]
-    ok = not mismatched
+    not_strict = [name for name, data in outputs["first"].items() if not _is_strict_json(name, data)]
+    ok = not mismatched and not not_strict
     assert verdict(
         10, "command determinism", ok,
-        "5/5 outputs byte-identical" if ok else f"mismatch in {mismatched}",
+        "5/5 outputs byte-identical and strict JSON" if ok
+        else f"mismatch in {mismatched}, not strict JSON: {not_strict}",
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ def test_label_assigner_resolves_only_its_labels():
     assert a.keys == ("math", "code")
     assert LabelAssigner(()).resolve("math", 0.5) is None
     assert Partition([0.2, 0.5, 0.8]).keys == (0, 1, 2)
+
+
+def test_assigners_reject_what_is_not_a_partition():
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        LabelAssigner(("a", "b", "a"))
+    for centroid in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Partition((0.2, centroid))
 
 
 def test_assigner_round_trip_through_dict():

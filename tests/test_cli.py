@@ -345,6 +345,15 @@ def _centroid_list(data):
     return {**data, "assigner": {"kind": "centroids", "centroids": [[0.1]]}}
 
 
+def _duplicate_label(data):
+    labels = data["assigner"]["labels"]
+    return {**data, "assigner": {"kind": "labels", "labels": [*labels, labels[0]]}}
+
+
+def _nan_centroid(data):
+    return {**data, "mode": "cpac", "assigner": {"kind": "centroids", "centroids": [float("nan")]}, "thresholds": []}
+
+
 def _threshold_object(data):
     data["thresholds"][0]["threshold"] = {"value": 0.5}
     return data
@@ -458,7 +467,7 @@ POLICY_EDITS = [
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
     _bogus_mode, _negative_epsilon, _zero_epsilon, _alpha_seven, _alpha_zero,
-    _mode_of_another_assigner, _mode_missing, _assigner_missing,
+    _mode_of_another_assigner, _mode_missing, _assigner_missing, _duplicate_label, _nan_centroid,
 ]
 
 
@@ -716,6 +725,12 @@ def _spec_bins_number(spec):
     return spec
 
 
+def _spec_bins_nan(spec):
+    spec["groups"][0]["bins"] = [0.0, float("nan"), 1.0]
+    spec["groups"][0]["loss_prob"] = [0.1, 0.1]
+    return spec
+
+
 def _spec_weight_list(spec):
     spec["groups"][0]["weight"] = [1]
     return spec
@@ -755,7 +770,8 @@ def _spec_groups_string(spec):
 SPEC_WRONG_TYPES = {_spec_name_number: "name", _spec_weight_string: "weight", _spec_bins_string: "bins",
                     _spec_tokens_fraction: "tokens_thinking", _spec_tokens_bool: "tokens_cheap",
                     _spec_groups_string: "groups"}
-SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_weight_list, *SPEC_WRONG_TYPES]
+SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_bins_nan, _spec_weight_list,
+              *SPEC_WRONG_TYPES]
 
 
 @pytest.mark.parametrize("edit", SPEC_EDITS, ids=lambda f: f.__name__[len("_spec_"):])
@@ -796,6 +812,8 @@ BAD_PARAMETERS = [
     ("simulate", [*SIM_CPAC, "--split-fraction", "1.5"]),
     ("calibrate", [*CPAC, "--joint-slack", "-0.1"]),
     ("simulate", [*SIM_CPAC, "--joint-slack", "-0.1"]),
+    ("calibrate", [*CPAC, "--joint-slack", "nan"]),
+    ("simulate", [*SIM_CPAC, "--joint-slack", "nan"]),
     ("evaluate", ["--trials", "0"]),
     ("simulate", ["--trials", "0"]),
     ("simulate", ["--n-cal", "0"]),
@@ -803,7 +821,7 @@ BAD_PARAMETERS = [
 
 
 @pytest.mark.parametrize("command,bad", BAD_PARAMETERS,
-                         ids=[f"{c}{b[-2]}" for c, b in BAD_PARAMETERS])
+                         ids=[f"{c}{b[-2]}" + ("=nan" if b[-1] == "nan" else "") for c, b in BAD_PARAMETERS])
 def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_file, command, bad):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(tiny_spec()))

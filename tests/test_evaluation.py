@@ -105,6 +105,10 @@ def test_trial_error_rejects_empty():
         trial_error(table([]), marginal_policy(0.5))
     with pytest.raises(NoRecordsError):
         evaluate(table([]), marginal_policy(0.5))
+    with pytest.raises(NoRecordsError):
+        stp(table([]), marginal_policy(0.5), "router")
+    # counting the groups of no records is no error
+    assert group_sizes(table([]), marginal_policy(0.5)) == ({}, 0)
 
 
 # ---------------------------------------------------------------- the gap
@@ -376,14 +380,12 @@ def policy_and_rows(draw):
 @given(policy_and_rows())
 def test_batch_routing_agrees_with_route(case):
     policy, rows = case
-    routed = _route_all(table([rec(i, u, 0.0, label) for i, (label, u) in enumerate(rows)]), policy)
+    codes, cheap = _route_all(table([rec(i, u, 0.0, label) for i, (label, u) in enumerate(rows)]), policy)
     decisions = [route(policy, label, u, record_id=f"r{i}") for i, (label, u) in enumerate(rows)]
     for i, d in enumerate(decisions):
-        assert bool(routed.cheap[i]) == (d.action == CHEAP)
+        assert bool(cheap[i]) == (d.action == CHEAP)
         if d.group_key is None:
-            assert routed.codes[i] == -1
+            assert codes[i] == -1
         else:
-            key = routed.keys[routed.codes[i]]
+            key = policy.assigner.keys[codes[i]]
             assert key == d.group_key and type(key) is type(d.group_key)
-    # groups are numbered in the order they first appear
-    assert list(routed.keys) == list(dict.fromkeys(d.group_key for d in decisions if d.group_key is not None))

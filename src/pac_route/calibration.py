@@ -42,7 +42,7 @@ from .estimator import (
     ucb_hoeffding,
 )
 from .io import atomic_write_json, json_array, json_field, json_integer, json_number, json_numbers, json_object
-from .io import json_list, json_string, json_typed
+from .io import json_list, json_string, json_typed, load_json
 from .records import NoRecordsError, RecordTable
 from .seeding import substream
 
@@ -199,8 +199,8 @@ class RoutingPolicy:
     limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"tolerance epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"tolerance epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         keys = [t.group_key for t in self.thresholds]
@@ -316,8 +316,8 @@ def calibrate_group(
     ucb_offset is added to every bound value before selection (used by joint
     clustered calibration to budget for the data reuse).
     """
-    if not epsilon > 0:
-        raise ValueError("tolerance epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
     n = len(records_j)
     if n < n_min:
         return GroupThreshold(group_key, None, None, n), None
@@ -425,8 +425,7 @@ def save_policy(policy: RoutingPolicy, path) -> None:
 
 
 def load_policy(path) -> RoutingPolicy:
-    with open(path, encoding="utf-8") as fh:
-        return RoutingPolicy.from_dict(json.load(fh))
+    return RoutingPolicy.from_dict(load_json(path))
 
 
 __all__ = [

@@ -7,7 +7,8 @@ this module checks only the syntax and the CSV cells, and the columns check
 every field under the rules rows built in memory follow too.  The first bad
 row, a syntax error or a bad value, is reported with its `path:line`.  Fields
 we do not know are ignored and counted, so callers can surface a warning.
-`json_field` and the other `json_*` checks read policy and spec files.
+`load_json`, `json_field` and the other `json_*` checks read policy and spec
+files.
 Outputs are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial file and two runs writing one path each
 leave it whole.
@@ -19,8 +20,10 @@ import contextlib
 import csv
 import json
 import os
+import re
 import tempfile
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -32,9 +35,11 @@ from .records import RECORD_FIELDS, RecordColumns, _move_rows
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
-# rows parsed before their fields are moved into columns; bounds the memory
+# lines parsed before their fields are moved into columns; bounds the memory
 # held by per-line dicts
 _BLOCK = 8192
+# a `}` and a `{` joined by a comma: where a line may end one object and start another
+_SEAM = re.compile(r"\}\s*,\s*\{")
 _scan_json = json.JSONDecoder().scan_once
 # mkstemp creates files owner-only; outputs get the mode a plain open() would give
 _UMASK = os.umask(0)
@@ -84,6 +89,16 @@ def json_field(data: dict, name: str, convert, default=_REQUIRED):
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
+def load_json(path):
+    """The JSON value in `path`; a value nested too deeply to parse is a
+    ValueError, as a syntax error is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from exc
+
+
 def _columns(raw: dict[str, list | None], lines: list[int], path, failure: str | None) -> RecordColumns:
     """The columns of `raw`, read from `path`, or the ValueError of the earliest
     bad row: a bad value, else `failure`, the error that stopped reading after
@@ -94,38 +109,61 @@ def _columns(raw: dict[str, list | None], lines: list[int], path, failure: str |
     return columns
 
 
+def _parse_block(block: list[str]) -> list | None:
+    """The rows of `block`, parsed as one JSON array of its lines, or None when
+    that parse cannot show each line to hold exactly one object: a blank line,
+    a `}, {` seam inside a line (where a line could hold two objects, or two
+    lines share one), a syntax error, or an item count or type that is off."""
+    if all(map(str.strip, block)) and not _SEAM.search("".join(block)):
+        with contextlib.suppress(ValueError, RecursionError):
+            rows = json.loads("[" + ",".join(block) + "]")
+            if len(rows) == len(block) and all(type(row) is dict for row in rows):
+                return rows
+    return None
+
+
+def _parse_lines(block: list[str], first: int, path) -> tuple[list[dict], list[int], str | None]:
+    """The rows of `block`, whose first line is line `first` of `path`, parsed
+    one line at a time, with their line numbers and the error at the first bad
+    line, which ends the block (None if there is none); blank lines are skipped."""
+    rows, lines = [], []
+    for lineno, line in enumerate(block, start=first):
+        # the C scanner parses one value from the start of the line; a
+        # line it does not end on a newline takes the slow path
+        try:
+            row, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) - 1 or line[end] != "\n" or type(row) is not dict:
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return rows, lines, f"{path}:{lineno}: {exc}"
+            if not isinstance(row, dict):
+                return rows, lines, f"{path}:{lineno}: each line must be a JSON object"
+        rows.append(row)
+        lines.append(lineno)
+    return rows, lines, None
+
+
 def _read_jsonl(path) -> tuple[RecordColumns, int]:
     raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
-    rows: list[dict] = []
     lines: list[int] = []
     ignored = 0
     failure = None
+    first = 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # the C scanner parses one value from the start of the line; a
-            # line it does not end on a newline takes the slow path
-            try:
-                row, end = _scan_json(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line) - 1 or line[end] != "\n" or type(row) is not dict:
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:
-                    failure = f"{path}:{lineno}: {exc}"
-                    break
-                if not isinstance(row, dict):
-                    failure = f"{path}:{lineno}: each line must be a JSON object"
-                    break
-            rows.append(row)
-            lines.append(lineno)
-            if len(rows) == _BLOCK:
-                ignored += _move_rows(rows, raw)
-                rows.clear()
-    if rows:
-        ignored += _move_rows(rows, raw)
+        while failure is None and (block := list(islice(fh, _BLOCK))):
+            rows = _parse_block(block)
+            if rows is None:
+                rows, numbers, failure = _parse_lines(block, first, path)
+            else:
+                numbers = range(first, first + len(block))
+            ignored += _move_rows(rows, raw)
+            lines += numbers
+            first += len(block)
     return _columns(raw, lines, path, failure), ignored
 
 
@@ -223,6 +261,7 @@ __all__ = [
     "json_integer",
     "json_numbers",
     "json_field",
+    "load_json",
     "load_records",
     "atomic_write_text",
     "atomic_write_json",

@@ -12,7 +12,6 @@ held.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +29,7 @@ from .calibration import (
 from .clustering import ClusterConfig, calibrate_cpac
 from .estimator import EstimatorConfig
 from .io import json_field, json_integer, json_list, json_number, json_numbers, json_object, json_string
+from .io import load_json
 from .records import RecordTable
 from .seeding import derive_seed, substream
 
@@ -121,8 +121,7 @@ def _group_from_dict(i: int, data: dict) -> GroupSpec:
 
 
 def load_spec(path) -> SyntheticSpec:
-    with open(path, encoding="utf-8") as fh:
-        return SyntheticSpec.from_dict(json.load(fh))
+    return SyntheticSpec.from_dict(load_json(path))
 
 
 def _prob_at(group: GroupSpec, u: np.ndarray) -> np.ndarray:

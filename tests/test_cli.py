@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,10 @@ MALFORMED_RECORD_FILES = {
     "jsonl-syntax": ("r.jsonl", '{"id": "a", "uncertainty": 0.5}\n{bad\n', 2),
     "csv-float": ("r.csv", "id,uncertainty,loss\na,0.5,0\nb,abc,0\n", 3),
     "csv-int": ("r.csv", "id,uncertainty,loss,tokens_thinking\na,0.5,0,1.5\n", 2),
+    # two objects on line 1, the second closed on line 2: joined with a comma
+    # the two lines parse as two objects, so a block parse must not take them
+    "jsonl-seam": ("r.jsonl", '{"id": "a", "uncertainty": 0.1, "loss": 0}, '
+                   '{"id": "b", "uncertainty": 0.2, "loss": 0, "x": [{"c": 1}\n{"d": 2}]}\n', 1),
 }
 
 
@@ -240,6 +245,22 @@ BAD_SECOND_LINES = {
 def test_bad_record_names_its_path_and_line(tmp_path, policy_file, capsys, case, command):
     path = tmp_path / "r.jsonl"
     path.write_text(GOOD_LINE + "\n" + BAD_SECOND_LINES[case] + "\n" + GOOD_LINE + "\n")
+    out = tmp_path / "out"
+    extra = [*EPS] if command == "calibrate" else ["--policy", policy_file]
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# deeper than the recursion limit; json.dumps cannot write it
+NESTED_TOO_DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("command", ["calibrate", "route", "evaluate"])
+def test_record_nested_too_deeply_names_its_path_and_line(tmp_path, policy_file, capsys, command):
+    path = tmp_path / "r.jsonl"
+    path.write_text(GOOD_LINE + "\n" + NESTED_TOO_DEEP + "\n" + GOOD_LINE + "\n")
     out = tmp_path / "out"
     extra = [*EPS] if command == "calibrate" else ["--policy", policy_file]
     assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
@@ -454,6 +475,10 @@ def _zero_epsilon(data):
     return {**data, "epsilon": 0.0}
 
 
+def _infinite_epsilon(data):
+    return {**data, "epsilon": math.inf}  # written as Infinity, which is not JSON
+
+
 def _alpha_seven(data):
     return {**data, "alpha": 7.0}
 
@@ -466,7 +491,7 @@ POLICY_EDITS = [
     _raise_threshold, _duplicate_key, _unknown_key, _negative_threshold,
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
-    _bogus_mode, _negative_epsilon, _zero_epsilon, _alpha_seven, _alpha_zero,
+    _bogus_mode, _negative_epsilon, _zero_epsilon, _infinite_epsilon, _alpha_seven, _alpha_zero,
     _mode_of_another_assigner, _mode_missing, _assigner_missing, _duplicate_label, _nan_centroid,
 ]
 
@@ -478,6 +503,17 @@ def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, c
     out = tmp_path / "out"
     assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
     assert "cannot read policy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["route", "evaluate"])
+def test_policy_nested_too_deeply_is_an_input_error(tmp_path, records_file, capsys, command):
+    bad = tmp_path / "policy.json"
+    bad.write_text(NESTED_TOO_DEEP)
+    out = tmp_path / "out"
+    assert main([command, "--policy", str(bad), "--records", records_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read policy" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -787,6 +823,17 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+def test_spec_nested_too_deeply_is_a_spec_error(tmp_path, capsys):
+    bad = tmp_path / "spec.json"
+    bad.write_text('{"groups": ' + NESTED_TOO_DEEP)
+    out = tmp_path / "c.json"
+    assert main(["simulate", "--spec", str(bad), "--n-cal", "50", "--trials", "2",
+                 "--epsilon", "0.05", "--out", str(out)]) == 7
+    err = capsys.readouterr().err
+    assert "invalid synthetic spec" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------- bad parameters
 
 
@@ -795,6 +842,8 @@ SIM_CPAC = ["--method", "cpac", "--k", "2"]
 BAD_PARAMETERS = [
     ("calibrate", ["--epsilon", "0"]),
     ("simulate", ["--epsilon", "0"]),
+    ("calibrate", ["--epsilon", "inf"]),
+    ("simulate", ["--epsilon", "inf"]),
     ("calibrate", ["--alpha", "1.5"]),
     ("simulate", ["--alpha", "1.5"]),
     ("calibrate", ["--pi", "0"]),
@@ -821,7 +870,8 @@ BAD_PARAMETERS = [
 
 
 @pytest.mark.parametrize("command,bad", BAD_PARAMETERS,
-                         ids=[f"{c}{b[-2]}" + ("=nan" if b[-1] == "nan" else "") for c, b in BAD_PARAMETERS])
+                         ids=[f"{c}{b[-2]}" + (f"={b[-1]}" if b[-1] in ("nan", "inf") else "")
+                              for c, b in BAD_PARAMETERS])
 def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_file, command, bad):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(tiny_spec()))

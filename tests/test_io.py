@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pac_route.io
 from pac_route.io import atomic_write_json, atomic_write_text, load_records
 from pac_route.records import RECORD_FIELDS, RecordColumns
 from reference import record_to_dict, write_records_jsonl
@@ -292,6 +293,24 @@ def test_loader_keeps_benchmark_sized_input_exact(tmp_path):
     assert ignored == 1 and columns.lines[9000] == 9002
 
 
+def test_jsonl_objects_sharing_lines_are_an_error(tmp_path):
+    # joined with a comma these two lines parse as two objects, but line 1
+    # holds one object and the start of another
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"id": "a", "uncertainty": 0.1}, {"id": "b", "uncertainty": 0.2, "x": [{"c": 1}\n'
+                    '{"d": 2}]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+        load_records(path)
+
+
+def test_jsonl_value_that_looks_like_a_seam_loads(tmp_path):
+    rows = [{"id": f"r{i}", "uncertainty": 0.5, "group_label": "}, {" if i == 1 else "g"} for i in range(3)]
+    path = tmp_path / "r.jsonl"
+    write_records_jsonl(rows, path)
+    assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+    assert load_records(path)[0].group_label == ["g", "}, {", "g"]
+
+
 # ------------------------------------------- loader against the reference readers
 
 _IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))
@@ -353,6 +372,39 @@ def jsonl_line(draw):
 @given(lines=st.lists(jsonl_line(), max_size=8), final_newline=st.booleans())
 def test_jsonl_loader_matches_reference(tmp_path, lines, final_newline):
     path = tmp_path / "r.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+    assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+
+
+_VALID_ROW = st.builds(dict, id=_IDS, uncertainty=st.floats(0.0, 1.0))
+_CLOSE = '{"b": 2}]}'
+
+
+@st.composite
+def seam_lines(draw):
+    """One line of `jsonl_line`, or lines that make seams: valid objects joined
+    by ", ", an object left open in an array (behind another object or not)
+    with or without the line that closes it, or such a close alone."""
+    kind = draw(st.sampled_from(["line", "line", "two", "open", "close"]))
+    if kind == "line":
+        return [draw(jsonl_line())]
+    if kind == "close":
+        return [_CLOSE]
+    two = kind == "two" or draw(st.booleans())
+    text = ", ".join(json.dumps(draw(_VALID_ROW)) for _ in range(1 + two))
+    if kind == "two":
+        return [text]
+    return [text[:-1] + ', "e": [{"a": 1}'] + [_CLOSE] * draw(st.booleans())
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=st.lists(seam_lines(), max_size=6), final_newline=st.booleans())
+def test_jsonl_blocks_keep_one_row_per_line(tmp_path, monkeypatch, block, parts, final_newline):
+    # blocks of a few lines, so that seams fall inside and across blocks
+    monkeypatch.setattr(pac_route.io, "_BLOCK", block)
+    path = tmp_path / "r.jsonl"
+    lines = [line for part in parts for line in part]
     path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
     assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
 

@@ -40,8 +40,8 @@ class ClusterConfig:
             raise ValueError(f"mode must be one of {CLUSTER_MODES}, got {self.mode!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie strictly inside (0, 1)")
-        if not self.joint_slack >= 0.0:
-            raise ValueError("joint_slack must be non-negative")
+        if not 0.0 <= self.joint_slack < np.inf:
+            raise ValueError("joint_slack must be non-negative and finite")
 
 
 def kmeans_1d(values, k: int) -> Partition:

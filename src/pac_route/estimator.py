@@ -53,8 +53,8 @@ class EstimatorConfig:
             raise ValueError("scalar pi must lie in (0, 1]")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not self.bound_B > 0:
-            raise ValueError("loss bound B must be positive")
+        if not 0.0 < self.bound_B < math.inf:
+            raise ValueError("loss bound B must be positive and finite")
 
 
 @dataclass(frozen=True)

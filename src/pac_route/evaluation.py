@@ -62,7 +62,10 @@ class MetricsReport:
 def _route_all(table: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:
     """What `route` decides for every row, from one `assign` call: its group
     code (an index into the assigner's keys; -1 = unresolved) and whether it
-    goes cheap, which it does iff its score is at or below its group's limit."""
+    goes cheap, which it does iff its score is at or below its group's limit.
+    An empty table is a NoRecordsError."""
+    if not len(table):
+        raise NoRecordsError("cannot score an empty record set")
     codes, keys = policy.assigner.assign(table), policy.assigner.keys
     # the appended -inf is the limit of code -1 (unresolved): never cheap
     limits = np.array([policy.limits.get(key, -np.inf) for key in keys] + [-np.inf])
@@ -78,12 +81,6 @@ def _first_appearance(codes: np.ndarray) -> np.ndarray:
 def _sum_in_order(values: np.ndarray) -> float:
     # left to right, like a running total (np.sum adds pairwise)
     return float(np.cumsum(values)[-1])
-
-
-def _scored(records: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:
-    if not len(records):
-        raise NoRecordsError("cannot score an empty record set")
-    return _route_all(records, policy)
 
 
 def _trial_error(
@@ -131,7 +128,7 @@ def trial_error(records: RecordTable, policy: RoutingPolicy) -> tuple[float, dic
     they count toward the overall mean but belong to no group bucket, so the
     overall error stays the group-size weighted mean of the group errors.
     """
-    codes, cheap = _scored(records, policy)
+    codes, cheap = _route_all(records, policy)
     charged = np.where(cheap, records.loss, 0.0)
     return _trial_error(charged, codes, policy.assigner.keys, np.arange(len(records)))
 
@@ -163,7 +160,7 @@ def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: f
 
 def stp(records: RecordTable, policy: RoutingPolicy, variant: str) -> float:
     """Mean saved-thinking fraction under the chosen accounting (<= 1, may be < 0)."""
-    return _sum_in_order(_saved(records, _scored(records, policy)[1], variant)) / len(records)
+    return _sum_in_order(_saved(records, _route_all(records, policy)[1], variant)) / len(records)
 
 
 def evaluate(
@@ -184,7 +181,7 @@ def evaluate(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    codes, cheap = _scored(records, policy)
+    codes, cheap = _route_all(records, policy)
     charged = np.where(cheap, records.loss, 0.0)
     saved = None if stp_variant is None else _saved(records, cheap, stp_variant)
     n = len(records)

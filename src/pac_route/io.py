@@ -40,7 +40,6 @@ _FLOAT_FIELDS = ("uncertainty", "loss")
 _BLOCK = 8192
 # a `}` and a `{` joined by a comma: where a line may end one object and start another
 _SEAM = re.compile(r"\}\s*,\s*\{")
-_scan_json = json.JSONDecoder().scan_once
 # mkstemp creates files owner-only; outputs get the mode a plain open() would give
 _UMASK = os.umask(0)
 os.umask(_UMASK)
@@ -114,7 +113,8 @@ def _parse_block(block: list[str]) -> list | None:
     that parse cannot show each line to hold exactly one object: a blank line,
     a `}, {` seam inside a line (where a line could hold two objects, or two
     lines share one), a syntax error, or an item count or type that is off."""
-    if all(map(str.strip, block)) and not _SEAM.search("".join(block)):
+    if not _SEAM.search("".join(block)):
+        # a blank line fails the parse (an empty item) or the count (an all-blank block)
         with contextlib.suppress(ValueError, RecursionError):
             rows = json.loads("[" + ",".join(block) + "]")
             if len(rows) == len(block) and all(type(row) is dict for row in rows):
@@ -128,21 +128,14 @@ def _parse_lines(block: list[str], first: int, path) -> tuple[list[dict], list[i
     line, which ends the block (None if there is none); blank lines are skipped."""
     rows, lines = [], []
     for lineno, line in enumerate(block, start=first):
-        # the C scanner parses one value from the start of the line; a
-        # line it does not end on a newline takes the slow path
+        if not line.strip():
+            continue
         try:
-            row, end = _scan_json(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line) - 1 or line[end] != "\n" or type(row) is not dict:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                return rows, lines, f"{path}:{lineno}: {exc}"
-            if not isinstance(row, dict):
-                return rows, lines, f"{path}:{lineno}: each line must be a JSON object"
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            return rows, lines, f"{path}:{lineno}: {exc}"
+        if not isinstance(row, dict):
+            return rows, lines, f"{path}:{lineno}: each line must be a JSON object"
         rows.append(row)
         lines.append(lineno)
     return rows, lines, None
@@ -168,27 +161,31 @@ def _read_jsonl(path) -> tuple[RecordColumns, int]:
 
 
 def _read_csv(path) -> tuple[RecordColumns, int]:
+    header, rows, lines = [], [], []  # header stays [] when a syntax error stops line 1
+    long_rows = 0
+    stop = None  # the error after the last row kept: a CSV syntax error, or a bad cell below
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: missing CSV header row")
-        present = set(header) & set(_EMBEDDING_FIELDS)
-        if present:
-            raise ValueError(
-                f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
-            )
-        width = len(header)
-        rows, lines = [], []
-        long_rows = 0
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            long_rows += len(row) > width
-            rows.append(row)
-            lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: missing CSV header row")
+            present = set(header) & set(_EMBEDDING_FIELDS)
+            if present:
+                raise ValueError(
+                    f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
+                )
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                long_rows += len(row) > width
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # such as a cell over the field size limit
+            stop = f"{path}:{reader.line_num}: {exc}"
     # every row has each header name (short rows are padded); cells beyond
     # the header count as one more unknown field
     ignored = len(rows) * len(set(header).difference(RECORD_FIELDS)) + long_rows
@@ -211,8 +208,8 @@ def _read_csv(path) -> tuple[RecordColumns, int]:
         row = failure[0]
         for column in filter(None, raw.values()):
             del column[row:]
-        failure, lines = f"{path}:{lines[row]}: {failure[2]}", lines[:row]
-    return _columns(raw, lines, path, failure), ignored
+        stop, lines = f"{path}:{lines[row]}: {failure[2]}", lines[:row]
+    return _columns(raw, lines, path, stop), ignored
 
 
 def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:

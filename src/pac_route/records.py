@@ -54,8 +54,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if not self.bound_B > 0:
-            raise ValueError("loss bound B must be positive")
+        if not 0.0 < self.bound_B < math.inf:
+            raise ValueError("loss bound B must be positive and finite")
         if self.kind == "binary" and self.bound_B != 1.0:
             raise ValueError("binary loss is {0, 1}; bound B must be 1")
 
@@ -356,16 +356,15 @@ class RecordTable:
         return len(self.ids)
 
     def take(self, idx) -> "RecordTable":
-        """The rows at integer positions `idx`, in that order."""
-        return RecordTable(
-            ids=self.ids[idx],
-            uncertainty=self.uncertainty[idx],
-            loss=self.loss[idx],
-            label_code=self.label_code[idx],
-            labels=self.labels,
-            tokens_thinking=self.tokens_thinking[idx],
-            tokens_cheap=self.tokens_cheap[idx],
-        )
+        """The rows at integer positions `idx`, a 1-d array, in that order,
+        sharing `labels`.  A subset of checked rows keeps every table rule, so
+        it is not checked again."""
+        if np.ndim(idx) != 1:
+            raise ValueError("row positions must be a 1-d array")
+        rows = {name: column[idx] for name, column in vars(self).items() if name != "labels"}
+        table = object.__new__(RecordTable)
+        vars(table).update(vars(self), **rows)
+        return table
 
     @property
     def group_labels(self) -> np.ndarray:

@@ -207,6 +207,8 @@ MALFORMED_RECORD_FILES = {
     # the two lines parse as two objects, so a block parse must not take them
     "jsonl-seam": ("r.jsonl", '{"id": "a", "uncertainty": 0.1, "loss": 0}, '
                    '{"id": "b", "uncertainty": 0.2, "loss": 0, "x": [{"c": 1}\n{"d": 2}]}\n', 1),
+    # a cell longer than the csv module's field size limit (131072 characters)
+    "csv-field-limit": ("r.csv", "id,uncertainty,loss,group_label\na,0.5,0,g\nb,0.5,0," + "g" * 200_000 + "\n", 3),
 }
 
 
@@ -266,6 +268,20 @@ def test_record_nested_too_deeply_names_its_path_and_line(tmp_path, policy_file,
     assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{path}:2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# calibrate reads it in test_malformed_record_file_names_path_and_line
+@pytest.mark.parametrize("command", ["route", "evaluate", "cluster"])
+def test_csv_cell_over_the_field_limit_names_its_path_and_line(tmp_path, policy_file, capsys, command):
+    name, text, line = MALFORMED_RECORD_FILES["csv-field-limit"]
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    extra = ["--k", "1"] if command == "cluster" else ["--policy", policy_file]
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: " in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -772,6 +788,20 @@ def _spec_weight_list(spec):
     return spec
 
 
+def _spec_tokens_thinking_zero(spec):
+    spec["groups"][0]["tokens_thinking"] = 0
+    return spec
+
+
+def _spec_tokens_cheap_negative(spec):
+    spec["groups"][0]["tokens_cheap"] = -1
+    return spec
+
+
+def _spec_groups_empty(spec):
+    return {**spec, "groups": []}
+
+
 # JSON values of the wrong type that str(), float(), tuple() or int() would
 # accept, each with the field its error must name
 def _spec_name_number(spec):
@@ -807,7 +837,7 @@ SPEC_WRONG_TYPES = {_spec_name_number: "name", _spec_weight_string: "weight", _s
                     _spec_tokens_fraction: "tokens_thinking", _spec_tokens_bool: "tokens_cheap",
                     _spec_groups_string: "groups"}
 SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_bins_nan, _spec_weight_list,
-              *SPEC_WRONG_TYPES]
+              _spec_tokens_thinking_zero, _spec_tokens_cheap_negative, _spec_groups_empty, *SPEC_WRONG_TYPES]
 
 
 @pytest.mark.parametrize("edit", SPEC_EDITS, ids=lambda f: f.__name__[len("_spec_"):])
@@ -853,6 +883,9 @@ BAD_PARAMETERS = [
     ("calibrate", ["--bound-b", "0"]),
     ("evaluate", ["--bound-b", "0"]),
     ("simulate", ["--bound-b", "0"]),
+    ("calibrate", ["--bound-b", "inf"]),
+    ("evaluate", ["--bound-b", "inf"]),
+    ("simulate", ["--bound-b", "inf"]),
     ("calibrate", ["--n-min", "-1"]),
     ("calibrate", [*CPAC, "--k", "0"]),
     ("simulate", [*SIM_CPAC, "--k", "0"]),
@@ -863,6 +896,8 @@ BAD_PARAMETERS = [
     ("simulate", [*SIM_CPAC, "--joint-slack", "-0.1"]),
     ("calibrate", [*CPAC, "--joint-slack", "nan"]),
     ("simulate", [*SIM_CPAC, "--joint-slack", "nan"]),
+    ("calibrate", [*CPAC, "--joint-slack", "inf"]),
+    ("simulate", [*SIM_CPAC, "--joint-slack", "inf"]),
     ("evaluate", ["--trials", "0"]),
     ("simulate", ["--trials", "0"]),
     ("simulate", ["--n-cal", "0"]),

@@ -311,6 +311,31 @@ def test_jsonl_value_that_looks_like_a_seam_loads(tmp_path):
     assert load_records(path)[0].group_label == ["g", "}, {", "g"]
 
 
+def test_clean_jsonl_blocks_never_go_line_by_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(pac_route.io, "_BLOCK", 3)
+    monkeypatch.setattr(pac_route.io, "_parse_lines", lambda *args: pytest.fail("a clean block went line by line"))
+    rows = [{"id": f"r{i}", "uncertainty": i / 10, "group_label": "g", "tokens_cheap": i} for i in range(10)]
+    path = tmp_path / "r.jsonl"
+    write_records_jsonl(rows, path)
+    assert outcome(load_records, path) == outcome(read_records_jsonl_reference, path)
+    assert load_records(path)[0].lines.tolist() == list(range(1, 11))
+
+
+def test_csv_syntax_error_comes_after_the_rows_read_before_it(tmp_path):
+    # a cell over the csv module's field size limit (131072 characters) ends
+    # reading; a bad row before it still wins
+    long_cell = "x" * 200_000
+    path = tmp_path / "r.csv"
+    for text, message in [
+        (f"id,uncertainty\na,1.5\nb,{long_cell}\n", ":2: uncertainty 1.5 outside"),
+        (f"id,uncertainty\na,abc\nb,{long_cell}\n", ":2: field 'uncertainty'"),
+        (f"id,{long_cell}\na,0.5\n", ":1: field larger than field limit"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            load_records(path)
+
+
 # ------------------------------------------- loader against the reference readers
 
 _IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))
@@ -355,7 +380,8 @@ def record_row(draw, fields=tuple(sorted(_FIELD_VALUES))):
 def jsonl_line(draw):
     kind = draw(st.sampled_from(["row"] * 24 + ["blank"] * 3 + ["array", "two", "syntax", "fragment"]))
     if kind == "blank":
-        return draw(st.sampled_from(["", "   ", "\t"]))
+        # form feed and no-break space: str.strip removes them, JSON whitespace has neither
+        return draw(st.sampled_from(["", "   ", "\t", "\x0c", "\u00a0"]))
     if kind == "array":
         return "[1, 2]"
     if kind == "syntax":

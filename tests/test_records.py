@@ -284,6 +284,22 @@ def test_table_take_and_of():
     assert len(empty) == 0 and empty.labels == ()
 
 
+def test_take_gives_the_columns_of_its_rows():
+    rows = [resolved(i, i / 10, float(i % 2), [None, "a", "b"][i % 3], 10 * i if i % 4 else None, i)
+            for i in range(6)]
+    table = RecordTable.from_records(rows, LossSpec())
+    idx = np.array([5, 0, 3, 3, 1])
+    sub = table.take(idx)
+    built = RecordTable.from_records([rows[i] for i in idx], LossSpec())
+    for name in ("ids", "uncertainty", "loss", "group_labels", "tokens_thinking", "tokens_cheap"):
+        assert getattr(sub, name).dtype == getattr(built, name).dtype
+        np.testing.assert_array_equal(getattr(sub, name), getattr(built, name))
+    assert sub.labels is table.labels
+    for bad in (np.array([[0, 1]]), 2, np.int64(2)):
+        with pytest.raises(ValueError, match="1-d"):
+            table.take(bad)
+
+
 def table_columns(**overrides):
     columns = dict(ids=["a", "b"], uncertainty=[0.1, 0.9], loss=[0.0, 1.0],
                    label_code=[0, NO_LABEL], labels=("g",),

@@ -50,7 +50,6 @@ from .records import (
     RecordTable,
     binary_loss,
     cosine_loss,
-    default_loss_spec,
     resolve_loss,
 )
 from .seeding import derive_seed, substream
@@ -68,7 +67,7 @@ from .simulation import (
 __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
-    "RecordColumns", "RecordTable", "LossSpec", "default_loss_spec",
+    "RecordColumns", "RecordTable", "LossSpec",
     "NoRecordsError", "MissingTokensError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",

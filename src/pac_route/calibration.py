@@ -327,7 +327,7 @@ def calibrate_group(
         curve = ucb_clt(samples, grid, config.alpha)
     else:
         pi_min = float(pi_weights(config, records_j).min())
-        curve = ucb_hoeffding(samples, grid, config.alpha, config.bound_B, pi_min)
+        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.bound_B, pi_min)
     if ucb_offset:
         curve = UcbCurve(curve.candidates, curve.mean, curve.ucb + ucb_offset)
     feasible = np.flatnonzero(curve.ucb <= epsilon)
@@ -382,7 +382,8 @@ def calibrate_gpac(
         seed=config.seed,
         assigner=assigner,
         thresholds=tuple(thresholds),
-        config_hash=config_hash(config, mode=assigner.mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset),
+        config_hash=config_hash(config, mode=assigner.mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset,
+                                bound_B=records.bound_B),
     )
     report = CalibrationReport(
         groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
@@ -405,14 +406,14 @@ def route(
 
 
 def config_hash(config: EstimatorConfig, **extras) -> str:
-    """Short stable digest of the calibration configuration."""
+    """Short stable digest of `config` and `extras`, the other settings of the
+    calibration (the table's loss bound B among them)."""
     payload = {
         "method": config.method,
         "alpha": config.alpha,
         "pi": config.pi if isinstance(config.pi, (int, float)) else dict(config.pi),
         "m": config.m,
         "seed": config.seed,
-        "bound_B": config.bound_B,
     }
     payload.update(extras)
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -6,7 +6,7 @@ deterministic for a fixed seed and are written atomically.  Exit codes:
     0  success
     2  unreadable or invalid input data (also argparse usage errors)
     3  no usable records (nothing resolves to any group)
-    4  invalid tolerance or other invalid parameter
+    4  invalid tolerance or other invalid parameter, or an output that cannot be written
     5  policy file with an unsupported schema version
     6  --stp requested but token counts are missing
     7  invalid synthetic spec
@@ -42,7 +42,6 @@ from .records import (
     NoRecordsError,
     RecordColumns,
     RecordTable,
-    default_loss_spec,
 )
 from .simulation import coverage_experiment, load_spec
 
@@ -64,8 +63,6 @@ class _CliError(Exception):
 
 
 def _loss_spec(args) -> LossSpec:
-    if args.bound_b is None:
-        return default_loss_spec(args.loss_kind)
     try:
         return LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     except ValueError as exc:
@@ -100,12 +97,18 @@ def _load_policy(path):
         raise _CliError(EXIT_INPUT, f"cannot read policy: {exc}") from exc
 
 
-def _configs(args, method: str, bound_B: float, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
+def _write(write, data, path) -> None:
+    """write(data, path); an output that cannot be written exits 4."""
+    try:
+        write(data, path)
+    except OSError as exc:
+        raise _CliError(EXIT_BAD_PARAM, f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
     """The estimator config and, for cpac, the cluster config; an invalid value exits 4."""
     try:
-        config = EstimatorConfig(
-            method=method, alpha=args.alpha, pi=args.pi, m=args.m, seed=args.seed, bound_B=bound_B,
-        )
+        config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, m=args.m, seed=args.seed)
         if not cpac:
             return config, None
         if args.k is None:
@@ -120,7 +123,7 @@ def _configs(args, method: str, bound_B: float, cpac: bool) -> tuple[EstimatorCo
 
 def cmd_calibrate(args) -> int:
     spec = _loss_spec(args)
-    config, cluster = _configs(args, args.method, spec.bound_B, args.mode == "cpac")
+    config, cluster = _configs(args, args.method, args.mode == "cpac")
     records = _resolve_all(_read_records(args), spec)
     try:
         if cluster is not None:
@@ -132,9 +135,9 @@ def cmd_calibrate(args) -> int:
         raise _CliError(EXIT_NO_RECORDS, str(exc)) from exc
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
-    save_policy(policy, args.out)
+    _write(save_policy, policy, args.out)
     if args.report:
-        atomic_write_json(report.to_dict(), args.report)
+        _write(atomic_write_json, report.to_dict(), args.report)
     for t in policy.thresholds:
         shown = "always_think" if t.always_think else f"{t.threshold:.6g}"
         print(f"group {t.group_key}: threshold {shown} (n={t.n_calibration})")
@@ -168,7 +171,7 @@ def cmd_route(args) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
     blocks.append("".join(lines))
-    atomic_write_text(blocks, args.out)
+    _write(atomic_write_text, blocks, args.out)
     cheap = sum(n for (_, action), (_, n) in kinds.items() if action == CHEAP)
     unresolved = sum(n for (key, _), (_, n) in kinds.items() if key is None)
     print(f"cheap {cheap} think {len(columns) - cheap} (unresolved group {unresolved})")
@@ -188,7 +191,7 @@ def cmd_evaluate(args) -> int:
         raise _CliError(EXIT_MISSING_TOKENS, str(exc)) from exc
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
-    atomic_write_json(report.to_dict(), args.out)
+    _write(atomic_write_json, report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")
     if report.stp is not None:
         print(f"stp[{report.stp_variant}] {100.0 * report.stp:.2f}%")
@@ -197,8 +200,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bound_B = 1.0 if args.bound_b is None else args.bound_b
-    config, cluster = _configs(args, args.ucb, bound_B, args.sim_method == "cpac")
+    config, cluster = _configs(args, args.ucb, args.sim_method == "cpac")
     try:
         spec = load_spec(args.spec)
     except (OSError, ValueError) as exc:
@@ -208,7 +210,7 @@ def cmd_simulate(args) -> int:
                                      cluster)
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
-    atomic_write_json(report.to_dict(), args.out)
+    _write(atomic_write_json, report.to_dict(), args.out)
     worst = min(report.per_group_coverage.values())
     print(f"coverage(min) {worst:.4f} efficiency {report.efficiency:.4f} over {report.trials} trials")
     print(f"wrote {args.out}")
@@ -221,7 +223,7 @@ def cmd_cluster(args) -> int:
         partition = kmeans_1d(uncertainty, args.k)
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
-    atomic_write_json(partition.to_dict(), args.out)
+    _write(atomic_write_json, partition.to_dict(), args.out)
     centroids = " ".join(f"{c:.6g}" for c in partition.centroids)
     print(f"centroids {centroids}")
     print(f"wrote {args.out}")
@@ -313,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_arguments(p)
     p.add_argument("--out", required=True, help="coverage report JSON output path")
     p.set_defaults(func=cmd_simulate)
-    p.add_argument("--bound-b", type=float, default=None, help="a-priori loss bound B")
 
     p = sub.add_parser("cluster", help="fit a k-group partition of the uncertainty axis")
     _add_records_arguments(p)

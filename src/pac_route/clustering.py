@@ -146,7 +146,7 @@ def calibrate_cpac(
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
     policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, n_min=n_min, ucb_offset=offset)
     stamp = config_hash(
-        est_config, mode=partition.mode, epsilon=epsilon, n_min=n_min, ucb_offset=offset,
+        est_config, mode=partition.mode, epsilon=epsilon, n_min=n_min, ucb_offset=offset, bound_B=records.bound_B,
         k=cluster_config.k, cluster_mode=cluster_config.mode,
         split_fraction=cluster_config.split_fraction, cluster_seed=cluster_config.seed,
     )

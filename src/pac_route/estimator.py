@@ -42,7 +42,6 @@ class EstimatorConfig:
     pi: float | Mapping[str, float] = 0.5
     m: int | None = None
     seed: int = 0
-    bound_B: float = 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -53,8 +52,6 @@ class EstimatorConfig:
             raise ValueError("scalar pi must lie in (0, 1]")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not 0.0 < self.bound_B < math.inf:
-            raise ValueError("loss bound B must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,6 @@ def draw_z_samples(
         raise ValueError("cannot draw from an empty record pool")
     losses = records.loss
     weights = pi_weights(config, records)
-    if losses.min() < 0 or losses.max() > config.bound_B:
-        raise ValueError(f"losses must lie in [0, {config.bound_B}]")
     m = sample_count(config, len(records), float(weights.min()))
     idx = rng.integers(0, len(records), size=m)
     keep = rng.random(m) < weights[idx]

@@ -5,8 +5,9 @@ Records travel as JSONL (one object per line, embeddings as arrays) or CSV
 into a :class:`~pac_route.records.RecordColumns`, with no object per line;
 this module checks only the syntax and the CSV cells, and the columns check
 every field under the rules rows built in memory follow too.  The first bad
-row, a syntax error or a bad value, is reported with its `path:line`.  Fields
-we do not know are ignored and counted, so callers can surface a warning.
+row, a syntax error, a line that is not UTF-8 or a bad value, is reported
+with its `path:line`.  Fields we do not know are ignored and counted, so
+callers can surface a warning.
 `load_json`, `json_field` and the other `json_*` checks read policy and spec
 files.
 Outputs are written to a temporary sibling and renamed into place, so a
@@ -141,51 +142,52 @@ def _parse_lines(block: list[str], first: int, path) -> tuple[list[dict], list[i
     return rows, lines, None
 
 
-def _read_jsonl(path) -> tuple[RecordColumns, int]:
+def _read_jsonl(fh, path, end: str | None) -> tuple[RecordColumns, int]:
+    """The records of the lines of `fh`, read from `path`; `end` is the error
+    that ends those lines (None when they end with the file)."""
     raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
     lines: list[int] = []
     ignored = 0
     failure = None
     first = 1
-    with open(path, encoding="utf-8") as fh:
-        while failure is None and (block := list(islice(fh, _BLOCK))):
-            rows = _parse_block(block)
-            if rows is None:
-                rows, numbers, failure = _parse_lines(block, first, path)
-            else:
-                numbers = range(first, first + len(block))
-            ignored += _move_rows(rows, raw)
-            lines += numbers
-            first += len(block)
-    return _columns(raw, lines, path, failure), ignored
+    while failure is None and (block := list(islice(fh, _BLOCK))):
+        rows = _parse_block(block)
+        if rows is None:
+            rows, numbers, failure = _parse_lines(block, first, path)
+        else:
+            numbers = range(first, first + len(block))
+        ignored += _move_rows(rows, raw)
+        lines += numbers
+        first += len(block)
+    return _columns(raw, lines, path, failure or end), ignored
 
 
-def _read_csv(path) -> tuple[RecordColumns, int]:
+def _read_csv(fh, path, end: str | None) -> tuple[RecordColumns, int]:
+    """As `_read_jsonl`, for CSV lines."""
     header, rows, lines = [], [], []  # header stays [] when a syntax error stops line 1
     long_rows = 0
-    stop = None  # the error after the last row kept: a CSV syntax error, or a bad cell below
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: missing CSV header row")
-            present = set(header) & set(_EMBEDDING_FIELDS)
-            if present:
-                raise ValueError(
-                    f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
-                )
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                long_rows += len(row) > width
-                rows.append(row)
-                lines.append(reader.line_num)
-        except csv.Error as exc:  # such as a cell over the field size limit
-            stop = f"{path}:{reader.line_num}: {exc}"
+    stop = end  # the error after the last row kept: `end`, a CSV syntax error, or a bad cell below
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(end or f"{path}: missing CSV header row")
+        present = set(header) & set(_EMBEDDING_FIELDS)
+        if present:
+            raise ValueError(
+                f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
+            )
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            long_rows += len(row) > width
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # such as a cell over the field size limit
+        stop = f"{path}:{reader.line_num}: {exc}"
     # every row has each header name (short rows are padded); cells beyond
     # the header count as one more unknown field
     ignored = len(rows) * len(set(header).difference(RECORD_FIELDS)) + long_rows
@@ -214,14 +216,28 @@ def _read_csv(path) -> tuple[RecordColumns, int]:
 
 def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
     """Load the records of `path` as columns, with the number of unknown
-    fields skipped; format from the flag or the file extension."""
+    fields skipped; format from the flag or the file extension.  The first
+    line that is not UTF-8 ends the records, as a syntax error does: the rows
+    before it are read again and checked, so a bad row among them wins."""
     if fmt is None:
         fmt = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
-    if fmt == "csv":
-        return _read_csv(path)
-    if fmt == "jsonl":
-        return _read_jsonl(path)
-    raise ValueError(f"unknown records format {fmt!r}")
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown records format {fmt!r}")
+    read, newline = (_read_csv, "") if fmt == "csv" else (_read_jsonl, None)
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return read(fh, path, None)
+    except UnicodeDecodeError:
+        pass
+    with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
+        for good, line in enumerate(fh):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                end = f"{path}:{good + 1}: {exc}"
+                break
+        fh.seek(0)
+        return read(islice(fh, good), path, end)
 
 
 def atomic_write_text(text: str | list[str], path) -> None:

@@ -46,23 +46,21 @@ class MissingTokensError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """How to obtain each record's loss and the a-priori bound B on it."""
+    """How to obtain each record's loss and the a-priori bound B on it; B
+    defaults to 1, or 2 for cosine loss, which spans [0, 2]."""
 
     kind: str = "precomputed"
-    bound_B: float = 1.0
+    bound_B: float | None = None
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+        if self.bound_B is None:
+            object.__setattr__(self, "bound_B", 2.0 if self.kind == "cosine" else 1.0)
         if not 0.0 < self.bound_B < math.inf:
             raise ValueError("loss bound B must be positive and finite")
         if self.kind == "binary" and self.bound_B != 1.0:
             raise ValueError("binary loss is {0, 1}; bound B must be 1")
-
-
-def default_loss_spec(kind: str) -> LossSpec:
-    """LossSpec with the conventional bound for `kind` (cosine spans [0, 2])."""
-    return LossSpec(kind=kind, bound_B=2.0 if kind == "cosine" else 1.0)
 
 
 def binary_loss(thinking_answer: str, cheap_answer: str, gold_answer: str) -> float:
@@ -289,8 +287,10 @@ class RecordTable:
     """Resolved records as aligned columns, one row per record.
 
     label_code indexes `labels` (NO_LABEL = no group label); a missing token
-    count is NaN.  The columns are checked once, here, so code reading them
-    needs no per-record validation.
+    count is NaN.  bound_B is the a-priori bound B the losses were resolved
+    under: every loss lies in [0, B], and the Hoeffding bound reads B here.
+    The columns are checked once, here, so code reading them needs no
+    per-record validation.
     """
 
     ids: np.ndarray
@@ -300,6 +300,7 @@ class RecordTable:
     labels: tuple[str, ...]
     tokens_thinking: np.ndarray
     tokens_cheap: np.ndarray
+    bound_B: float = 1.0
 
     def __post_init__(self):
         n = len(self.ids)
@@ -314,8 +315,10 @@ class RecordTable:
         u = self.uncertainty
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValueError("uncertainties must lie in [0, 1]")
-        if not np.all(np.isfinite(self.loss)):
-            raise ValueError("resolved losses must be finite")
+        if not 0.0 < self.bound_B < math.inf:
+            raise ValueError("loss bound B must be positive and finite")
+        if not np.all((self.loss >= 0.0) & (self.loss <= self.bound_B)):
+            raise ValueError(f"resolved losses must lie in [0, {self.bound_B}]")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("the label vocabulary must not repeat a label")
         if n and not NO_LABEL <= self.label_code.min() <= self.label_code.max() < len(self.labels):
@@ -344,6 +347,7 @@ class RecordTable:
             labels=tuple(vocab),
             tokens_thinking=columns.tokens_thinking,
             tokens_cheap=columns.tokens_cheap,
+            bound_B=spec.bound_B,
         )
 
     @classmethod
@@ -357,11 +361,11 @@ class RecordTable:
 
     def take(self, idx) -> "RecordTable":
         """The rows at integer positions `idx`, a 1-d array, in that order,
-        sharing `labels`.  A subset of checked rows keeps every table rule, so
-        it is not checked again."""
+        sharing `labels` and `bound_B`.  A subset of checked rows keeps every
+        table rule, so it is not checked again."""
         if np.ndim(idx) != 1:
             raise ValueError("row positions must be a 1-d array")
-        rows = {name: column[idx] for name, column in vars(self).items() if name != "labels"}
+        rows = {name: column[idx] for name, column in vars(self).items() if name not in ("labels", "bound_B")}
         table = object.__new__(RecordTable)
         vars(table).update(vars(self), **rows)
         return table
@@ -382,7 +386,6 @@ __all__ = [
     "RecordColumns",
     "RecordTable",
     "LossSpec",
-    "default_loss_spec",
     "binary_loss",
     "cosine_loss",
     "resolve_loss",

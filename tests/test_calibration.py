@@ -29,7 +29,7 @@ from pac_route.calibration import (
     save_policy,
 )
 from pac_route.clustering import Partition
-from pac_route.estimator import METHODS, EstimatorConfig
+from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
 from pac_route.records import LossSpec, RecordTable
 
 
@@ -335,6 +335,27 @@ def test_report_curves_cover_each_calibrated_group():
     by_key = {g["group_key"]: g for g in report.groups}
     assert "curve" in by_key["a"]
     assert "curve" not in by_key["b"]  # below n_min, never sampled
+
+
+def test_cosine_table_calibrates_with_a_default_config():
+    rng = np.random.default_rng(8)
+    rows = [dict(id=f"c{i}", uncertainty=float(u), group_label="g", thinking_embedding=(1.0, 0.0),
+                 cheap_embedding=(math.cos(angle), math.sin(angle)))
+            for i, (u, angle) in enumerate(zip(rng.uniform(0, 1, 40), rng.uniform(0, math.pi, 40)))]
+    records = RecordTable.from_records(rows, LossSpec(kind="cosine"))
+    assert records.bound_B == 2.0 and records.loss.max() > 1.0
+    policy, report = calibrate_gpac(records, LabelAssigner(records.labels), 0.5, EstimatorConfig())
+    assert [t.group_key for t in policy.thresholds] == ["g"] and report.groups[0]["n"] == 40
+
+
+@pytest.mark.parametrize("bound_B", [1.0, 2.0])
+def test_hoeffding_reads_the_bound_from_the_table(bound_B):
+    losses = np.linspace(0.0, bound_B, 30)
+    records = RecordTable.from_records(pool(losses, np.linspace(0, 1, 30)), LossSpec(bound_B=bound_B))
+    config = EstimatorConfig(method="hoeffding", pi=0.5, seed=3)
+    _, curve = calibrate_group(records, 0.5, config, np.random.default_rng(0))
+    delta = hoeffding_delta(config.alpha, bound_B, 0.5, math.ceil(30 / 0.5))
+    np.testing.assert_allclose(curve.ucb - curve.mean, delta, rtol=1e-12)
 
 
 # --------------------------------------------------------------- routing

@@ -106,6 +106,19 @@ def test_calibrate_cpac_hash_tracks_cluster_settings(tmp_path, records_file):
     assert len(hashes) == 3
 
 
+@pytest.mark.parametrize("mode,digests", [
+    (["--mode", "gpac"], {"1": "8005fdd4dd38f842", "2": "30f5028c116aa034"}),
+    (["--mode", "cpac", "--k", "2"], {"1": "deb75f4777704362", "2": "910800daad218f7a"}),
+])
+def test_calibrate_hash_tracks_the_loss_bound(tmp_path, records_file, mode, digests):
+    # pinned digests: a policy's provenance must not drift when code moves
+    for bound, digest in digests.items():
+        out = tmp_path / f"policy_{bound}.json"
+        assert main(["calibrate", "--records", records_file, *mode, "--bound-b", bound,
+                     *EPS, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["config_hash"] == digest
+
+
 def test_calibrate_cpac_needs_k(tmp_path, records_file):
     out = tmp_path / "policy.json"
     assert main(["calibrate", "--records", records_file, "--mode", "cpac",
@@ -252,6 +265,30 @@ def test_bad_record_names_its_path_and_line(tmp_path, policy_file, capsys, case,
     assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{path}:2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first_bad", [False, True], ids=["line-named", "earlier-row-wins"])
+@pytest.mark.parametrize("name", ["r.jsonl", "r.csv"])
+@pytest.mark.parametrize("command", ["calibrate", "route", "evaluate", "cluster"])
+def test_a_line_that_is_not_utf8_is_an_input_error(tmp_path, policy_file, capsys, command, name, first_bad):
+    u = b"1.5" if first_bad else b"0.5"
+    if name.endswith(".csv"):
+        text, line = b"id,uncertainty,loss\na,%s,0\nb\xff,0.5,0\n" % u, 3
+    else:
+        text, line = (b'{"id": "a", "uncertainty": %s, "loss": 0.0}\n'
+                      b'{"id": "b\xff", "uncertainty": 0.5, "loss": 0.0}\n' % u, 2)
+    path = tmp_path / name
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    extra = {"calibrate": EPS, "cluster": ["--k", "1"]}.get(command, ["--policy", policy_file])
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if first_bad:
+        assert f"{path}:{line - 1}: uncertainty 1.5 outside [0, 1]" in err
+    else:
+        assert f"{path}:{line}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -882,10 +919,8 @@ BAD_PARAMETERS = [
     ("simulate", ["--m", "0"]),
     ("calibrate", ["--bound-b", "0"]),
     ("evaluate", ["--bound-b", "0"]),
-    ("simulate", ["--bound-b", "0"]),
     ("calibrate", ["--bound-b", "inf"]),
     ("evaluate", ["--bound-b", "inf"]),
-    ("simulate", ["--bound-b", "inf"]),
     ("calibrate", ["--n-min", "-1"]),
     ("calibrate", [*CPAC, "--k", "0"]),
     ("simulate", [*SIM_CPAC, "--k", "0"]),
@@ -920,6 +955,28 @@ def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_fil
     assert main([command, *base, *bad, "--out", str(out)]) == 4
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", [
+    ("calibrate", "--out"), ("calibrate", "--report"), ("route", "--out"),
+    ("evaluate", "--out"), ("simulate", "--out"), ("cluster", "--out"),
+])
+def test_unwritable_output_exits_four(tmp_path, capsys, records_file, policy_file, command, option):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    base = {
+        "calibrate": ["--records", records_file, *EPS],
+        "route": ["--policy", policy_file, "--records", records_file],
+        "evaluate": ["--policy", policy_file, "--records", records_file],
+        "simulate": ["--spec", str(spec), "--n-cal", "50", "--trials", "2", *EPS],
+        "cluster": ["--records", records_file, "--k", "2"],
+    }[command]
+    missing = tmp_path / "missing" / "out.json"
+    outputs = {"--out": str(tmp_path / "out.json"), option: str(missing)}
+    assert main([command, *base, *(arg for pair in outputs.items() for arg in pair)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot write {missing}: No such file or directory" in err and "Traceback" not in err
+    assert not missing.parent.exists()
 
 
 # ----------------------------------------------------------------- cluster

@@ -43,8 +43,6 @@ def test_config_validation():
         EstimatorConfig(pi=1.5)
     with pytest.raises(ValueError):
         EstimatorConfig(m=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(bound_B=0.0)
 
 
 def test_pi_weights_scalar_and_mapping():
@@ -85,9 +83,9 @@ def test_draw_shapes_and_support():
 def test_draw_rejects_empty_pool_and_bad_losses():
     with pytest.raises(ValueError):
         draw_z_samples(pool([], []), EstimatorConfig(), np.random.default_rng(0))
-    bad = pool([1.5], [0.5], bound_B=2.0)
-    with pytest.raises(ValueError):
-        draw_z_samples(bad, EstimatorConfig(bound_B=1.0), np.random.default_rng(0))
+    # a loss outside [0, B] never reaches the sampler: the table rejects it
+    with pytest.raises(ValueError, match=r"loss 1.5 outside \[0, 1.0\]"):
+        pool([1.5], [0.5], bound_B=1.0)
 
 
 def test_draw_is_deterministic_in_the_stream():

@@ -336,6 +336,43 @@ def test_csv_syntax_error_comes_after_the_rows_read_before_it(tmp_path):
             load_records(path)
 
 
+# each format: (file name, header, a row with uncertainty {u}, a row whose id is not UTF-8)
+NOT_UTF8 = {
+    "jsonl": ("r.jsonl", b"", b'{"id": "a", "uncertainty": %s, "loss": 0.0}\n',
+              b'{"id": "b\xff", "uncertainty": 0.5, "loss": 0.0}\n'),
+    "csv": ("r.csv", b"id,uncertainty,loss\n", b"a,%s,0\n", b"b\xff,0.5,0\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NOT_UTF8))
+@pytest.mark.parametrize("good_rows", [1, 3000])
+def test_a_line_that_is_not_utf8_is_named(tmp_path, fmt, good_rows):
+    name, header, row, bad = NOT_UTF8[fmt]
+    path = tmp_path / name
+    path.write_bytes(header + row % b"0.5" * good_rows + bad + row % b"0.5")
+    line = len(header.splitlines()) + good_rows + 1
+    position = bad.index(b"\xff")
+    with pytest.raises(ValueError) as info:
+        load_records(path)
+    assert str(info.value) == (f"{path}:{line}: 'utf-8' codec can't decode byte 0xff "
+                               f"in position {position}: invalid start byte")
+
+
+@pytest.mark.parametrize("fmt", sorted(NOT_UTF8))
+@pytest.mark.parametrize("first, message", [
+    (b"1.5", "uncertainty 1.5 outside [0, 1]"),
+    (b'"abc"', "field 'uncertainty'"),
+])
+def test_a_bad_row_before_a_line_that_is_not_utf8_wins(tmp_path, monkeypatch, fmt, first, message):
+    monkeypatch.setattr(pac_route.io, "_BLOCK", 2)
+    name, header, row, bad = NOT_UTF8[fmt]
+    path = tmp_path / name
+    path.write_bytes(header + row % b"0.5" + row % first + row % b"0.5" + bad)
+    line = len(header.splitlines()) + 2
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*" + re.escape(message)):
+        load_records(path)
+
+
 # ------------------------------------------- loader against the reference readers
 
 _IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))

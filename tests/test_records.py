@@ -12,7 +12,6 @@ from pac_route.records import (
     RecordTable,
     binary_loss,
     cosine_loss,
-    default_loss_spec,
     resolve_loss,
 )
 
@@ -196,9 +195,11 @@ def test_cosine_loss_rejects_degenerate_input():
 
 
 def test_default_loss_spec_bounds():
-    assert default_loss_spec("binary").bound_B == 1.0
-    assert default_loss_spec("cosine").bound_B == 2.0
-    assert default_loss_spec("precomputed").bound_B == 1.0
+    assert LossSpec().bound_B == 1.0
+    assert LossSpec("binary").bound_B == 1.0
+    assert LossSpec("cosine").bound_B == 2.0
+    assert LossSpec("precomputed").bound_B == 1.0
+    assert LossSpec("cosine", 0.5).bound_B == 0.5
 
 
 def test_loss_spec_rejects_binary_with_other_bound():
@@ -217,12 +218,12 @@ def test_resolve_loss_precomputed_path():
 
 def test_resolve_loss_binary_path():
     r = make_record(thinking_answer="4", cheap_answer="7", gold_answer="4")
-    assert resolve(r, default_loss_spec("binary")) == 1.0
+    assert resolve(r, LossSpec("binary")) == 1.0
 
 
 def test_resolve_loss_cosine_path():
     r = make_record(thinking_embedding=(1.0, 0.0), cheap_embedding=(1.0, 1.0))
-    out = resolve(r, default_loss_spec("cosine"))
+    out = resolve(r, LossSpec("cosine"))
     assert abs(out - (1.0 - math.sqrt(0.5))) < 1e-12
 
 
@@ -230,9 +231,9 @@ def test_resolve_loss_flags_missing_ingredients():
     with pytest.raises(ValueError):
         resolve(make_record(), LossSpec(kind="precomputed", bound_B=1.0))
     with pytest.raises(ValueError):
-        resolve(make_record(), default_loss_spec("binary"))
+        resolve(make_record(), LossSpec("binary"))
     with pytest.raises(ValueError):
-        resolve(make_record(), default_loss_spec("cosine"))
+        resolve(make_record(), LossSpec("cosine"))
 
 
 def test_resolve_loss_enforces_bound_and_names_record():
@@ -317,11 +318,29 @@ def table_columns(**overrides):
     dict(labels=("g", "g")),
     dict(tokens_cheap=[-1, 0]),
     dict(loss=[0.0]),
+    dict(loss=[0.0, 1.5]),
+    dict(loss=[0.0, math.nan]),
+    dict(loss=[-0.5, 1.0]),
+    dict(loss=[0.0, 2.5], bound_B=2.0),
+    dict(bound_B=0.0),
+    dict(bound_B=math.inf),
+    dict(bound_B=math.nan),
 ])
 def test_table_rejects_bad_columns(overrides):
     RecordTable(**table_columns())
     with pytest.raises(ValueError):
         RecordTable(**table_columns(**overrides))
+
+
+def test_table_carries_the_bound_its_losses_were_resolved_under():
+    assert RecordTable(**table_columns()).bound_B == 1.0
+    assert RecordTable(**table_columns(loss=[0.0, 1.5], bound_B=2.0)).bound_B == 2.0
+    rows = [make_record(id=f"r{i}", thinking_embedding=(1.0, 0.0), cheap_embedding=(-1.0, 0.1 * i))
+            for i in range(3)]
+    table = RecordTable.from_records(rows, LossSpec("cosine"))
+    assert table.bound_B == 2.0 and table.loss.max() > 1.0
+    assert table.take(np.array([2, 0])).bound_B == 2.0
+    assert RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3.0)).bound_B == 3.0
 
 
 def test_table_rejects_unresolved_records():

@@ -29,12 +29,11 @@ from .calibration import (
     calibrate_gpac,
     load_policy,
     route,
-    save_policy,
 )
 from .clustering import CLUSTER_MODES, ClusterConfig, calibrate_cpac, kmeans_1d
 from .estimator import METHODS, EstimatorConfig
 from .evaluation import STP_VARIANTS, evaluate
-from .io import atomic_write_json, atomic_write_text, load_records
+from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, render_json
 from .records import (
     LOSS_KINDS,
     LossSpec,
@@ -97,12 +96,12 @@ def _load_policy(path):
         raise _CliError(EXIT_INPUT, f"cannot read policy: {exc}") from exc
 
 
-def _write(write, data, path) -> None:
-    """write(data, path); an output that cannot be written exits 4."""
+def _write(write, *args) -> None:
+    """write(*args), an io writer; an output that cannot be written exits 4."""
     try:
-        write(data, path)
+        write(*args)
     except OSError as exc:
-        raise _CliError(EXIT_BAD_PARAM, f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _CliError(EXIT_BAD_PARAM, f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
 
 
 def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
@@ -135,9 +134,10 @@ def cmd_calibrate(args) -> int:
         raise _CliError(EXIT_NO_RECORDS, str(exc)) from exc
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
-    _write(save_policy, policy, args.out)
+    outputs = [(render_json(policy.to_dict()), args.out)]
     if args.report:
-        _write(atomic_write_json, report.to_dict(), args.report)
+        outputs.append((render_json(report.to_dict()), args.report))
+    _write(atomic_write_texts, outputs)
     for t in policy.thresholds:
         shown = "always_think" if t.always_think else f"{t.threshold:.6g}"
         print(f"group {t.group_key}: threshold {shown} (n={t.n_calibration})")

@@ -4,8 +4,12 @@ In one dimension the optimal k-means clusters are contiguous runs of the
 sorted values, so the exact optimum is found by dynamic programming over
 prefix sums; no Lloyd iterations and no restarts, hence fully deterministic.
 The optimal start of the last cluster is monotone in the prefix end, so each
-cluster-count layer of the program is a divide and conquer over that split,
-O(k n log n) in all, with ties broken toward the earliest split.
+cluster-count layer but the last is a divide and conquer over that split; the
+last layer is needed at the full prefix only, which one O(n) scan gives.  The
+cost is one sort, k - 2 layers of O(n log n) and that scan, with ties broken
+toward the earliest split.  Values spread over less than about 1e-6 leave the
+prefix-sum costs at rounding level, where the partition is optimal only up to
+that rounding.
 A fitted partition is a :class:`~pac_route.calibration.Partition`: ascending
 centroids with midpoint boundaries, the group assigner of cpac calibration
 and routing.
@@ -53,7 +57,10 @@ def kmeans_1d(values, k: int) -> Partition:
     of the last cluster never decreases as j grows, so each layer is a divide
     and conquer over that split (Gronlund et al., arXiv:1701.07204), run one
     recursion level at a time with all pending prefix ends of a level handled
-    in a few array operations.  That is O(k n log n) time and O(k n) memory.
+    in a few array operations.  Only layers 2 .. k - 1 are built that way:
+    the backtrack reads layer k at j = n alone, so the last cut is one scan
+    over every candidate start.  That is one sort, k - 2 layers of
+    O(n log n) and one O(n) scan in time, and O(k n) memory.
     Ties break toward the earliest split, so the result is deterministic.
     Values spread over less than about 1e-6 leave the prefix-sum costs at
     rounding level; there the partition is optimal only up to that rounding.
@@ -77,8 +84,8 @@ def kmeans_1d(values, k: int) -> Partition:
     # best[j] = optimal cost of the first j points with the current cluster count
     best = seg_cost(0, np.arange(n + 1).clip(1))
     best[0] = 0.0
-    splits = np.zeros((k, n + 1), dtype=int)
-    for c in range(2, k + 1):
+    splits = np.zeros((k - 1, n + 1), dtype=int)
+    for c in range(2, k):
         nxt = np.full(n + 1, np.inf)
         # pending subproblems: prefix ends [j_lo, j_hi], split candidates [o_lo, o_hi]
         j_lo = np.array([c])
@@ -106,8 +113,11 @@ def kmeans_1d(values, k: int) -> Partition:
         best = nxt
 
     cuts = [n]
-    for c in range(k, 1, -1):
-        cuts.append(int(splits[c - 1, cuts[-1]]))
+    if k > 1:
+        i = np.arange(k - 1, n)
+        cuts.append(int(i[np.argmin(best[i] + seg_cost(i, n))]))
+        for c in range(k - 1, 1, -1):
+            cuts.append(int(splits[c - 1, cuts[-1]]))
     cuts.append(0)
     cuts.reverse()
     centroids = tuple(

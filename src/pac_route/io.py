@@ -12,13 +12,15 @@ callers can surface a warning.
 files.
 Outputs are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial file and two runs writing one path each
-leave it whole.
+leave it whole; `atomic_write_texts` stages several outputs before renaming
+any, so a run that cannot write one of them changes none.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import json
 import os
 import re
@@ -245,23 +247,50 @@ def atomic_write_text(text: str | list[str], path) -> None:
     temporary file beside `path`, fsync it, and rename it into place.  Each
     call has its own temporary file, so concurrent writers never collide; the
     last rename wins whole."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
+    atomic_write_texts([(text, path)])
+
+
+def atomic_write_texts(outputs) -> None:
+    """atomic_write_text of every (text, path) in `outputs`, all or none.
+
+    Every text is written and fsynced to its own temporary file before any is
+    renamed into place, and no rename starts while a path is a directory; a
+    failure removes every temporary file, so no path changes unless all of
+    them could be written.  An OSError names the output path it concerns.
+    """
+    staged: list[tuple[str, str]] = []
+    path = None
     try:
-        os.fchmod(fd, 0o666 & ~_UMASK)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for text, path in outputs:
+            path = os.fspath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
+            staged.append((tmp, path))
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
+def render_json(data) -> str:
+    """`data` as the JSON text every output file holds: indented, one final newline."""
+    return json.dumps(data, indent=2) + "\n"
+
+
 def atomic_write_json(data, path) -> None:
-    atomic_write_text(json.dumps(data, indent=2) + "\n", path)
+    atomic_write_text(render_json(data), path)
 
 
 __all__ = [
@@ -277,5 +306,7 @@ __all__ = [
     "load_json",
     "load_records",
     "atomic_write_text",
+    "atomic_write_texts",
     "atomic_write_json",
+    "render_json",
 ]

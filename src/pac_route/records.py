@@ -47,7 +47,8 @@ class MissingTokensError(ValueError):
 @dataclass(frozen=True)
 class LossSpec:
     """How to obtain each record's loss and the a-priori bound B on it; B
-    defaults to 1, or 2 for cosine loss, which spans [0, 2]."""
+    defaults to 1, or 2 for cosine loss, which spans [0, 2], and is kept as
+    a float, so B = 2 and B = 2.0 are one spec with one config hash."""
 
     kind: str = "precomputed"
     bound_B: float | None = None
@@ -59,6 +60,7 @@ class LossSpec:
             object.__setattr__(self, "bound_B", 2.0 if self.kind == "cosine" else 1.0)
         if not 0.0 < self.bound_B < math.inf:
             raise ValueError("loss bound B must be positive and finite")
+        object.__setattr__(self, "bound_B", float(self.bound_B))
         if self.kind == "binary" and self.bound_B != 1.0:
             raise ValueError("binary loss is {0, 1}; bound B must be 1")
 
@@ -103,7 +105,10 @@ def resolve_loss(sources: tuple, spec: LossSpec) -> float:
     if None in sources:
         raise ValueError(f"{spec.kind} loss needs {', '.join(LOSS_SOURCES[spec.kind])}")
     if spec.kind == "precomputed":
-        value = float(sources[0])
+        try:
+            value = float(sources[0])
+        except OverflowError as exc:
+            raise ValueError(f"field 'loss': {exc}") from exc
     elif spec.kind == "binary":
         value = binary_loss(*sources)
     else:
@@ -288,7 +293,8 @@ class RecordTable:
 
     label_code indexes `labels` (NO_LABEL = no group label); a missing token
     count is NaN.  bound_B is the a-priori bound B the losses were resolved
-    under: every loss lies in [0, B], and the Hoeffding bound reads B here.
+    under, a float: every loss lies in [0, B], and the Hoeffding bound and
+    the config hash read B here.
     The columns are checked once, here, so code reading them needs no
     per-record validation.
     """
@@ -317,6 +323,7 @@ class RecordTable:
             raise ValueError("uncertainties must lie in [0, 1]")
         if not 0.0 < self.bound_B < math.inf:
             raise ValueError("loss bound B must be positive and finite")
+        object.__setattr__(self, "bound_B", float(self.bound_B))
         if not np.all((self.loss >= 0.0) & (self.loss <= self.bound_B)):
             raise ValueError(f"resolved losses must lie in [0, {self.bound_B}]")
         if len(set(self.labels)) != len(self.labels):

@@ -28,7 +28,7 @@ from pac_route.calibration import (
     route,
     save_policy,
 )
-from pac_route.clustering import Partition
+from pac_route.clustering import ClusterConfig, Partition, calibrate_cpac
 from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
 from pac_route.records import LossSpec, RecordTable
 
@@ -356,6 +356,19 @@ def test_hoeffding_reads_the_bound_from_the_table(bound_B):
     _, curve = calibrate_group(records, 0.5, config, np.random.default_rng(0))
     delta = hoeffding_delta(config.alpha, bound_B, 0.5, math.ceil(30 / 0.5))
     np.testing.assert_allclose(curve.ucb - curve.mean, delta, rtol=1e-12)
+
+
+@pytest.mark.parametrize("calibrate", ["gpac", "cpac"])
+def test_integer_and_float_bounds_stamp_one_config_hash(calibrate):
+    rows = pool(np.linspace(0.0, 0.3, 20), np.linspace(0, 1, 20))
+
+    def stamp(spec):
+        records = RecordTable.from_records(rows, spec)
+        if calibrate == "cpac":
+            return calibrate_cpac(records, ClusterConfig(k=2, mode="joint"), 0.1, EstimatorConfig(seed=1))[0]
+        return calibrate_gpac(records, TrivialAssigner(), 0.1, EstimatorConfig(seed=1))[0]
+
+    assert stamp(LossSpec(bound_B=2)).config_hash == stamp(LossSpec(bound_B=2.0)).config_hash
 
 
 # --------------------------------------------------------------- routing

@@ -329,6 +329,25 @@ def test_unresolvable_loss_names_its_path_and_line(tmp_path, capsys):
     assert f"cannot resolve losses: {path}:3: loss 1.5 outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first_bad", [False, True], ids=["line-named", "earlier-row-wins"])
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+def test_a_loss_too_large_for_a_float_is_an_input_error(tmp_path, policy_file, capsys, command, first_bad):
+    first = '{"id": "a", "uncertainty": 0.5, "loss": 1.5}' if first_bad else GOOD_LINE
+    huge = '{"id": "b", "uncertainty": 0.5, "loss": 1' + "0" * 400 + "}"
+    path = tmp_path / "r.jsonl"
+    path.write_text(first + "\n" + huge + "\n" + GOOD_LINE + "\n")
+    out = tmp_path / "out"
+    extra = [*EPS] if command == "calibrate" else ["--policy", policy_file]
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if first_bad:
+        assert f"cannot resolve losses: {path}:1: loss 1.5 outside" in err
+    else:
+        assert f"cannot resolve losses: {path}:2: field 'loss': int too large to convert to float" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- route
 
 
@@ -979,6 +998,28 @@ def test_unwritable_output_exits_four(tmp_path, capsys, records_file, policy_fil
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("old", [None, "old policy\n"], ids=["fresh", "existing"])
+@pytest.mark.parametrize("blocker", ["missing-directory", "directory"])
+def test_calibrate_writes_neither_output_unless_both_can_be_written(tmp_path, capsys, records_file,
+                                                                     old, blocker):
+    out = tmp_path / "p.json"
+    if old is not None:
+        out.write_text(old)
+    report = tmp_path / "missing" / "r.json"
+    if blocker == "directory":
+        report = tmp_path / "r.json"
+        report.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["calibrate", "--records", records_file, *EPS, "--out", str(out), "--report", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot write {report}: " in err and "Traceback" not in err
+    if old is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == old
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
+
+
 # ----------------------------------------------------------------- cluster
 
 
@@ -990,6 +1031,15 @@ def test_cluster_writes_partition(tmp_path, records_file, capsys):
     assert data["kind"] == "centroids"
     assert len(data["centroids"]) == 2
     assert "centroids" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cluster_output_is_pinned(tmp_path, k):
+    # the partitions of a committed file with many repeated scores, byte for byte
+    data = Path(__file__).parent / "data" / "cluster"
+    out = tmp_path / "partition.json"
+    assert main(["cluster", "--records", str(data / "records.jsonl"), "--k", str(k), "--out", str(out)]) == 0
+    assert out.read_bytes() == (data / f"partition_k{k}.json").read_bytes()
 
 
 def test_cluster_k_too_large(tmp_path):

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pac_route.calibration import LabelAssigner, load_policy, save_policy
 from pac_route.clustering import (
@@ -153,6 +155,44 @@ def test_kmeans_matches_the_quadratic_dp_exactly():
             xs = rng.choice(rng.uniform(0, 1, int(rng.integers(2, 7))), n)
         k = int(rng.integers(1, min(8, len(np.unique(xs))) + 1))
         assert kmeans_1d(xs, k).centroids == _kmeans_1d_reference(xs, k), (case, n, k)
+
+
+# few distinct values, some of them not exact in binary, so that values repeat
+# and totals tie, exactly or up to rounding
+_SCORE_POOL = (0.0, 0.1, 0.125, 0.3, 0.375, 0.5, 0.7, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def repeated_values_and_k(draw):
+    xs = draw(st.lists(st.sampled_from(_SCORE_POOL), min_size=1, max_size=60))
+    n_distinct = len(set(xs))
+    k = draw(st.sampled_from(sorted({1, min(2, n_distinct), n_distinct})) | st.integers(1, n_distinct))
+    return xs, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(repeated_values_and_k())
+def test_kmeans_matches_the_quadratic_dp_on_repeated_values(case):
+    xs, k = case
+    assert kmeans_1d(xs, k).centroids == _kmeans_1d_reference(xs, k)
+
+
+@pytest.mark.parametrize("xs, k, earliest, later", [
+    # {0} | {.375, .375, .75} and {0, .375, .375} | {.75}
+    ([0.75, 0.375, 0.0, 0.375], 2, (1,), (3,)),
+    # the same tie in the last layer, behind a first cluster {0}
+    ([0.0, 0.8125, 1.0, 0.625, 0.8125], 3, (1, 2), (1, 4)),
+])
+def test_kmeans_breaks_a_last_layer_tie_toward_the_earliest_cut(xs, k, earliest, later):
+    ordered = np.sort(xs)
+
+    def cost(cuts):
+        return sum(float(np.sum((seg - seg.mean()) ** 2)) for seg in np.split(ordered, cuts))
+
+    # the values are dyadic, so both partitions cost exactly the optimum
+    assert cost(earliest) == cost(later) == brute_force_sse(xs, k)
+    centroids = tuple(float(seg.mean()) for seg in np.split(ordered, earliest))
+    assert kmeans_1d(xs, k).centroids == centroids == _kmeans_1d_reference(xs, k)
 
 
 def test_kmeans_is_order_insensitive():

@@ -202,6 +202,15 @@ def test_default_loss_spec_bounds():
     assert LossSpec("cosine", 0.5).bound_B == 0.5
 
 
+def test_loss_bound_is_kept_as_a_float():
+    for spec in (LossSpec(bound_B=2), LossSpec("cosine", 2), LossSpec("binary", 1)):
+        assert type(spec.bound_B) is float
+    assert LossSpec(bound_B=2) == LossSpec(bound_B=2.0)
+    table = RecordTable(**table_columns(bound_B=2))
+    assert type(table.bound_B) is float and table.bound_B == 2.0
+    assert type(RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3)).bound_B) is float
+
+
 def test_loss_spec_rejects_binary_with_other_bound():
     with pytest.raises(ValueError):
         LossSpec(kind="binary", bound_B=2.0)
@@ -243,6 +252,19 @@ def test_resolve_loss_enforces_bound_and_names_record():
     with pytest.raises(ValueError) as info:
         RecordTable.from_records([make_record(id="r1", loss=0.5), r], LossSpec())
     assert "record r77" in str(info.value)
+
+
+def test_loss_too_large_for_a_float_is_a_value_error_naming_its_record():
+    huge = 10 ** 400
+    with pytest.raises(ValueError, match="field 'loss': int too large to convert to float"):
+        resolve(make_record(loss=huge), LossSpec())
+    rows = [make_record(id="r1", loss=0.5), make_record(id="r2", loss=huge)]
+    with pytest.raises(ValueError, match="^record r2: field 'loss': int too large"):
+        RecordTable.from_records(rows, LossSpec())
+    # an earlier bad row still wins
+    rows.insert(0, make_record(id="r0", loss=1.5))
+    with pytest.raises(ValueError, match="^record r0: loss 1.5 outside"):
+        RecordTable.from_records(rows, LossSpec())
 
 
 def test_resolved_record_rejects_non_finite_loss():

@@ -37,7 +37,6 @@ from .estimator import (
     UcbCurve,
     candidate_grid,
     draw_z_samples,
-    pi_weights,
     ucb_clt,
     ucb_hoeffding,
 )
@@ -326,8 +325,7 @@ def calibrate_group(
     if config.method == "clt":
         curve = ucb_clt(samples, grid, config.alpha)
     else:
-        pi_min = float(pi_weights(config, records_j).min())
-        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.bound_B, pi_min)
+        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.bound_B, config.pi)
     if ucb_offset:
         curve = UcbCurve(curve.candidates, curve.mean, curve.ucb + ucb_offset)
     feasible = np.flatnonzero(curve.ucb <= epsilon)
@@ -411,7 +409,7 @@ def config_hash(config: EstimatorConfig, **extras) -> str:
     payload = {
         "method": config.method,
         "alpha": config.alpha,
-        "pi": config.pi if isinstance(config.pi, (int, float)) else dict(config.pi),
+        "pi": config.pi,
         "m": config.m,
         "seed": config.seed,
     }

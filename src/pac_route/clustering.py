@@ -38,8 +38,8 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not (type(self.k) is not bool and isinstance(self.k, int) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if self.mode not in CLUSTER_MODES:
             raise ValueError(f"mode must be one of {CLUSTER_MODES}, got {self.mode!r}")
         if not 0.0 < self.split_fraction < 1.0:

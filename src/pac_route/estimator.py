@@ -7,18 +7,17 @@ quantity being bounded is the plug-in loss of that rule,
     r(u) = (1/n) * sum_i loss_i * 1{U_i <= u},
 
 estimated from m importance-sampled draws: pick a record index uniformly with
-replacement, flip xi ~ Bernoulli(pi_i), and score Z = xi * loss / pi_i.  The
+replacement, flip xi ~ Bernoulli(pi), and score Z = xi * loss / pi.  The
 draw is recorded together with the uncertainty of its source record, so one
 batch of draws yields the whole curve u -> estimate via the masked samples
 Z_t(u) = Z_t * 1{u_origin_t <= u}.  Two upper confidence bounds on E[Z(u)]
 are provided: a normal-approximation (CLT) bound and a Hoeffding bound with
-range B / pi_min.
+range B / pi.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -33,13 +32,14 @@ METHODS = ("clt", "hoeffding")
 class EstimatorConfig:
     """Sampling and bound settings shared by every group of one calibration run.
 
-    pi is either a scalar applied to all records or a mapping record id ->
-    weight; m defaults to ceil(n / pi_min) for the group at hand.
+    pi is the one keep probability of every draw, a number in (0, 1] kept as
+    a float, so pi=1 and pi=1.0 stamp one config_hash; m defaults to
+    ceil(n / pi) for the group at hand.
     """
 
     method: str = "clt"
     alpha: float = 0.05
-    pi: float | Mapping[str, float] = 0.5
+    pi: float = 0.5
     m: int | None = None
     seed: int = 0
 
@@ -48,10 +48,11 @@ class EstimatorConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if isinstance(self.pi, (int, float)) and not 0.0 < float(self.pi) <= 1.0:
-            raise ValueError("scalar pi must lie in (0, 1]")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be a positive integer")
+        if not (type(self.pi) is not bool and isinstance(self.pi, (int, float)) and 0.0 < self.pi <= 1.0):
+            raise ValueError(f"pi must be a number in (0, 1], got {self.pi!r}")
+        object.__setattr__(self, "pi", float(self.pi))
+        if not (self.m is None or type(self.m) is not bool and isinstance(self.m, int) and self.m >= 1):
+            raise ValueError(f"m must be None or an integer >= 1, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,9 @@ class UcbCurve:
             raise ValueError("candidates must be strictly ascending")
 
 
-def pi_weights(config: EstimatorConfig, records: RecordTable) -> np.ndarray:
-    """Per-record sampling weights for `records` under `config.pi`."""
-    if isinstance(config.pi, Mapping):
-        try:
-            w = np.array([float(config.pi[i]) for i in records.ids])
-        except KeyError as exc:
-            raise ValueError(f"no sampling weight for record id {exc.args[0]!r}") from None
-    else:
-        w = np.full(len(records), float(config.pi))
-    if len(w) and not (0.0 < w.min() and w.max() <= 1.0):
-        raise ValueError("sampling weights must lie in (0, 1]")
-    return w
-
-
-def sample_count(config: EstimatorConfig, n: int, pi_min: float) -> int:
-    """Number of draws m: the configured value, else ceil(n / pi_min)."""
-    if config.m is not None:
-        return config.m
-    return math.ceil(n / pi_min)
+def sample_count(config: EstimatorConfig, n: int) -> int:
+    """Number of draws m: the configured value, else ceil(n / pi)."""
+    return config.m if config.m is not None else math.ceil(n / config.pi)
 
 
 def draw_z_samples(
@@ -113,17 +98,22 @@ def draw_z_samples(
     """Draw m importance samples from `records`.
 
     Fully determined by `rng`: the index draw happens first, then one uniform
-    per draw for the Bernoulli keep/drop decision.
+    per draw for the Bernoulli keep/drop decision.  An m that no array can
+    hold is a ValueError naming m, n and pi.
     """
-    if not len(records):
+    n = len(records)
+    if not n:
         raise ValueError("cannot draw from an empty record pool")
-    losses = records.loss
-    weights = pi_weights(config, records)
-    m = sample_count(config, len(records), float(weights.min()))
-    idx = rng.integers(0, len(records), size=m)
-    keep = rng.random(m) < weights[idx]
-    z = np.where(keep, losses[idx] / weights[idx], 0.0)
-    return ZSamples(z=z, u_origin=records.uncertainty[idx])
+    try:
+        m = sample_count(config, n)
+        idx = rng.integers(0, n, size=m)
+        keep = rng.random(m) < config.pi
+        z = np.where(keep, records.loss[idx] / config.pi, 0.0)
+        u_origin = records.uncertainty[idx]
+    except (OverflowError, MemoryError, ValueError) as exc:
+        m = config.m if config.m is not None else n / config.pi
+        raise ValueError(f"cannot draw m = {m:.6g} samples from n = {n} records at pi = {config.pi}: {exc}") from None
+    return ZSamples(z=z, u_origin=u_origin)
 
 
 def candidate_grid(records: RecordTable) -> np.ndarray:
@@ -168,23 +158,23 @@ def ucb_clt(samples: ZSamples, candidates, alpha: float) -> UcbCurve:
     return UcbCurve(candidates=cand, mean=mean, ucb=ucb)
 
 
-def hoeffding_delta(alpha: float, bound_B: float, pi_min: float, m: int) -> float:
-    """Hoeffding half-width sqrt(R^2 * ln(2 / alpha) / (2m)) with R = B / pi_min."""
+def hoeffding_delta(alpha: float, bound_B: float, pi: float, m: int) -> float:
+    """Hoeffding half-width sqrt(R^2 * ln(2 / alpha) / (2m)) with R = B / pi."""
     if m < 1:
         raise ValueError("Hoeffding bound needs at least one draw")
-    if not 0.0 < pi_min <= 1.0:
-        raise ValueError("pi_min must lie in (0, 1]")
-    r = bound_B / pi_min
+    if not 0.0 < pi <= 1.0:
+        raise ValueError("pi must lie in (0, 1]")
+    r = bound_B / pi
     return math.sqrt(r * r * math.log(2.0 / alpha) / (2.0 * m))
 
 
 def ucb_hoeffding(
-    samples: ZSamples, candidates, alpha: float, bound_B: float, pi_min: float
+    samples: ZSamples, candidates, alpha: float, bound_B: float, pi: float
 ) -> UcbCurve:
     """Distribution-free bound mean + delta with one delta for all candidates."""
     cand = np.asarray(candidates, dtype=float)
     m = len(samples)
-    delta = hoeffding_delta(alpha, bound_B, pi_min, m)
+    delta = hoeffding_delta(alpha, bound_B, pi, m)
     s1, _ = _masked_moments(samples, cand)
     mean = s1 / m
     return UcbCurve(candidates=cand, mean=mean, ucb=mean + delta)
@@ -195,7 +185,6 @@ __all__ = [
     "EstimatorConfig",
     "ZSamples",
     "UcbCurve",
-    "pi_weights",
     "sample_count",
     "draw_z_samples",
     "candidate_grid",

@@ -32,11 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import RECORD_FIELDS, RecordColumns, _move_rows
+from .records import RECORD_FIELDS, _EMBEDDING_FIELDS, _TOKEN_FIELDS, RecordColumns, _move_rows
 
 # CSV has no embedding columns; float and integer cells are converted, the rest stay strings
-_EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
-_INT_FIELDS = ("tokens_thinking", "tokens_cheap")
 _FLOAT_FIELDS = ("uncertainty", "loss")
 # lines parsed before their fields are moved into columns; bounds the memory
 # held by per-line dicts
@@ -200,7 +198,7 @@ def _read_csv(fh, path, end: str | None) -> tuple[RecordColumns, int]:
         if name not in column_of:
             raw.setdefault(name, None)
             continue
-        convert = float if name in _FLOAT_FIELDS else int if name in _INT_FIELDS else str
+        convert = float if name in _FLOAT_FIELDS else int if name in _TOKEN_FIELDS else str
         raw[name] = column = []
         try:
             # extend keeps the cells converted before a failing one

@@ -568,3 +568,7 @@ def test_config_hash_tracks_inputs():
     assert a == b
     assert a != c
     assert len(a) == 16
+
+
+def test_integer_and_float_keep_probabilities_stamp_one_config_hash():
+    assert config_hash(EstimatorConfig(pi=1)) == config_hash(EstimatorConfig(pi=1.0))

@@ -976,6 +976,35 @@ def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_fil
     assert not out.exists()
 
 
+class _NoMemory:
+    def integers(self, low, high, size):
+        raise MemoryError(f"Unable to allocate an array with shape ({size},)")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate"])
+@pytest.mark.parametrize("draws,m,pi,no_memory", [
+    (["--pi", "5e-324"], "inf", "5e-324", False),
+    (["--m", "10000000000000000000"], "1e+19", "0.5", False),
+    (["--pi", "1e-9"], "6e+10", "1e-09", True),
+], ids=["overflow", "dimension", "memory"])
+def test_draw_count_no_array_holds_exits_four(tmp_path, capsys, monkeypatch, records_file, command, draws, m, pi,
+                                              no_memory):
+    if no_memory:
+        # the draw fails as numpy's 480 GB request would, without asking for the memory
+        monkeypatch.setattr("pac_route.calibration.substream", lambda *tags: _NoMemory())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    base = {
+        "calibrate": ["--records", records_file, "--mode", "marginal", *EPS],
+        "simulate": ["--spec", str(spec), "--n-cal", "60", "--trials", "2", *EPS],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *base, *draws, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot draw m = {m} samples from n = 60 records at pi = {pi}: " in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command,option", [
     ("calibrate", "--out"), ("calibrate", "--report"), ("route", "--out"),
     ("evaluate", "--out"), ("simulate", "--out"), ("cluster", "--out"),

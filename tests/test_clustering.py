@@ -386,6 +386,9 @@ def test_cpac_policy_round_trip(tmp_path):
 def test_cluster_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(k=0)
+    for k in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            ClusterConfig(k=k)
     with pytest.raises(ValueError):
         ClusterConfig(k=2, mode="sideways")
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Importance-sampled loss estimator and its confidence bounds."""
 
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -14,7 +15,6 @@ from pac_route.estimator import (
     candidate_grid,
     draw_z_samples,
     hoeffding_delta,
-    pi_weights,
     sample_count,
     ucb_clt,
     ucb_hoeffding,
@@ -45,25 +45,22 @@ def test_config_validation():
         EstimatorConfig(m=0)
 
 
-def test_pi_weights_scalar_and_mapping():
-    recs = pool([0, 0, 0], [0.1, 0.2, 0.3])
-    np.testing.assert_allclose(pi_weights(EstimatorConfig(pi=0.25), recs), 0.25)
-    w = pi_weights(EstimatorConfig(pi={"r0": 0.5, "r1": 0.9, "r2": 1.0}), recs)
-    np.testing.assert_allclose(w, [0.5, 0.9, 1.0])
-
-
-def test_pi_weights_missing_id():
-    recs = pool([0, 0], [0.1, 0.2])
-    with pytest.raises(ValueError) as info:
-        pi_weights(EstimatorConfig(pi={"r0": 0.5}), recs)
-    assert "r1" in str(info.value)
+@pytest.mark.parametrize("field,value", [
+    ("pi", "0.5"), ("pi", True), ("pi", {"r0": 0.5}), ("pi", float("nan")),
+    ("m", 2.5), ("m", True), ("m", "3"),
+])
+def test_config_rejects_a_setting_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        EstimatorConfig(**{field: value})
 
 
 def test_sample_count_default_and_override():
-    cfg = EstimatorConfig(pi=0.5)
-    assert sample_count(cfg, 10, 0.5) == 20
-    assert sample_count(cfg, 7, 0.3) == math.ceil(7 / 0.3)
-    assert sample_count(EstimatorConfig(pi=0.5, m=33), 10, 0.5) == 33
+    assert sample_count(EstimatorConfig(pi=0.5), 10) == 20
+    assert sample_count(EstimatorConfig(pi=0.3), 7) == math.ceil(7 / 0.3)
+    assert sample_count(EstimatorConfig(pi=0.5, m=33), 10) == 33
+    # an int or a numpy float is a number too
+    assert sample_count(EstimatorConfig(pi=1), 7) == 7
+    assert sample_count(EstimatorConfig(pi=np.float64(0.25)), 3) == 12
 
 
 # ---------------------------------------------------------------- sampling
@@ -109,15 +106,25 @@ def test_draw_unbiased_for_plugin_loss():
     assert abs(np.mean(s.z) - plugin) < 3 * se
 
 
-def test_draw_unbiased_under_per_record_weights():
-    rng = np.random.default_rng(9)
-    losses = [1.0, 0.2, 0.8, 0.0]
-    recs = pool(losses, [0.1, 0.4, 0.6, 0.9])
-    pi = {"r0": 0.2, "r1": 0.9, "r2": 0.5, "r3": 1.0}
-    m = 100_000
-    s = draw_z_samples(recs, EstimatorConfig(pi=pi, m=m), rng)
-    se = np.std(s.z, ddof=1) / math.sqrt(m)
-    assert abs(np.mean(s.z) - np.mean(losses)) < 3 * se
+@pytest.mark.parametrize("pi", [0.3, 1.0])
+def test_draw_is_the_closed_form(pi):
+    # the index draw first, then one uniform per draw: the pilots rest on this order
+    losses = np.array([1.0, 0.0, 0.5, 0.25, 1.0])
+    uncertainty = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    s = draw_z_samples(pool(losses, uncertainty), EstimatorConfig(pi=pi), np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    m = math.ceil(len(losses) / pi)
+    idx = rng.integers(0, len(losses), m)
+    keep = rng.random(m) < pi
+    np.testing.assert_array_equal(s.z, np.where(keep, losses[idx] / pi, 0))
+    np.testing.assert_array_equal(s.u_origin, uncertainty[idx])
+
+
+@pytest.mark.parametrize("config,m", [(EstimatorConfig(pi=5e-324), "inf"), (EstimatorConfig(m=10**19), "1e+19")])
+def test_draw_count_no_array_holds_is_a_value_error(config, m):
+    # neither draw asks for memory: ceil(4 / 5e-324) overflows, and numpy rejects 1e19 by its shape
+    with pytest.raises(ValueError, match=rf"^cannot draw m = {re.escape(m)} samples from n = 4 records at pi = "):
+        draw_z_samples(pool([0.0, 1.0, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]), config, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- grid
@@ -166,7 +173,7 @@ def test_hoeffding_delta_oracle():
 
 def test_hoeffding_all_zero_samples():
     s = ZSamples(z=np.zeros(200), u_origin=np.linspace(0.01, 0.99, 200))
-    curve = ucb_hoeffding(s, [0.5, 1.0], alpha=0.05, bound_B=1.0, pi_min=0.5)
+    curve = ucb_hoeffding(s, [0.5, 1.0], alpha=0.05, bound_B=1.0, pi=0.5)
     np.testing.assert_allclose(curve.ucb, 0.19206, atol=1e-5)
 
 
@@ -206,7 +213,7 @@ def test_hoeffding_never_tighter_than_clt_at_default_alpha():
         s = ZSamples(z=z, u_origin=u)
         cands = candidate_grid(pool(np.zeros(4), [0.2, 0.4, 0.6, 0.8]))
         clt = ucb_clt(s, cands, alpha=0.05)
-        hoeff = ucb_hoeffding(s, cands, alpha=0.05, bound_B=1.0, pi_min=0.5)
+        hoeff = ucb_hoeffding(s, cands, alpha=0.05, bound_B=1.0, pi=0.5)
         assert np.all(hoeff.ucb >= clt.ucb - 1e-12)
 
 
@@ -218,7 +225,7 @@ def test_clt_needs_two_samples():
 
 def test_hoeffding_works_from_one_sample():
     s = ZSamples(z=np.array([1.0]), u_origin=np.array([0.5]))
-    curve = ucb_hoeffding(s, [0.5], alpha=0.05, bound_B=1.0, pi_min=0.5)
+    curve = ucb_hoeffding(s, [0.5], alpha=0.05, bound_B=1.0, pi=0.5)
     assert curve.ucb[0] > 1.0
 
 

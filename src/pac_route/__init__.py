@@ -43,6 +43,7 @@ from .estimator import (
 from .evaluation import MetricsReport, error_gap, evaluate, stp, trial_error
 from .io import load_records
 from .records import (
+    LossError,
     LossSpec,
     MissingTokensError,
     NoRecordsError,
@@ -68,7 +69,7 @@ __all__ = [
     "__version__",
     "CHEAP", "THINK", "GROUP_ALL", "MODES", "POLICY_VERSION",
     "RecordColumns", "RecordTable", "LossSpec",
-    "NoRecordsError", "MissingTokensError",
+    "NoRecordsError", "MissingTokensError", "LossError",
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",
     "draw_z_samples", "candidate_grid", "ucb_clt", "ucb_hoeffding",

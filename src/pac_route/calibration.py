@@ -251,7 +251,7 @@ class RoutingPolicy:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RouteDecision:
     record_id: str
     group_key: GroupKey | None

@@ -36,6 +36,7 @@ from .evaluation import STP_VARIANTS, evaluate
 from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, render_json
 from .records import (
     LOSS_KINDS,
+    LossError,
     LossSpec,
     MissingTokensError,
     NoRecordsError,
@@ -68,9 +69,12 @@ def _loss_spec(args) -> LossSpec:
         raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
 
 
-def _read_records(args) -> RecordColumns:
+def _read_records(args, spec: LossSpec | None = None) -> RecordColumns:
+    """The records of --records, their losses resolved by `spec` if one is given."""
     try:
-        columns, ignored = load_records(args.records, args.format)
+        columns, ignored = load_records(args.records, args.format, spec)
+    except LossError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read records: {exc}") from exc
     if ignored:
@@ -78,13 +82,6 @@ def _read_records(args) -> RecordColumns:
     if not len(columns):
         raise _CliError(EXIT_NO_RECORDS, f"no records found in {args.records}")
     return columns
-
-
-def _resolve_all(columns: RecordColumns, spec: LossSpec) -> RecordTable:
-    try:
-        return RecordTable.from_columns(columns, spec)
-    except ValueError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
 
 
 def _load_policy(path):
@@ -123,7 +120,7 @@ def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterCon
 def cmd_calibrate(args) -> int:
     spec = _loss_spec(args)
     config, cluster = _configs(args, args.method, args.mode == "cpac")
-    records = _resolve_all(_read_records(args), spec)
+    records = RecordTable.from_columns(_read_records(args, spec))
     try:
         if cluster is not None:
             policy, report = calibrate_cpac(records, cluster, args.epsilon, config, n_min=args.n_min)
@@ -182,7 +179,7 @@ def cmd_route(args) -> int:
 def cmd_evaluate(args) -> int:
     spec = _loss_spec(args)
     policy = _load_policy(args.policy)
-    records = _resolve_all(_read_records(args), spec)
+    records = RecordTable.from_columns(_read_records(args, spec))
     try:
         report = evaluate(
             records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import RECORD_FIELDS, _EMBEDDING_FIELDS, _TOKEN_FIELDS, RecordColumns, _move_rows
+from .records import RECORD_FIELDS, _EMBEDDING_FIELDS, _TOKEN_FIELDS, LossSpec, RecordColumns, _move_rows
 
 # CSV has no embedding columns; float and integer cells are converted, the rest stay strings
 _FLOAT_FIELDS = ("uncertainty", "loss")
@@ -99,16 +99,6 @@ def load_json(path):
             raise ValueError(str(exc)) from exc
 
 
-def _columns(raw: dict[str, list | None], lines: list[int], path, failure: str | None) -> RecordColumns:
-    """The columns of `raw`, read from `path`, or the ValueError of the earliest
-    bad row: a bad value, else `failure`, the error that stopped reading after
-    the last row of `raw`."""
-    columns = RecordColumns(**raw, source=os.fspath(path), lines=np.array(lines, dtype=np.int64))
-    if failure is not None:
-        raise ValueError(failure)
-    return columns
-
-
 def _parse_block(block: list[str]) -> list | None:
     """The rows of `block`, parsed as one JSON array of its lines, or None when
     that parse cannot show each line to hold exactly one object: a blank line,
@@ -142,9 +132,11 @@ def _parse_lines(block: list[str], first: int, path) -> tuple[list[dict], list[i
     return rows, lines, None
 
 
-def _read_jsonl(fh, path, end: str | None) -> tuple[RecordColumns, int]:
-    """The records of the lines of `fh`, read from `path`; `end` is the error
-    that ends those lines (None when they end with the file)."""
+def _read_jsonl(fh, path, end: str | None) -> tuple[dict, list[int], str | None, int]:
+    """The record columns of the lines of `fh`, read from `path`, before they
+    are checked; their line numbers; the error that stopped reading after the
+    last of them, `end` (None when the lines end with the file) if nothing
+    did; and the number of unknown fields skipped."""
     raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
     lines: list[int] = []
     ignored = 0
@@ -159,10 +151,10 @@ def _read_jsonl(fh, path, end: str | None) -> tuple[RecordColumns, int]:
         ignored += _move_rows(rows, raw)
         lines += numbers
         first += len(block)
-    return _columns(raw, lines, path, failure or end), ignored
+    return raw, lines, failure or end, ignored
 
 
-def _read_csv(fh, path, end: str | None) -> tuple[RecordColumns, int]:
+def _read_csv(fh, path, end: str | None) -> tuple[dict, list[int], str | None, int]:
     """As `_read_jsonl`, for CSV lines."""
     header, rows, lines = [], [], []  # header stays [] when a syntax error stops line 1
     long_rows = 0
@@ -211,14 +203,16 @@ def _read_csv(fh, path, end: str | None) -> tuple[RecordColumns, int]:
         for column in filter(None, raw.values()):
             del column[row:]
         stop, lines = f"{path}:{lines[row]}: {failure[2]}", lines[:row]
-    return _columns(raw, lines, path, stop), ignored
+    return raw, lines, stop, ignored
 
 
-def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
-    """Load the records of `path` as columns, with the number of unknown
-    fields skipped; format from the flag or the file extension.  The first
-    line that is not UTF-8 ends the records, as a syntax error does: the rows
-    before it are read again and checked, so a bad row among them wins."""
+def load_records(path, fmt: str | None = None, spec: LossSpec | None = None) -> tuple[RecordColumns, int]:
+    """Load the records of `path` as columns, their losses resolved by `spec`
+    if one is given, with the number of unknown fields skipped; format from
+    the flag or the file extension.  The earliest bad row raises: a bad value
+    (a LossError for a loss that does not resolve), a syntax error, or the
+    first line that is not UTF-8, after which the rows before it are read
+    again and checked."""
     if fmt is None:
         fmt = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
     if fmt not in ("csv", "jsonl"):
@@ -226,18 +220,21 @@ def load_records(path, fmt: str | None = None) -> tuple[RecordColumns, int]:
     read, newline = (_read_csv, "") if fmt == "csv" else (_read_jsonl, None)
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return read(fh, path, None)
+            raw, lines, failure, ignored = read(fh, path, None)
     except UnicodeDecodeError:
-        pass
-    with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
-        for good, line in enumerate(fh):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                end = f"{path}:{good + 1}: {exc}"
-                break
-        fh.seek(0)
-        return read(islice(fh, good), path, end)
+        with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
+            for good, line in enumerate(fh):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    end = f"{path}:{good + 1}: {exc}"
+                    break
+            fh.seek(0)
+            raw, lines, failure, ignored = read(islice(fh, good), path, end)
+    columns = RecordColumns(**raw, source=os.fspath(path), lines=np.array(lines, dtype=np.int64), spec=spec)
+    if failure is not None:  # it stopped reading after the last row, so any bad row came first
+        raise ValueError(failure)
+    return columns, ignored
 
 
 def atomic_write_text(text: str | list[str], path) -> None:

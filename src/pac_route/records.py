@@ -10,10 +10,11 @@ Records arrive as a :class:`RecordColumns`, one list or array per field,
 which holds every row rule and checks itself when it is built.  Record files
 are read straight into one; rows built in memory, dicts keyed by the JSONL
 field names, go through :meth:`RecordColumns.from_records` under the same
-rules.  :meth:`RecordTable.from_columns` then resolves each row's loss into
-the table's loss column.  The calibration, evaluation and simulation loops
-take only a :class:`RecordTable`: resolved records as aligned numpy columns,
-validated once when the table is built.
+rules.  Columns built under a :class:`LossSpec` also resolve every row's loss
+as a whole column, and :meth:`RecordTable.from_columns` takes that column into
+the table.  The calibration, evaluation and simulation loops take only a
+:class:`RecordTable`: resolved records as aligned numpy columns, validated
+once when the table is built.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class NoRecordsError(ValueError):
 
 class MissingTokensError(ValueError):
     """Saved-thinking accounting needs token counts that some record lacks."""
+
+
+class LossError(ValueError):
+    """A record's loss does not resolve under the loss spec."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,8 @@ def cosine_loss(v1, v2) -> float:
 
 
 def resolve_loss(sources: tuple, spec: LossSpec) -> float:
-    """The loss of one record according to `spec`, checked to lie in [0, B].
+    """The loss of one record according to `spec`, checked to lie in [0, B];
+    the one-row reference for the loss column `RecordColumns` resolves.
 
     `sources` holds the record's values of the fields LOSS_SOURCES[spec.kind]:
     precomputed: (loss,), validated against [0, B].
@@ -187,6 +193,27 @@ def _embedding(value) -> tuple[float, ...]:
     return tuple(map(float, value))
 
 
+def _losses(sources: list, spec: LossSpec) -> np.ndarray:
+    """The loss of every row, `sources` being the columns LOSS_SOURCES names
+    for `spec`, as resolve_loss computes it before its range test, and NaN
+    where it raises first.  A value of the wrong type may give NaN too."""
+    if spec.kind == "precomputed":
+        return _floats([], "loss", sources[0], _NUMBER)
+    if spec.kind == "binary":
+        # None and anything but a string (a row error of its own) count as blank
+        think, cheap, gold = (np.array([a.strip() if isinstance(a, str) else "" for a in column], dtype=object)
+                              for column in sources)
+        loss = ((cheap != gold) & (think == gold)).astype(float)
+        loss[(think == "") | (cheap == "") | (gold == "")] = np.nan
+        return loss
+    loss = np.full(len(sources[0]), np.nan)
+    for i, (a, b) in enumerate(zip(*sources)):
+        if a is not None and b is not None:
+            with contextlib.suppress(ValueError):
+                loss[i] = cosine_loss(a, b)
+    return loss
+
+
 def _move_rows(rows: Sequence[dict], raw: dict[str, list | None]) -> int:
     """Append the fields of `rows` to the columns in `raw`, where a column no
     row has held yet stays None (the id column is always a list); returns the
@@ -209,16 +236,19 @@ class RecordColumns:
     column but id given as None is one no row holds, missing by construction
     and never checked.  Building the columns checks every row rule, converts
     the uncertainty and token columns to float arrays (a missing token count is
-    NaN) and the embeddings to float tuples; the earliest bad row raises a
-    ValueError named by its `origin` (within a row, the first check below wins).
-    `lines[i]` is the line of `source` row i was read from (None for records
-    built in memory).
+    NaN) and the embeddings to float tuples.  Given a loss `spec`, it also
+    resolves every row's loss as resolve_loss does and `loss` becomes the float
+    array of them; a row whose loss does not resolve is a bad row, its check
+    the last of the row's.  The earliest bad row raises a ValueError named by
+    its `origin` (within a row, the first check below wins), a LossError when
+    it is its loss.  `lines[i]` is the line of `source` row i was read from
+    (None for records built in memory).
     """
 
     id: list
     uncertainty: np.ndarray
     group_label: list
-    loss: list
+    loss: list | np.ndarray  # the resolved losses, given a spec
     thinking_answer: list
     cheap_answer: list
     gold_answer: list
@@ -228,6 +258,7 @@ class RecordColumns:
     tokens_cheap: np.ndarray
     source: str = ""
     lines: np.ndarray | None = None
+    spec: LossSpec | None = None
 
     def __post_init__(self):
         errors: list[tuple[int, str]] = []
@@ -260,8 +291,19 @@ class RecordColumns:
                                         else _floats(errors, name, getattr(self, name), _INTEGER))
             if (tokens < 0).any():
                 errors.append((int(np.argmax(tokens < 0)), f"{name} must be non-negative"))
+        if self.spec is not None:
+            sources = [converted.get(name, getattr(self, name)) for name in LOSS_SOURCES[self.spec.kind]]
+            loss = converted["loss"] = _losses(sources, self.spec)
+            ok = (loss >= 0.0) & (loss <= self.spec.bound_B)
+            if not ok.all():
+                errors.append((int(np.argmin(ok)), None))  # resolve_loss says why, below
         if errors:
             row, message = min(errors, key=lambda error: error[0])
+            if message is None:
+                try:
+                    resolve_loss(tuple(column[row] for column in sources), self.spec)
+                except ValueError as exc:
+                    raise LossError(f"{self.origin(row)}: {exc}") from exc
             raise ValueError(f"{self.origin(row)}: {message}")
         for name, column in converted.items():
             object.__setattr__(self, name, column)
@@ -276,15 +318,16 @@ class RecordColumns:
         return f"{self.source}:{self.lines[i]}"
 
     @classmethod
-    def from_records(cls, rows: Sequence[dict]) -> "RecordColumns":
+    def from_records(cls, rows: Sequence[dict], spec: LossSpec | None = None) -> "RecordColumns":
         """The columns of `rows`, dicts keyed by the JSONL field names, under
-        the JSONL rules; a field we do not know is a bad value here."""
+        the JSONL rules, their losses resolved by `spec` if one is given; a
+        field we do not know is a bad value here."""
         raw: dict[str, list | None] = {**dict.fromkeys(RECORD_FIELDS), "id": []}
         if _move_rows(rows, raw):
             bad, unknown = next((i, name) for i, row in enumerate(rows) for name in row if name not in raw)
-            cls.from_records(rows[:bad])  # a bad value in an earlier row wins
+            cls.from_records(rows[:bad], spec)  # a bad value in an earlier row wins
             raise ValueError(f"record {rows[bad].get('id')}: unknown field {unknown!r}")
-        return cls(**raw)
+        return cls(**raw, spec=spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,34 +377,29 @@ class RecordTable:
             raise ValueError("token counts must be non-negative")
 
     @classmethod
-    def from_columns(cls, columns: RecordColumns, spec: LossSpec) -> "RecordTable":
-        """The rows of `columns`, each loss resolved by `spec`; the label
-        vocabulary is in first-appearance order.  A row whose loss does not
-        resolve raises a ValueError naming its origin."""
-        loss = []
-        for i, sources in enumerate(zip(*(getattr(columns, name) for name in LOSS_SOURCES[spec.kind]))):
-            try:
-                loss.append(resolve_loss(sources, spec))
-            except ValueError as exc:
-                raise ValueError(f"{columns.origin(i)}: {exc}") from exc
+    def from_columns(cls, columns: RecordColumns) -> "RecordTable":
+        """The rows of `columns`, with the losses they resolved under their
+        loss spec; the label vocabulary is in first-appearance order."""
+        if columns.spec is None:
+            raise ValueError("the columns were built without a loss spec, so they hold no resolved loss")
         vocab: dict[str, int] = {}
         codes = [NO_LABEL if g is None else vocab.setdefault(g, len(vocab)) for g in columns.group_label]
         return cls(
             ids=np.array(columns.id, dtype=object),
             uncertainty=columns.uncertainty,
-            loss=loss,
+            loss=columns.loss,
             label_code=codes,
             labels=tuple(vocab),
             tokens_thinking=columns.tokens_thinking,
             tokens_cheap=columns.tokens_cheap,
-            bound_B=spec.bound_B,
+            bound_B=columns.spec.bound_B,
         )
 
     @classmethod
     def from_records(cls, rows: Sequence[dict], spec: LossSpec) -> "RecordTable":
         """`from_columns` of the columns of `rows`, dicts keyed by the JSONL
-        field names."""
-        return cls.from_columns(RecordColumns.from_records(rows), spec)
+        field names, built under `spec`."""
+        return cls.from_columns(RecordColumns.from_records(rows, spec))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -390,6 +428,7 @@ __all__ = [
     "NO_LABEL",
     "NoRecordsError",
     "MissingTokensError",
+    "LossError",
     "RecordColumns",
     "RecordTable",
     "LossSpec",

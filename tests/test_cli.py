@@ -213,7 +213,7 @@ def test_calibrate_wrong_typed_field_is_an_input_error(tmp_path, capsys, row):
 
 
 MALFORMED_RECORD_FILES = {
-    "jsonl-syntax": ("r.jsonl", '{"id": "a", "uncertainty": 0.5}\n{bad\n', 2),
+    "jsonl-syntax": ("r.jsonl", '{"id": "a", "uncertainty": 0.5, "loss": 0}\n{bad\n', 2),
     "csv-float": ("r.csv", "id,uncertainty,loss\na,0.5,0\nb,abc,0\n", 3),
     "csv-int": ("r.csv", "id,uncertainty,loss,tokens_thinking\na,0.5,0,1.5\n", 2),
     # two objects on line 1, the second closed on line 2: joined with a comma
@@ -327,6 +327,25 @@ def test_unresolvable_loss_names_its_path_and_line(tmp_path, capsys):
     path.write_text(GOOD_LINE + "\n\n" + '{"id": "b", "uncertainty": 0.5, "loss": 1.5}\n')
     assert main(["calibrate", "--records", str(path), *EPS, "--out", str(tmp_path / "p.json")]) == 2
     assert f"cannot resolve losses: {path}:3: loss 1.5 outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+def test_a_bad_loss_wins_over_a_bad_value_on_a_later_line(tmp_path, policy_file, capsys, command):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"id": "a", "uncertainty": 0.5, "loss": 1.5}\n' + GOOD_LINE + "\n"
+                    '{"id": "c", "uncertainty": 1.5, "loss": 0.0}\n')
+    out = tmp_path / "out"
+    extra = [*EPS] if command == "calibrate" else ["--policy", policy_file]
+    assert main([command, "--records", str(path), *extra, "--out", str(out)]) == 2
+    assert f"error: cannot resolve losses: {path}:1: loss 1.5 outside [0, 1.0]\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_row_missing_its_loss_wins_over_a_later_syntax_error(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"id": "a", "uncertainty": 0.5}\n{bad\n')
+    assert main(["calibrate", "--records", str(path), *EPS, "--out", str(tmp_path / "p.json")]) == 2
+    assert f"cannot resolve losses: {path}:1: precomputed loss needs loss" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("first_bad", [False, True], ids=["line-named", "earlier-row-wins"])

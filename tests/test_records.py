@@ -1,12 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pac_route.io import load_records
 from pac_route.records import (
+    LOSS_KINDS,
     LOSS_SOURCES,
     NO_LABEL,
     RECORD_FIELDS,
+    LossError,
     LossSpec,
     RecordColumns,
     RecordTable,
@@ -271,6 +277,80 @@ def test_resolved_record_rejects_non_finite_loss():
     for loss in (math.inf, math.nan):
         with pytest.raises(ValueError):
             resolve(make_record(loss=loss), LossSpec(kind="precomputed", bound_B=1.0))
+
+
+def test_a_bad_loss_is_a_loss_error_of_the_first_bad_row():
+    rows = [make_record(id="a", loss=1.5), make_record(id="b", loss=0.0), make_record(id="c", uncertainty=1.5)]
+    with pytest.raises(LossError, match=r"^record a: loss 1.5 outside \[0, 1.0\]$"):
+        RecordColumns.from_records(rows, LossSpec())
+    # within one row, every other check comes first
+    rows[0]["tokens_cheap"] = -1
+    with pytest.raises(ValueError, match="^record a: tokens_cheap must be non-negative") as info:
+        RecordColumns.from_records(rows, LossSpec())
+    assert type(info.value) is ValueError
+    # the columns resolve no loss without a spec, and a table needs one
+    columns = RecordColumns.from_records(rows[1:2])
+    assert columns.loss == [0.0]
+    with pytest.raises(ValueError, match="without a loss spec"):
+        RecordTable.from_columns(columns)
+
+
+# Loss values for the oracle below: None, in and out of range, NaN, infinite,
+# too large for a float, and (in memory only) numpy scalars.
+_LOSS = st.one_of(st.none(), st.floats(0.0, 1.0), st.floats(), st.integers(-2, 3),
+                  st.integers(10 ** 308, 10 ** 400), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1.5]))
+_NUMPY_LOSS = st.one_of(st.floats(-0.5, 1.5).map(np.float64), st.floats(0.0, 1.0, width=32).map(np.float32),
+                        st.integers(-1, 2).map(np.int64), st.integers(0, 1).map(np.int32))
+# answers drawn from few characters, so that they often agree once trimmed;
+# form feed, no-break space and NUL test what str.strip removes and keeps
+_ANSWER = st.one_of(st.none(), st.text(st.sampled_from(["4", "7", " ", "\t", "\x0c", "\u00a0", "\x00"]), max_size=3))
+_EMBEDDING = st.one_of(st.none(), st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e200]), max_size=3))
+
+
+@st.composite
+def _loss_rows(draw, kind: str, numpy: bool):
+    values = {"precomputed": {"loss": st.one_of(_LOSS, _NUMPY_LOSS) if numpy else _LOSS},
+              "binary": dict.fromkeys(LOSS_SOURCES["binary"], _ANSWER),
+              "cosine": dict.fromkeys(LOSS_SOURCES["cosine"], _EMBEDDING)}[kind]
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        row = {"id": f"r{i}", "uncertainty": draw(st.floats(0.0, 1.0))}
+        # a field left out is missing, as one given as None is
+        row.update({name: draw(value) for name, value in values.items() if draw(st.integers(0, 7))})
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("source", ["memory", "jsonl"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loss_column_matches_resolve_loss_row_by_row(tmp_path, kind, source, data):
+    """The loss column the columns resolve is resolve_loss of each row; where
+    a row's loss does not resolve, the first such row raises resolve_loss's
+    message as a LossError, from a file as from memory."""
+    spec = LossSpec(kind, data.draw(st.sampled_from([None, 0.5, 3.0])) if kind != "binary" else None)
+    rows = data.draw(_loss_rows(kind, source == "memory"))
+    expected = []
+    for i, row in enumerate(rows):
+        try:
+            expected.append(resolve_loss(tuple(row.get(name) for name in LOSS_SOURCES[kind]), spec))
+        except ValueError as exc:
+            origin = f"record r{i}" if source == "memory" else f"{tmp_path / 'r.jsonl'}:{i + 1}"
+            expected = f"{origin}: {exc}"
+            break
+    try:
+        if source == "memory":
+            columns = RecordColumns.from_records(rows, spec)
+        else:
+            path = tmp_path / "r.jsonl"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+            columns, _ = load_records(path, spec=spec)
+    except LossError as exc:
+        assert str(exc) == expected
+    else:
+        assert columns.loss.dtype == float and columns.loss.tolist() == expected
+        assert RecordTable.from_columns(columns).loss.tolist() == expected
 
 
 # ----------------------------------------------------------- record table

@@ -6,11 +6,11 @@ confidence bound on the routed loss stays at or below the tolerance epsilon:
     u_hat = max { u in grid : UCB_u(alpha) <= epsilon }.
 
 When no candidate qualifies, or the group has fewer than n_min calibration
-records, the group falls back to the always-think sentinel: every input of
-that group goes to the thinking model, which trivially satisfies the
-tolerance.  At routing time a score equal to the threshold goes to the cheap
-model, and any input whose group cannot be resolved goes to the thinking
-model.
+records or keeps fewer than n_min of them in its draw, the group falls back
+to the always-think sentinel: every input of that group goes to the thinking
+model, which trivially satisfies the tolerance.  At routing time a score
+equal to the threshold goes to the cheap model, and any input whose group
+cannot be resolved goes to the thinking model.
 
 Every assigner is a fixed partition whose `keys` name its groups, and names
 its mode: `TrivialAssigner` marginal, `LabelAssigner` gpac, `Partition` cpac.
@@ -321,6 +321,8 @@ def calibrate_group(
     if n < n_min:
         return GroupThreshold(group_key, None, None, n), None
     samples = draw_z_samples(records_j, config, rng)
+    if samples.kept < n_min:
+        return GroupThreshold(group_key, None, None, n), None
     grid = candidate_grid(records_j)
     if config.method == "clt":
         curve = ucb_clt(samples, grid, config.alpha)
@@ -410,7 +412,6 @@ def config_hash(config: EstimatorConfig, **extras) -> str:
         "method": config.method,
         "alpha": config.alpha,
         "pi": config.pi,
-        "m": config.m,
         "seed": config.seed,
     }
     payload.update(extras)

@@ -104,7 +104,7 @@ def _write(write, *args) -> None:
 def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
     """The estimator config and, for cpac, the cluster config; an invalid value exits 4."""
     try:
-        config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, m=args.m, seed=args.seed)
+        config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, seed=args.seed)
         if not cpac:
             return config, None
         if args.k is None:
@@ -243,8 +243,6 @@ def _add_loss_arguments(parser) -> None:
 def _add_estimator_arguments(parser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="confidence level of the bound")
     parser.add_argument("--pi", type=float, default=0.5, help="importance-sampling keep probability")
-    parser.add_argument("--m", type=int, default=None,
-                        help="importance draws per group; default ceil(n / pi)")
     parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 
 
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="clt", help="upper confidence bound construction")
     _add_estimator_arguments(p)
     p.add_argument("--n-min", type=int, default=DEFAULT_N_MIN,
-                   help="groups below this size always route to the thinking model")
+                   help="groups that keep fewer records in their draw always route to the thinking model")
     _add_cluster_arguments(p)
     p.add_argument("--out", required=True, help="policy JSON output path")
     p.add_argument("--report", default=None, help="optional per-group diagnostics JSON")

@@ -1,18 +1,19 @@
 """Importance-sampled loss estimation and upper confidence bounds.
 
 The routing rule sends an input to the cheap model when its uncertainty score
-falls at or below a threshold u.  For a pool of n calibration records the
-quantity being bounded is the plug-in loss of that rule,
+falls at or below a threshold u.  For a group the quantity being bounded is
+its population risk under that rule,
 
-    r(u) = (1/n) * sum_i loss_i * 1{U_i <= u},
+    R(u) = E[loss * 1{U <= u}],
 
-estimated from m importance-sampled draws: pick a record index uniformly with
-replacement, flip xi ~ Bernoulli(pi), and score Z = xi * loss / pi.  The
-draw is recorded together with the uncertainty of its source record, so one
-batch of draws yields the whole curve u -> estimate via the masked samples
-Z_t(u) = Z_t * 1{u_origin_t <= u}.  Two upper confidence bounds on E[Z(u)]
-are provided: a normal-approximation (CLT) bound and a Hoeffding bound with
-range B / pi.
+estimated by Poisson sampling: each of the group's n calibration records
+flips one keep coin xi_i ~ Bernoulli(pi) and scores Z_i = xi_i * loss_i / pi.
+Each draw keeps the uncertainty of its record, so one batch yields the whole
+curve u -> estimate via the masked samples Z_i(u) = Z_i * 1{u_origin_i <= u}.
+For i.i.d. records these are i.i.d. with mean R(u), so a valid bound on
+their mean covers the population risk, not only the pool's own.
+Two upper confidence bounds on E[Z(u)] are provided: a normal-approximation
+(CLT) bound and a Hoeffding bound with range B / pi.
 """
 
 from __future__ import annotations
@@ -32,15 +33,13 @@ METHODS = ("clt", "hoeffding")
 class EstimatorConfig:
     """Sampling and bound settings shared by every group of one calibration run.
 
-    pi is the one keep probability of every draw, a number in (0, 1] kept as
-    a float, so pi=1 and pi=1.0 stamp one config_hash; m defaults to
-    ceil(n / pi) for the group at hand.
+    pi is the keep probability of every record, a number in (0, 1] kept as
+    a float, so pi=1 and pi=1.0 stamp one config_hash.
     """
 
     method: str = "clt"
     alpha: float = 0.05
     pi: float = 0.5
-    m: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -51,16 +50,19 @@ class EstimatorConfig:
         if not (type(self.pi) is not bool and isinstance(self.pi, (int, float)) and 0.0 < self.pi <= 1.0):
             raise ValueError(f"pi must be a number in (0, 1], got {self.pi!r}")
         object.__setattr__(self, "pi", float(self.pi))
-        if not (self.m is None or type(self.m) is not bool and isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"m must be None or an integer >= 1, got {self.m!r}")
 
 
 @dataclass(frozen=True)
 class ZSamples:
-    """A batch of importance-sampled draws, aligned arrays of length m."""
+    """A batch of importance-sampled draws, aligned arrays of length n.
+
+    kept counts the draws whose keep coin landed; a batch built by hand,
+    without coins, leaves it None.
+    """
 
     z: np.ndarray
     u_origin: np.ndarray
+    kept: int | None = None
 
     def __post_init__(self):
         if self.z.shape != self.u_origin.shape or self.z.ndim != 1:
@@ -87,33 +89,21 @@ class UcbCurve:
             raise ValueError("candidates must be strictly ascending")
 
 
-def sample_count(config: EstimatorConfig, n: int) -> int:
-    """Number of draws m: the configured value, else ceil(n / pi)."""
-    return config.m if config.m is not None else math.ceil(n / config.pi)
-
-
 def draw_z_samples(
     records: RecordTable, config: EstimatorConfig, rng: np.random.Generator
 ) -> ZSamples:
-    """Draw m importance samples from `records`.
+    """One keep coin per record: Z_i = loss_i / pi if kept, else 0.
 
-    Fully determined by `rng`: the index draw happens first, then one uniform
-    per draw for the Bernoulli keep/drop decision.  An m that no array can
-    hold is a ValueError naming m, n and pi.
+    Fully determined by `rng`: one uniform per record, in record order.  Only
+    the kept losses are divided by pi, so no pi overflows a dropped row.
     """
     n = len(records)
     if not n:
         raise ValueError("cannot draw from an empty record pool")
-    try:
-        m = sample_count(config, n)
-        idx = rng.integers(0, n, size=m)
-        keep = rng.random(m) < config.pi
-        z = np.where(keep, records.loss[idx] / config.pi, 0.0)
-        u_origin = records.uncertainty[idx]
-    except (OverflowError, MemoryError, ValueError) as exc:
-        m = config.m if config.m is not None else n / config.pi
-        raise ValueError(f"cannot draw m = {m:.6g} samples from n = {n} records at pi = {config.pi}: {exc}") from None
-    return ZSamples(z=z, u_origin=u_origin)
+    keep = np.flatnonzero(rng.random(n) < config.pi)
+    z = np.zeros(n)
+    z[keep] = records.loss[keep] / config.pi
+    return ZSamples(z=z, u_origin=records.uncertainty, kept=len(keep))
 
 
 def candidate_grid(records: RecordTable) -> np.ndarray:
@@ -185,7 +175,6 @@ __all__ = [
     "EstimatorConfig",
     "ZSamples",
     "UcbCurve",
-    "sample_count",
     "draw_z_samples",
     "candidate_grid",
     "ucb_clt",

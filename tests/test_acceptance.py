@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven checks over the shipped guarantees.
+"""Acceptance gate: twelve checks over the shipped guarantees.
 
 Each check prints one ``[check NN] PASS/FAIL`` line (run pytest with -s or
 -rA to see them on success) and pins its tolerances as module constants.
@@ -106,24 +106,25 @@ def test_01_formula_oracles():
 
 
 def test_02_estimator_unbiasedness():
+    # one draw per record, over the 5-loss pool tiled to n records
     start = time.perf_counter()
     losses = (1.0, 0.0, 0.5, 0.25, 1.0)
+    n = 100_000
     records = RecordTable.from_records([
-        dict(id=f"r{i}", uncertainty=0.1 + 0.2 * i, loss=l)
-        for i, l in enumerate(losses)
+        dict(id=f"r{i}", uncertainty=0.1 + 0.2 * (i % 5), loss=losses[i % 5])
+        for i in range(n)
     ], LossSpec())
     plugin = float(np.mean(losses))
-    m = 100_000
     samples = draw_z_samples(
-        records, EstimatorConfig(pi=0.5, m=m), np.random.default_rng(SEED)
+        records, EstimatorConfig(pi=0.5), np.random.default_rng(SEED)
     )
-    se = float(np.std(samples.z, ddof=1)) / math.sqrt(m)
+    se = float(np.std(samples.z, ddof=1)) / math.sqrt(n)
     gap = abs(float(np.mean(samples.z)) - plugin)
     elapsed = time.perf_counter() - start
-    ok = gap <= 3 * se and elapsed < 5.0
+    ok = len(samples) == n and gap <= 3 * se and elapsed < 5.0
     assert verdict(
         2, "estimator unbiasedness", ok,
-        f"gap={gap:.6f} allowance={3 * se:.6f} over {m} draws [{elapsed:.2f}s]",
+        f"gap={gap:.6f} allowance={3 * se:.6f} over {n} draws [{elapsed:.2f}s]",
     )
 
 
@@ -478,4 +479,31 @@ def test_11_pilots_reproduce():
         11, "pilots reproduce", ok,
         f"{checked - len(mismatched)}/{checked} runs identical"
         + (f"; mismatch in {mismatched}" if mismatched else ""),
+    )
+
+
+# ------------------------- 12: coverage where a group's risk crosses epsilon
+
+
+# the same runs under the with-replacement draw this sampler replaced
+WITH_REPLACEMENT = {"steep2": {"hard": 0.866}, "identical2": {"left": 0.876, "right": 0.896}}
+
+
+def test_12_crossing_group_coverage():
+    # check 06 runs both experiments, so this reads the cache
+    seconds = 0.0
+    worst = 1.0
+    details = []
+    for spec_name, n_cal in (("steep2", 1500), ("identical2", 1200)):
+        report, elapsed = run_experiment(spec_name, "gpac", "clt", n_cal)
+        seconds += elapsed
+        worst = min(worst, min(report.per_group_coverage.values()))
+        details += [
+            f"{spec_name}/{group} {report.per_group_coverage[group]:.3f} (with replacement {before:.3f})"
+            for group, before in WITH_REPLACEMENT[spec_name].items()
+        ]
+    ok = worst >= COVERAGE_FLOOR and seconds < 120.0
+    assert verdict(
+        12, "crossing-group coverage", ok,
+        f"min={worst:.4f} floor={COVERAGE_FLOOR} {' '.join(details)} [{seconds:.1f}s]",
     )

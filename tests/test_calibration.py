@@ -155,11 +155,25 @@ def test_small_group_falls_back_to_always_think():
 
 
 def test_n_min_boundary_is_inclusive():
+    # pi = 1 keeps every record, so the draw keeps n_min too
     recs = pool([0.0] * DEFAULT_N_MIN, np.linspace(0.05, 0.95, DEFAULT_N_MIN))
-    t, curve = calibrate_group(table(recs), 0.5, EstimatorConfig(seed=2),
+    t, curve = calibrate_group(table(recs), 0.5, EstimatorConfig(pi=1.0, seed=2),
                                np.random.default_rng(2))
     assert not t.always_think
     assert curve is not None
+
+
+def test_a_draw_that_keeps_fewer_than_n_min_records_always_thinks():
+    recs = table(pool([0.0] * 40, np.linspace(0.02, 0.98, 40)))
+    config = EstimatorConfig(pi=0.2, seed=5)
+    kept = int(np.count_nonzero(np.random.default_rng(5).random(40) < 0.2))
+    assert 0 < kept < 40
+    t, curve = calibrate_group(recs, 0.5, config, np.random.default_rng(5), n_min=kept + 1)
+    assert t.to_dict() == {"group_key": GROUP_ALL, "threshold": "always_think", "ucb": None, "n": 40}
+    assert curve is None
+    # the boundary is inclusive, as it is for n
+    t, curve = calibrate_group(recs, 0.5, config, np.random.default_rng(5), n_min=kept)
+    assert t.threshold == pytest.approx(0.98) and curve is not None
 
 
 def test_zero_loss_group_selects_top_candidate():
@@ -291,7 +305,7 @@ def test_no_resolvable_records_is_an_error():
 
 
 def test_calibrate_gpac_returns_the_assigner_it_was_given():
-    recs = table(labeled("x", [0.0] * 15, np.linspace(0, 1, 15)))
+    recs = table(labeled("x", [0.0] * 40, np.linspace(0, 1, 40)))
     assigner = LabelAssigner(("y", "x"))
     policy, _ = calibrate_gpac(recs, assigner, 0.05, EstimatorConfig(seed=14))
     assert policy.assigner is assigner
@@ -329,7 +343,7 @@ def test_group_streams_do_not_bleed_into_each_other():
 
 
 def test_report_curves_cover_each_calibrated_group():
-    recs = labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + \
+    recs = labeled("a", [0.0] * 40, np.linspace(0, 1, 40)) + \
         labeled("b", [0.0] * 4, np.linspace(0.2, 0.8, 4))
     _, report = gpac(recs, 0.05, EstimatorConfig(seed=16))
     by_key = {g["group_key"]: g for g in report.groups}
@@ -354,7 +368,8 @@ def test_hoeffding_reads_the_bound_from_the_table(bound_B):
     records = RecordTable.from_records(pool(losses, np.linspace(0, 1, 30)), LossSpec(bound_B=bound_B))
     config = EstimatorConfig(method="hoeffding", pi=0.5, seed=3)
     _, curve = calibrate_group(records, 0.5, config, np.random.default_rng(0))
-    delta = hoeffding_delta(config.alpha, bound_B, 0.5, math.ceil(30 / 0.5))
+    # one draw per record: m = n
+    delta = hoeffding_delta(config.alpha, bound_B, 0.5, 30)
     np.testing.assert_allclose(curve.ucb - curve.mean, delta, rtol=1e-12)
 
 

@@ -1,7 +1,6 @@
 """Importance-sampled loss estimator and its confidence bounds."""
 
 import math
-import re
 from statistics import NormalDist
 
 import numpy as np
@@ -15,7 +14,6 @@ from pac_route.estimator import (
     candidate_grid,
     draw_z_samples,
     hoeffding_delta,
-    sample_count,
     ucb_clt,
     ucb_hoeffding,
 )
@@ -41,40 +39,45 @@ def test_config_validation():
         EstimatorConfig(pi=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(pi=1.5)
-    with pytest.raises(ValueError):
-        EstimatorConfig(m=0)
+    # one draw per record: there is no draw count to set
+    with pytest.raises(TypeError):
+        EstimatorConfig(m=10)
 
 
 @pytest.mark.parametrize("field,value", [
     ("pi", "0.5"), ("pi", True), ("pi", {"r0": 0.5}), ("pi", float("nan")),
-    ("m", 2.5), ("m", True), ("m", "3"),
 ])
 def test_config_rejects_a_setting_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         EstimatorConfig(**{field: value})
 
 
-def test_sample_count_default_and_override():
-    assert sample_count(EstimatorConfig(pi=0.5), 10) == 20
-    assert sample_count(EstimatorConfig(pi=0.3), 7) == math.ceil(7 / 0.3)
-    assert sample_count(EstimatorConfig(pi=0.5, m=33), 10) == 33
-    # an int or a numpy float is a number too
-    assert sample_count(EstimatorConfig(pi=1), 7) == 7
-    assert sample_count(EstimatorConfig(pi=np.float64(0.25)), 3) == 12
-
-
 # ---------------------------------------------------------------- sampling
 
 
+def poisson_draw(losses, uncertainty, pi, rng):
+    """The sampler's closed form: one keep coin per record, in record order."""
+    return np.where(rng.random(len(losses)) < pi, np.asarray(losses) / pi, 0), np.asarray(uncertainty)
+
+
 def test_draw_shapes_and_support():
-    recs = pool([1.0, 0.0, 0.5, 0.0, 1.0], [0.1, 0.3, 0.5, 0.7, 0.9])
-    cfg = EstimatorConfig(pi=0.5, m=400, seed=3)
-    s = draw_z_samples(recs, cfg, np.random.default_rng(3))
-    assert len(s) == 400
-    # z is either 0 (dropped or lossless) or loss/pi for some record
-    allowed = {0.0, 2.0, 1.0}
-    assert set(np.round(s.z, 12)) <= allowed
-    assert set(s.u_origin) <= {0.1, 0.3, 0.5, 0.7, 0.9}
+    losses, uncertainty = [1.0, 0.0, 0.5, 0.0, 1.0], [0.1, 0.3, 0.5, 0.7, 0.9]
+    s = draw_z_samples(pool(losses, uncertainty), EstimatorConfig(pi=0.5, seed=3), np.random.default_rng(3))
+    z, u = poisson_draw(losses, uncertainty, 0.5, np.random.default_rng(3))
+    # one draw per record: z is 0 (dropped or lossless) or that record's loss/pi
+    assert len(s) == 5
+    np.testing.assert_array_equal(s.z, z)
+    np.testing.assert_array_equal(s.u_origin, u)
+    assert set(np.round(s.z, 12)) <= {0.0, 2.0, 1.0}
+
+
+def test_draw_counts_the_kept_records():
+    rng = np.random.default_rng(8)
+    s = draw_z_samples(pool(np.zeros(50), np.linspace(0, 1, 50)), EstimatorConfig(pi=0.3), rng)
+    # a lossless record scores 0 whether kept or not, so kept comes from the coins
+    assert s.kept == np.count_nonzero(np.random.default_rng(8).random(50) < 0.3)
+    assert not s.z.any()
+    assert draw_z_samples(pool(np.ones(7), np.linspace(0, 1, 7)), EstimatorConfig(pi=1), rng).kept == 7
 
 
 def test_draw_rejects_empty_pool_and_bad_losses():
@@ -87,44 +90,46 @@ def test_draw_rejects_empty_pool_and_bad_losses():
 
 def test_draw_is_deterministic_in_the_stream():
     recs = pool([1.0, 0.0, 0.3], [0.2, 0.4, 0.6])
-    cfg = EstimatorConfig(pi=0.5, m=100)
+    cfg = EstimatorConfig(pi=0.5)
     a = draw_z_samples(recs, cfg, np.random.default_rng(11))
     b = draw_z_samples(recs, cfg, np.random.default_rng(11))
     np.testing.assert_array_equal(a.z, b.z)
     np.testing.assert_array_equal(a.u_origin, b.u_origin)
+    assert a.kept == b.kept
 
 
 def test_draw_unbiased_for_plugin_loss():
-    # mean of Z over a large draw should sit within 3 SEs of the plug-in loss
-    rng = np.random.default_rng(42)
+    # one draw over the pool tiled to 100,000 records: the mean of Z sits
+    # within 3 SEs of the plug-in loss
     losses = [1.0, 0.0, 0.5, 0.25, 1.0]
-    recs = pool(losses, [0.1, 0.2, 0.3, 0.4, 0.5])
-    plugin = np.mean(losses)
-    m = 100_000
-    s = draw_z_samples(recs, EstimatorConfig(pi=0.4, m=m), rng)
-    se = np.std(s.z, ddof=1) / math.sqrt(m)
-    assert abs(np.mean(s.z) - plugin) < 3 * se
+    n = 100_000
+    tiled = np.resize(losses, n)
+    recs = pool(tiled, np.resize([0.1, 0.2, 0.3, 0.4, 0.5], n))
+    s = draw_z_samples(recs, EstimatorConfig(pi=0.4), np.random.default_rng(42))
+    z, _ = poisson_draw(tiled, recs.uncertainty, 0.4, np.random.default_rng(42))
+    np.testing.assert_array_equal(s.z, z)
+    se = np.std(s.z, ddof=1) / math.sqrt(n)
+    assert abs(np.mean(s.z) - np.mean(losses)) < 3 * se
 
 
-@pytest.mark.parametrize("pi", [0.3, 1.0])
+# an int or a numpy float is a number too
+@pytest.mark.parametrize("pi", [0.3, 1.0, 1, np.float64(0.25)])
 def test_draw_is_the_closed_form(pi):
-    # the index draw first, then one uniform per draw: the pilots rest on this order
+    # one uniform per record, in record order: the pilots rest on this order
     losses = np.array([1.0, 0.0, 0.5, 0.25, 1.0])
     uncertainty = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     s = draw_z_samples(pool(losses, uncertainty), EstimatorConfig(pi=pi), np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    m = math.ceil(len(losses) / pi)
-    idx = rng.integers(0, len(losses), m)
-    keep = rng.random(m) < pi
-    np.testing.assert_array_equal(s.z, np.where(keep, losses[idx] / pi, 0))
-    np.testing.assert_array_equal(s.u_origin, uncertainty[idx])
+    z, u = poisson_draw(losses, uncertainty, pi, np.random.default_rng(5))
+    np.testing.assert_array_equal(s.z, z)
+    np.testing.assert_array_equal(s.u_origin, u)
 
 
-@pytest.mark.parametrize("config,m", [(EstimatorConfig(pi=5e-324), "inf"), (EstimatorConfig(m=10**19), "1e+19")])
-def test_draw_count_no_array_holds_is_a_value_error(config, m):
-    # neither draw asks for memory: ceil(4 / 5e-324) overflows, and numpy rejects 1e19 by its shape
-    with pytest.raises(ValueError, match=rf"^cannot draw m = {re.escape(m)} samples from n = 4 records at pi = "):
-        draw_z_samples(pool([0.0, 1.0, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]), config, np.random.default_rng(0))
+def test_tiny_pi_keeps_nothing_and_warns_nothing():
+    # only kept losses are divided by pi, so 1 / 5e-324 is never computed
+    recs = pool([0.0, 1.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
+    with np.errstate(all="raise"):
+        s = draw_z_samples(recs, EstimatorConfig(pi=5e-324), np.random.default_rng(0))
+    assert s.kept == 0 and not s.z.any()
 
 
 # ---------------------------------------------------------------- grid

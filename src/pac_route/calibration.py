@@ -5,12 +5,12 @@ confidence bound on the routed loss stays at or below the tolerance epsilon:
 
     u_hat = max { u in grid : UCB_u(alpha) <= epsilon }.
 
-When no candidate qualifies, or the group has fewer than n_min calibration
-records or keeps fewer than n_min of them in its draw, the group falls back
-to the always-think sentinel: every input of that group goes to the thinking
-model, which trivially satisfies the tolerance.  At routing time a score
-equal to the threshold goes to the cheap model, and any input whose group
-cannot be resolved goes to the thinking model.
+When no candidate qualifies, or the group has too few records to bound (none,
+or one under CLT), fewer than n_min, or keeps fewer than n_min in its draw,
+the group falls back to the always-think sentinel: every input of that group
+goes to the thinking model, which trivially satisfies the tolerance.  At
+routing time a score equal to the threshold goes to the cheap model, and any
+input whose group cannot be resolved goes to the thinking model.
 
 Every assigner is a fixed partition whose `keys` name its groups, and names
 its mode: `TrivialAssigner` marginal, `LabelAssigner` gpac, `Partition` cpac.
@@ -318,12 +318,12 @@ def calibrate_group(
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
     n = len(records_j)
-    if n < n_min:
+    if n < max(n_min, 2 if config.method == "clt" else 1):
         return GroupThreshold(group_key, None, None, n), None
     samples = draw_z_samples(records_j, config, rng)
     if samples.kept < n_min:
         return GroupThreshold(group_key, None, None, n), None
-    grid = candidate_grid(records_j)
+    grid = candidate_grid(samples)
     if config.method == "clt":
         curve = ucb_clt(samples, grid, config.alpha)
     else:

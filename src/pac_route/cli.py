@@ -258,14 +258,15 @@ def _add_cluster_arguments(parser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pac-route",
+        prog="pac-route", allow_abbrev=False,
         description="Calibrate, apply, and verify risk-controlled routing between "
         "a thinking and a non-thinking model.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="learn per-group thresholds from calibration records")
+    p = sub.add_parser("calibrate", allow_abbrev=False,
+                       help="learn per-group thresholds from calibration records")
     _add_records_arguments(p)
     _add_loss_arguments(p)
     p.add_argument("--mode", choices=MODES, default="gpac",
@@ -280,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="optional per-group diagnostics JSON")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("route", help="apply a policy to records")
+    p = sub.add_parser("route", allow_abbrev=False, help="apply a policy to records")
     p.add_argument("--policy", required=True, help="policy JSON from calibrate")
     _add_records_arguments(p)
     p.add_argument("--out", required=True, help="decisions JSONL output path")
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("evaluate", help="score a policy on held-out records")
+    p = sub.add_parser("evaluate", allow_abbrev=False, help="score a policy on held-out records")
     p.add_argument("--policy", required=True, help="policy JSON from calibrate")
     _add_records_arguments(p)
     _add_loss_arguments(p)
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="metrics JSON output path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("simulate", help="Monte Carlo coverage check on a synthetic spec")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="Monte Carlo coverage check on a synthetic spec")
     p.add_argument("--spec", required=True, help="synthetic population spec JSON")
     p.add_argument("--method", dest="sim_method", choices=MODES,
                    default="gpac", help="calibration scheme under test")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="coverage report JSON output path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("cluster", help="fit a k-group partition of the uncertainty axis")
+    p = sub.add_parser("cluster", allow_abbrev=False, help="fit a k-group partition of the uncertainty axis")
     _add_records_arguments(p)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--out", required=True, help="partition JSON output path")

@@ -8,8 +8,9 @@ its population risk under that rule,
 
 estimated by Poisson sampling: each of the group's n calibration records
 flips one keep coin xi_i ~ Bernoulli(pi) and scores Z_i = xi_i * loss_i / pi.
-Each draw keeps the uncertainty of its record, so one batch yields the whole
-curve u -> estimate via the masked samples Z_i(u) = Z_i * 1{u_origin_i <= u}.
+Each draw keeps the uncertainty of its record, and a batch holds its draws in
+ascending score order, sorted once, so one batch yields the whole curve
+u -> estimate via the masked samples Z_i(u) = Z_i * 1{u_origin_i <= u}.
 For i.i.d. records these are i.i.d. with mean R(u), so a valid bound on
 their mean covers the population risk, not only the pool's own.
 Two upper confidence bounds on E[Z(u)] are provided: a normal-approximation
@@ -56,8 +57,9 @@ class EstimatorConfig:
 class ZSamples:
     """A batch of importance-sampled draws, aligned arrays of length n.
 
-    kept counts the draws whose keep coin landed; a batch built by hand,
-    without coins, leaves it None.
+    Building a batch sorts both arrays by u_origin, ties in their given
+    order.  kept counts the draws whose keep coin landed; a batch built by
+    hand, without coins, leaves it None.
     """
 
     z: np.ndarray
@@ -69,6 +71,11 @@ class ZSamples:
             raise ValueError("z and u_origin must be 1-d arrays of equal length")
         if len(self.z) and self.z.min() < 0:
             raise ValueError("importance draws must be non-negative")
+        order = np.argsort(self.u_origin)
+        if not np.all(np.diff(self.u_origin[order]) > 0):  # without ties every sort is the stable one
+            order = np.argsort(self.u_origin, kind="stable")
+        object.__setattr__(self, "z", self.z[order])
+        object.__setattr__(self, "u_origin", self.u_origin[order])
 
     def __len__(self) -> int:
         return len(self.z)
@@ -106,14 +113,15 @@ def draw_z_samples(
     return ZSamples(z=z, u_origin=records.uncertainty, kept=len(keep))
 
 
-def candidate_grid(records: RecordTable) -> np.ndarray:
-    """Sorted distinct observed uncertainties, with 0.0 prepended if absent.
+def candidate_grid(samples: ZSamples) -> np.ndarray:
+    """Sorted distinct scores of the draws, with 0.0 prepended if absent.
 
     The estimate and both bounds are step functions that only change at
     observed scores, so this grid is lossless; the 0.0 candidate keeps "route
     nothing observed" expressible as a real threshold.
     """
-    grid = np.unique(records.uncertainty)
+    u = samples.u_origin
+    grid = np.concatenate([u[:1], u[1:][u[1:] > u[:-1]]])
     if len(grid) == 0 or grid[0] > 0.0:
         grid = np.concatenate([[0.0], grid])
     return grid
@@ -121,12 +129,10 @@ def candidate_grid(records: RecordTable) -> np.ndarray:
 
 def _masked_moments(samples: ZSamples, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate sums S1 = sum Z_t(u) and S2 = sum Z_t(u)^2."""
-    order = np.argsort(samples.u_origin, kind="stable")
-    u_sorted = samples.u_origin[order]
-    z_sorted = samples.z[order]
-    s1 = np.concatenate([[0.0], np.cumsum(z_sorted)])
-    s2 = np.concatenate([[0.0], np.cumsum(z_sorted * z_sorted)])
-    counts = np.searchsorted(u_sorted, candidates, side="right")
+    z = samples.z
+    s1 = np.concatenate([[0.0], np.cumsum(z)])
+    s2 = np.concatenate([[0.0], np.cumsum(z * z)])
+    counts = np.searchsorted(samples.u_origin, candidates, side="right")
     return s1[counts], s2[counts]
 
 

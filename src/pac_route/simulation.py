@@ -131,6 +131,15 @@ def _prob_at(group: GroupSpec, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
+def _cell_probs(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Merged bin edges, and each group's loss probability in each merged cell (read-only, shared)."""
+    edges = np.unique(np.concatenate([g.bin_edges for g in spec.groups]))
+    table = np.array([_prob_at(g, edges[:-1]) for g in spec.groups])
+    edges.flags.writeable = table.flags.writeable = False
+    return edges, table
+
+
+@functools.lru_cache(maxsize=4)
 def _draw_ids(n: int) -> np.ndarray:
     # every trial of a coverage experiment reuses one read-only id column
     ids = np.array([f"s{i}" for i in range(n)], dtype=object)
@@ -148,11 +157,9 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTab
     group_idx = rng.choice(len(spec.groups), size=n, p=spec.weights)
     u = rng.random(n)
     coins = rng.random(n)
-    probs = np.empty(n)
-    for j, group in enumerate(spec.groups):
-        mask = group_idx == j
-        if mask.any():
-            probs[mask] = _prob_at(group, u[mask])
+    edges, table = _cell_probs(spec)
+    # u < 1 = edges[-1], so every score falls in a cell
+    probs = table[group_idx, np.searchsorted(edges, u, side="right") - 1]
     return RecordTable(
         ids=_draw_ids(n),
         uncertainty=u,
@@ -171,11 +178,10 @@ def true_risk(spec: SyntheticSpec, group_index: int, u: float) -> float:
 
 def mixture_profile(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Merged bin edges and the group-weighted loss probability in each cell."""
-    edges = np.unique(np.concatenate([g.bin_edges for g in spec.groups]))
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    probs = np.zeros(len(mids))
-    for g in spec.groups:
-        probs += g.weight * _prob_at(g, mids)
+    edges, table = _cell_probs(spec)
+    probs = np.zeros(len(edges) - 1)
+    for g, row in zip(spec.groups, table):
+        probs += g.weight * row
     return edges, probs
 
 

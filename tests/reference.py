@@ -6,6 +6,7 @@ alone; `partition_gap` needs scipy, which comes with the `test` extra.
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,6 +48,40 @@ def sample_group(
     prob = np.asarray(group.loss_prob)[np.clip(bins, 0, len(group.loss_prob) - 1)]
     loss = (rng.random(n) < prob).astype(float)
     return u, loss
+
+
+def calibrate_group_reference(uncertainty, loss, bound_B, epsilon, config, rng, ucb_offset=0.0):
+    """One group's threshold and bound curve by the slow chain: the keep coins
+    in record order, a stable argsort of the scores, np.unique for the grid
+    and a searchsorted of the grid into the sorted scores.
+
+    Returns (threshold or None, candidates, mean, ucb).
+    """
+    uncertainty, loss = np.asarray(uncertainty, dtype=float), np.asarray(loss, dtype=float)
+    n = len(loss)
+    keep = np.flatnonzero(rng.random(n) < config.pi)
+    z = np.zeros(n)
+    z[keep] = loss[keep] / config.pi
+    order = np.argsort(uncertainty, kind="stable")
+    u_sorted, z_sorted = uncertainty[order], z[order]
+    grid = np.unique(uncertainty)
+    if len(grid) == 0 or grid[0] > 0.0:
+        grid = np.concatenate([[0.0], grid])
+    counts = np.searchsorted(u_sorted, grid, side="right")
+    s1 = np.concatenate([[0.0], np.cumsum(z_sorted)])[counts]
+    s2 = np.concatenate([[0.0], np.cumsum(z_sorted * z_sorted)])[counts]
+    mean = s1 / n
+    if config.method == "clt":
+        sd = np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0) / (n - 1))
+        ucb = mean + NormalDist().inv_cdf(1.0 - config.alpha) * sd / math.sqrt(n)
+    else:
+        r = bound_B / config.pi
+        ucb = mean + math.sqrt(r * r * math.log(2.0 / config.alpha) / (2.0 * n))
+    if ucb_offset:
+        ucb = ucb + ucb_offset
+    feasible = np.flatnonzero(ucb <= epsilon)
+    threshold = float(grid[feasible[-1]]) if len(feasible) else None
+    return threshold, grid, mean, ucb
 
 
 def binomial_slack(level: float, trials: int, n_se: float = 3.0) -> float:

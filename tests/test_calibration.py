@@ -31,6 +31,7 @@ from pac_route.calibration import (
 from pac_route.clustering import ClusterConfig, Partition, calibrate_cpac
 from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
 from pac_route.records import LossSpec, RecordTable
+from reference import calibrate_group_reference
 
 
 def pool(losses, uncertainties, label=None):
@@ -176,6 +177,23 @@ def test_a_draw_that_keeps_fewer_than_n_min_records_always_thinks():
     assert t.threshold == pytest.approx(0.98) and curve is not None
 
 
+@pytest.mark.parametrize("n_min", [0, 1])
+def test_a_group_too_small_to_bound_always_thinks(n_min):
+    # cluster 1 of (0.1, 0.9) has no record: nothing to draw
+    recs = table(pool([0.0] * 20, np.linspace(0.0, 0.3, 20)))
+    policy, _ = calibrate_gpac(recs, Partition((0.1, 0.9)), 0.05, EstimatorConfig(), n_min=n_min)
+    assert policy.thresholds[1].to_dict() == {"group_key": 1, "threshold": "always_think", "ucb": None, "n": 0}
+    assert policy.thresholds[0].threshold == pytest.approx(0.3)
+    # one record: the CLT bound needs two draws, Hoeffding takes one
+    recs = table(labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + labeled("b", [0.0], [0.5]))
+    for method in METHODS:
+        policy, report = calibrate_gpac(recs, LabelAssigner(("a", "b")), 0.05,
+                                        EstimatorConfig(method=method, pi=1), n_min=n_min)
+        assert policy.threshold_for("b").to_dict() == {
+            "group_key": "b", "threshold": "always_think", "ucb": None, "n": 1}
+        assert ("curve" in report.groups[1]) == (method == "hoeffding")
+
+
 def test_zero_loss_group_selects_top_candidate():
     recs = pool([0.0] * 40, np.linspace(0.02, 0.98, 40))
     t, _ = calibrate_group(table(recs), 0.05, EstimatorConfig(seed=3),
@@ -256,6 +274,33 @@ def test_monotone_in_alpha(rows, method, seed, epsilon, alphas):
     # a lower confidence level narrows every bound, so the threshold cannot fall
     picks = [_pick(rows, method, seed, epsilon, alpha) for alpha in sorted(alphas)]
     assert picks == sorted(picks)
+
+
+# scores drawn from five values repeat; free scores almost never do
+_SCORES = {"tied": st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]), "free": st.floats(0.0, 1.0)}
+_LOSSES = {"binary": st.sampled_from([0.0, 1.0]), "fractional": st.floats(0.0, 1.0)}
+
+
+@pytest.mark.parametrize("losses", _LOSSES)
+@pytest.mark.parametrize("scores", _SCORES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), method=st.sampled_from(METHODS), seed=st.integers(0, 2 ** 32 - 1),
+       pi=st.sampled_from([1.0, 0.5, 0.3]), epsilon=st.floats(1e-3, 1.0),
+       ucb_offset=st.sampled_from([0.0, 0.02]))
+def test_calibrate_group_matches_the_two_sort_reference(scores, losses, data, method, seed, pi, epsilon,
+                                                        ucb_offset):
+    # bit for bit: the one sort changes no threshold, candidate, mean or bound
+    rows = data.draw(st.lists(st.tuples(_SCORES[scores], _LOSSES[losses]), min_size=2, max_size=150))
+    u, loss = np.array(rows).T
+    cfg = EstimatorConfig(method=method, pi=pi, seed=seed)
+    records = table([dict(id=f"r{i}", uncertainty=x, loss=y) for i, (x, y) in enumerate(rows)])
+    t, curve = calibrate_group(records, epsilon, cfg, np.random.default_rng(seed), n_min=0, ucb_offset=ucb_offset)
+    threshold, grid, mean, ucb = calibrate_group_reference(
+        u, loss, records.bound_B, epsilon, cfg, np.random.default_rng(seed), ucb_offset)
+    assert t.threshold == threshold
+    np.testing.assert_array_equal(curve.candidates, grid)
+    np.testing.assert_array_equal(curve.mean, mean)
+    np.testing.assert_array_equal(curve.ucb, ucb)
 
 
 def test_rejects_nonpositive_epsilon():

@@ -196,6 +196,22 @@ def test_usage_error_exits_two(records_file):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "route"])
+def test_an_abbreviated_option_is_a_usage_error(tmp_path, records_file, policy_file, command):
+    # an abbreviation would alias a live option: --m would be --method, --pol --policy
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    out = tmp_path / "out.json"
+    argv = {
+        "simulate": ["simulate", "--spec", str(spec), "--n-cal", "50", *EPS, "--out", str(out), "--m", "cpac"],
+        "route": ["route", "--pol", policy_file, "--rec", records_file, "--out", str(out)],
+    }[command]
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2 and set(tmp_path.iterdir()) == before
+
+
 WRONG_TYPED_ROWS = (
     {"id": "r0", "uncertainty": [1], "loss": 0.0, "group_label": "easy"},
     {"id": "r0", "uncertainty": 0.5, "loss": 0.0, "group_label": "easy",
@@ -1018,6 +1034,18 @@ def test_calibrate_at_a_tiny_pi_keeps_too_few_records_to_certify(tmp_path, capsy
     assert main(["calibrate", "--records", records, "--mode", "marginal", "--epsilon", "0.1",
                  "--pi", "0.001", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["thresholds"][0]["threshold"] == "always_think"
+
+
+def test_a_one_record_group_always_thinks(tmp_path, capsys):
+    # the CLT bound needs two draws: a lone record leaves its group uncertified, not the run
+    rows = labeled_rows() + [{"id": "b0", "uncertainty": 0.4, "group_label": "b", "loss": 0.0}]
+    records = write_jsonl(tmp_path / "records.jsonl", rows)
+    out = tmp_path / "policy.json"
+    assert main(["calibrate", "--records", records, *EPS, "--n-min", "1", "--pi", "1",
+                 "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["thresholds"][2]
+    assert entry == {"group_key": "b", "threshold": "always_think", "ucb": None, "n": 1}
+    assert "group b: threshold always_think (n=1)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate"])

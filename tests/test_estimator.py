@@ -5,6 +5,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pac_route.estimator import (
@@ -56,8 +58,11 @@ def test_config_rejects_a_setting_of_the_wrong_type(field, value):
 
 
 def poisson_draw(losses, uncertainty, pi, rng):
-    """The sampler's closed form: one keep coin per record, in record order."""
-    return np.where(rng.random(len(losses)) < pi, np.asarray(losses) / pi, 0), np.asarray(uncertainty)
+    """The sampler's closed form: one keep coin per record, in record order,
+    then the draws in stable score order."""
+    z = np.where(rng.random(len(losses)) < pi, np.asarray(losses) / pi, 0)
+    order = np.argsort(uncertainty, kind="stable")
+    return z[order], np.asarray(uncertainty)[order]
 
 
 def test_draw_shapes_and_support():
@@ -106,8 +111,10 @@ def test_draw_unbiased_for_plugin_loss():
     tiled = np.resize(losses, n)
     recs = pool(tiled, np.resize([0.1, 0.2, 0.3, 0.4, 0.5], n))
     s = draw_z_samples(recs, EstimatorConfig(pi=0.4), np.random.default_rng(42))
-    z, _ = poisson_draw(tiled, recs.uncertainty, 0.4, np.random.default_rng(42))
+    z, u = poisson_draw(tiled, recs.uncertainty, 0.4, np.random.default_rng(42))
+    # the tiled scores repeat: the draws come back in stable score order
     np.testing.assert_array_equal(s.z, z)
+    np.testing.assert_array_equal(s.u_origin, u)
     se = np.std(s.z, ddof=1) / math.sqrt(n)
     assert abs(np.mean(s.z) - np.mean(losses)) < 3 * se
 
@@ -124,6 +131,20 @@ def test_draw_is_the_closed_form(pi):
     np.testing.assert_array_equal(s.u_origin, u)
 
 
+@settings(max_examples=200, deadline=None)
+@given(scores=st.one_of(
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=200),   # ties
+    st.lists(st.floats(0.0, 1.0), unique=True, max_size=200),        # none
+))
+def test_draws_are_held_in_stable_score_order(scores):
+    u = np.array(scores, dtype=float)
+    z = np.arange(len(u), dtype=float)  # each draw carries its position
+    s = ZSamples(z=z, u_origin=u)
+    order = np.argsort(u, kind="stable")
+    np.testing.assert_array_equal(s.u_origin, u[order])
+    np.testing.assert_array_equal(s.z, z[order])
+
+
 def test_tiny_pi_keeps_nothing_and_warns_nothing():
     # only kept losses are divided by pi, so 1 / 5e-324 is never computed
     recs = pool([0.0, 1.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
@@ -135,13 +156,17 @@ def test_tiny_pi_keeps_nothing_and_warns_nothing():
 # ---------------------------------------------------------------- grid
 
 
+def draws_at(uncertainty):
+    return ZSamples(z=np.zeros(len(uncertainty)), u_origin=np.asarray(uncertainty, dtype=float))
+
+
 def test_candidate_grid_prepends_zero():
-    grid = candidate_grid(pool([0, 0, 0], [0.5, 0.2, 0.5]))
+    grid = candidate_grid(draws_at([0.5, 0.2, 0.5]))
     np.testing.assert_array_equal(grid, [0.0, 0.2, 0.5])
 
 
 def test_candidate_grid_keeps_existing_zero():
-    grid = candidate_grid(pool([0, 0], [0.0, 0.7]))
+    grid = candidate_grid(draws_at([0.0, 0.7]))
     np.testing.assert_array_equal(grid, [0.0, 0.7])
 
 
@@ -216,7 +241,7 @@ def test_hoeffding_never_tighter_than_clt_at_default_alpha():
         z = rng.choice([0.0, 1.0, 2.0], size=m)
         u = rng.uniform(0, 1, m)
         s = ZSamples(z=z, u_origin=u)
-        cands = candidate_grid(pool(np.zeros(4), [0.2, 0.4, 0.6, 0.8]))
+        cands = candidate_grid(draws_at([0.2, 0.4, 0.6, 0.8]))
         clt = ucb_clt(s, cands, alpha=0.05)
         hoeff = ucb_hoeffding(s, cands, alpha=0.05, bound_B=1.0, pi=0.5)
         assert np.all(hoeff.ucb >= clt.ucb - 1e-12)

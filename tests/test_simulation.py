@@ -1,6 +1,7 @@
 """Synthetic populations and the coverage experiment around them."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ def test_generate_matches_reference_records(seed, n):
     assert table.group_labels.tolist() == [r["group_label"] for r in records]
     assert table.tokens_thinking.tolist() == [r["tokens_thinking"] for r in records]
     assert table.tokens_cheap.tolist() == [r["tokens_cheap"] for r in records]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.json")), ids=lambda p: p.stem)
+def test_generate_matches_the_per_group_reference_for_every_spec(path, seed):
+    spec = load_spec(path)
+    table = generate(spec, 3000, substream(seed, "trial", 0, "data"))
+    records = _generate_reference(spec, 3000, substream(seed, "trial", 0, "data"))
+    np.testing.assert_array_equal(table.uncertainty, [r["uncertainty"] for r in records])
+    np.testing.assert_array_equal(table.loss, [r["loss"] for r in records])
+    np.testing.assert_array_equal(table.group_labels, [r["group_label"] for r in records])
 
 
 def test_generate_respects_weights_and_tokens():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -118,6 +119,8 @@ def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterCon
 
 
 def cmd_calibrate(args) -> int:
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
+        raise _CliError(EXIT_BAD_PARAM, f"--report {args.report} is the --out file; give it a path of its own")
     spec = _loss_spec(args)
     config, cluster = _configs(args, args.method, args.mode == "cpac")
     records = RecordTable.from_columns(_read_records(args, spec))

@@ -10,10 +10,10 @@ with its `path:line`.  Fields we do not know are ignored and counted, so
 callers can surface a warning.
 `load_json`, `json_field` and the other `json_*` checks read policy and spec
 files.
-Outputs are written to a temporary sibling and renamed into place, so a
-failed run never leaves a partial file and two runs writing one path each
-leave it whole; `atomic_write_texts` stages several outputs before renaming
-any, so a run that cannot write one of them changes none.
+Outputs are staged in a temporary sibling, made as `open()` makes a file,
+under the umask in force, and renamed into place, so a failed run never
+leaves a partial file and two runs writing one path each leave it whole;
+`atomic_write_texts` stages every output before renaming any: all or none.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import errno
 import json
 import os
 import re
-import tempfile
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -41,9 +40,6 @@ _FLOAT_FIELDS = ("uncertainty", "loss")
 _BLOCK = 8192
 # a `}` and a `{` joined by a comma: where a line may end one object and start another
 _SEAM = re.compile(r"\}\s*,\s*\{")
-# mkstemp creates files owner-only; outputs get the mode a plain open() would give
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 def json_object(value, what: str) -> dict:
@@ -92,7 +88,7 @@ def json_field(data: dict, name: str, convert, default=_REQUIRED):
 def load_json(path):
     """The JSON value in `path`; a value nested too deeply to parse is a
     ValueError, as a syntax error is."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except RecursionError as exc:
@@ -219,10 +215,10 @@ def load_records(path, fmt: str | None = None, spec: LossSpec | None = None) -> 
         raise ValueError(f"unknown records format {fmt!r}")
     read, newline = (_read_csv, "") if fmt == "csv" else (_read_jsonl, None)
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             raw, lines, failure, ignored = read(fh, path, None)
     except UnicodeDecodeError:
-        with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", newline=newline, errors="surrogateescape") as fh:
             for good, line in enumerate(fh):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -258,9 +254,9 @@ def atomic_write_texts(outputs) -> None:
     try:
         for text, path in outputs:
             path = os.fspath(path)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
+            tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            os.fchmod(fd, 0o666 & ~_UMASK)
             with open(fd, "w", encoding="utf-8") as fh:
                 fh.writelines([text] if isinstance(text, str) else text)
                 fh.flush()

@@ -273,6 +273,8 @@ def coverage_experiment(
         raise ValueError("cpac needs a cluster config")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if n_cal < 1:
+        raise ValueError("n_cal must be at least 1")
     master = est_config.seed
     covered: dict[GroupKey, int] = {}
     risk_sums: dict[GroupKey, float] = {}

@@ -1009,6 +1009,18 @@ def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", [[], SIM_CPAC], ids=["gpac", "cpac"])
+@pytest.mark.parametrize("n_cal", ["0", "-3"])
+def test_simulate_needs_a_calibration_record(tmp_path, capsys, method, n_cal):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--spec", str(spec), "--n-cal", n_cal, "--trials", "2", *EPS, *method,
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: n_cal must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "simulate"])
 def test_draw_count_option_is_gone(tmp_path, capsys, records_file, command):
     # one draw per record leaves no count to set: --m is a usage error
@@ -1109,6 +1121,16 @@ def test_calibrate_writes_neither_output_unless_both_can_be_written(tmp_path, ca
     else:
         assert out.read_text() == old
     assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
+
+
+def test_calibrate_report_needs_a_path_of_its_own(tmp_path, capsys, monkeypatch, records_file):
+    # both outputs are one file: the report would land over the policy
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(["calibrate", "--records", records_file, *EPS, "--out", "p.json", "--report", "./p.json"]) == 4
+    err = capsys.readouterr().err
+    assert "error: --report ./p.json is the --out file" in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists() and sorted(tmp_path.iterdir()) == before
 
 
 # ----------------------------------------------------------------- cluster

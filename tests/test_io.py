@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import math
+import os
 import re
 import stat
 import sys
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pac_route.io
-from pac_route.io import atomic_write_json, atomic_write_text, load_records
+from pac_route.io import atomic_write_json, atomic_write_text, load_json, load_records
 from pac_route.records import RECORD_FIELDS, RecordColumns
 from reference import record_to_dict, write_records_jsonl
 
@@ -373,6 +375,46 @@ def test_a_bad_row_before_a_line_that_is_not_utf8_wins(tmp_path, monkeypatch, fm
         load_records(path)
 
 
+BOM_FILES = {
+    "jsonl": ("r.jsonl", b'{"id": "a", "uncertainty": 0.5, "loss": 0.0}\n{"id": "b", "uncertainty": 0.25}\n'),
+    "csv": ("r.csv", b"id,uncertainty,loss\na,0.5,0\nb,0.25,\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BOM_FILES))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, fmt):
+    # Excel's "CSV UTF-8" starts with one; the header's first name must still read `id`
+    name, text = BOM_FILES[fmt]
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    (want, want_ignored), (got, ignored) = load_records(plain), load_records(marked)
+    assert column_values(got) == column_values(want) and got.lines.tolist() == want.lines.tolist()
+    assert ignored == want_ignored == 0
+
+
+def test_a_byte_order_mark_after_the_first_line_is_a_bad_row(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b'{"id": "a", "uncertainty": 0.5}\n\xef\xbb\xbf{"id": "b", "uncertainty": 0.5}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: Unexpected UTF-8 BOM")):
+        load_records(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(NOT_UTF8))
+def test_a_byte_order_mark_keeps_the_line_that_is_not_utf8(tmp_path, fmt):
+    name, header, row, bad = NOT_UTF8[fmt]
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + header + row % b"0.5" * (3 - len(header.splitlines()) - 1) + bad)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode byte 0xff")):
+        load_records(path)
+
+
+def test_load_json_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_bytes(b'\xef\xbb\xbf{"version": 1}\n')
+    assert load_json(path) == {"version": 1}
+
+
 # ------------------------------------------- loader against the reference readers
 
 _IDS = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(['a"b', "c\\d", "é", "日本", "😀"]))
@@ -609,3 +651,41 @@ def test_atomic_write_keeps_the_usual_file_mode(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text("x", path)
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_atomic_write_follows_the_umask_at_write_time(tmp_path):
+    old = os.umask(0o077)
+    try:
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        path = tmp_path / "out.txt"
+        atomic_write_text("x", path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o600
+
+
+def test_importing_io_leaves_the_umask_alone(monkeypatch):
+    def umask(mask):
+        raise AssertionError("importing pac_route.io changed the process umask")
+
+    saved = dict(vars(pac_route.io))
+    monkeypatch.setattr(os, "umask", umask)
+    try:
+        importlib.reload(pac_route.io)
+    finally:
+        # the other modules hold the original functions; keep them the module's own
+        vars(pac_route.io).update(saved)
+
+
+def test_a_staged_name_that_exists_is_never_overwritten(tmp_path, monkeypatch):
+    monkeypatch.setattr(pac_route.io.os, "urandom", lambda n: bytes(range(n)))
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    taken = tmp_path / f".out.txt.{bytes(range(8)).hex()}"
+    taken.write_text("someone else's")
+    with pytest.raises(OSError) as info:
+        atomic_write_text("new", path)
+    assert info.value.filename == str(path)
+    assert path.read_text() == "old" and taken.read_text() == "someone else's"
+    assert sorted(tmp_path.iterdir()) == sorted([path, taken])

@@ -295,6 +295,9 @@ def test_coverage_experiment_rejects_bad_arguments():
         coverage_experiment(spec, 80, 0, 0.05, "gpac", EstimatorConfig())
     with pytest.raises(ValueError):
         coverage_experiment(spec, 80, 2, 0.05, "bootstrap", EstimatorConfig())
+    for n_cal in (0, -3):  # checked before the first trial, not left to generate or the calibration
+        with pytest.raises(ValueError, match="^n_cal must be at least 1$"):
+            coverage_experiment(spec, n_cal, 2, 0.05, "gpac", EstimatorConfig())
 
 
 def test_alpha_comes_from_the_estimator_config():

@@ -176,11 +176,14 @@ class GroupThreshold:
         threshold = json_field(data, "threshold", lambda t: None if t == "always_think" else json_number(t))
         if threshold is not None and not 0.0 <= threshold <= 1.0:
             raise ValueError(f"group {key!r}: threshold {threshold} outside [0, 1]")
+        n = json_field(data, "n", json_integer)
+        if n < 0:
+            raise ValueError(f"group {key!r}: n {n} is negative")
         return cls(
             group_key=key,
             threshold=threshold,
             ucb_at_threshold=json_field(data, "ucb", lambda u: None if u is None else json_number(u), None),
-            n_calibration=json_field(data, "n", json_integer),
+            n_calibration=n,
         )
 
 
@@ -383,7 +386,7 @@ def calibrate_gpac(
         assigner=assigner,
         thresholds=tuple(thresholds),
         config_hash=config_hash(config, mode=assigner.mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset,
-                                bound_B=records.bound_B),
+                                bound_B=records.bound_B, loss_kind=records.loss_kind),
     )
     report = CalibrationReport(
         groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
@@ -407,7 +410,7 @@ def route(
 
 def config_hash(config: EstimatorConfig, **extras) -> str:
     """Short stable digest of `config` and `extras`, the other settings of the
-    calibration (the table's loss bound B among them)."""
+    calibration (the table's loss kind and bound B among them)."""
     payload = {
         "method": config.method,
         "alpha": config.alpha,

@@ -10,6 +10,10 @@ deterministic for a fixed seed and are written atomically.  Exit codes:
     5  policy file with an unsupported schema version
     6  --stp requested but token counts are missing
     7  invalid synthetic spec
+
+The wrappers that know which file failed set their own code; `main` maps any
+other library error by one table: NoRecordsError 3, MissingTokensError 6,
+any other ValueError 4.
 """
 
 from __future__ import annotations
@@ -20,18 +24,8 @@ import os
 import sys
 
 from . import __version__
-from .calibration import (
-    CHEAP,
-    DEFAULT_N_MIN,
-    MODES,
-    LabelAssigner,
-    PolicyVersionError,
-    TrivialAssigner,
-    calibrate_gpac,
-    load_policy,
-    route,
-)
-from .clustering import CLUSTER_MODES, ClusterConfig, calibrate_cpac, kmeans_1d
+from .calibration import CHEAP, DEFAULT_N_MIN, MODES, PolicyVersionError, load_policy, route
+from .clustering import CLUSTER_MODES, ClusterConfig, calibrate, kmeans_1d
 from .estimator import METHODS, EstimatorConfig
 from .evaluation import STP_VARIANTS, evaluate
 from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, render_json
@@ -55,19 +49,15 @@ EXIT_MISSING_TOKENS = 6
 EXIT_BAD_SPEC = 7
 # decision lines joined into one string before the next block starts
 _ROUTE_BLOCK = 8192
+# the exit code of a library error that no file wrapper claimed, most specific first
+_EXIT_CODES = ((NoRecordsError, EXIT_NO_RECORDS), (MissingTokensError, EXIT_MISSING_TOKENS),
+               (ValueError, EXIT_BAD_PARAM))
 
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _loss_spec(args) -> LossSpec:
-    try:
-        return LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
 
 
 def _read_records(args, spec: LossSpec | None = None) -> RecordColumns:
@@ -103,37 +93,25 @@ def _write(write, *args) -> None:
 
 
 def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
-    """The estimator config and, for cpac, the cluster config; an invalid value exits 4."""
-    try:
-        config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, seed=args.seed)
-        if not cpac:
-            return config, None
-        if args.k is None:
-            raise _CliError(EXIT_BAD_PARAM, f"cpac {args.command} needs --k")
-        return config, ClusterConfig(
-            k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
-            joint_slack=args.joint_slack, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
+    """The estimator config and, for cpac, the cluster config."""
+    config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, seed=args.seed)
+    if not cpac:
+        return config, None
+    if args.k is None:
+        raise ValueError(f"cpac {args.command} needs --k")
+    return config, ClusterConfig(
+        k=args.k, mode=args.cluster_mode, split_fraction=args.split_fraction,
+        joint_slack=args.joint_slack, seed=args.seed,
+    )
 
 
 def cmd_calibrate(args) -> int:
     if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
-        raise _CliError(EXIT_BAD_PARAM, f"--report {args.report} is the --out file; give it a path of its own")
-    spec = _loss_spec(args)
+        raise ValueError(f"--report {args.report} is the --out file; give it a path of its own")
+    spec = LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     config, cluster = _configs(args, args.method, args.mode == "cpac")
     records = RecordTable.from_columns(_read_records(args, spec))
-    try:
-        if cluster is not None:
-            policy, report = calibrate_cpac(records, cluster, args.epsilon, config, n_min=args.n_min)
-        else:
-            assigner = TrivialAssigner() if args.mode == "marginal" else LabelAssigner(records.labels)
-            policy, report = calibrate_gpac(records, assigner, args.epsilon, config, n_min=args.n_min)
-    except NoRecordsError as exc:
-        raise _CliError(EXIT_NO_RECORDS, str(exc)) from exc
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
+    policy, report = calibrate(records, args.mode, args.epsilon, config, cluster, n_min=args.n_min)
     outputs = [(render_json(policy.to_dict()), args.out)]
     if args.report:
         outputs.append((render_json(report.to_dict()), args.report))
@@ -180,17 +158,10 @@ def cmd_route(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = _loss_spec(args)
+    spec = LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     policy = _load_policy(args.policy)
     records = RecordTable.from_columns(_read_records(args, spec))
-    try:
-        report = evaluate(
-            records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp
-        )
-    except MissingTokensError as exc:
-        raise _CliError(EXIT_MISSING_TOKENS, str(exc)) from exc
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
+    report = evaluate(records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp)
     _write(atomic_write_json, report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")
     if report.stp is not None:
@@ -205,11 +176,7 @@ def cmd_simulate(args) -> int:
         spec = load_spec(args.spec)
     except (OSError, ValueError) as exc:
         raise _CliError(EXIT_BAD_SPEC, f"invalid synthetic spec: {exc}") from exc
-    try:
-        report = coverage_experiment(spec, args.n_cal, args.trials, args.epsilon, args.sim_method, config,
-                                     cluster)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
+    report = coverage_experiment(spec, args.n_cal, args.trials, args.epsilon, args.sim_method, config, cluster)
     _write(atomic_write_json, report.to_dict(), args.out)
     worst = min(report.per_group_coverage.values())
     print(f"coverage(min) {worst:.4f} efficiency {report.efficiency:.4f} over {report.trials} trials")
@@ -218,11 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    uncertainty = _read_records(args).uncertainty
-    try:
-        partition = kmeans_1d(uncertainty, args.k)
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_PARAM, str(exc)) from exc
+    partition = kmeans_1d(_read_records(args).uncertainty, args.k)
     _write(atomic_write_json, partition.to_dict(), args.out)
     centroids = " ".join(f"{c:.6g}" for c in partition.centroids)
     print(f"centroids {centroids}")
@@ -328,9 +291,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        if isinstance(exc, _CliError):
+            return exc.code
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import DEFAULT_N_MIN, CalibrationReport, Partition, RoutingPolicy, calibrate_gpac, config_hash
+from .calibration import DEFAULT_N_MIN, MODES, CalibrationReport, LabelAssigner, Partition, RoutingPolicy
+from .calibration import TrivialAssigner, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
 from .records import RecordTable
 from .seeding import substream
@@ -157,10 +158,32 @@ def calibrate_cpac(
     policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, n_min=n_min, ucb_offset=offset)
     stamp = config_hash(
         est_config, mode=partition.mode, epsilon=epsilon, n_min=n_min, ucb_offset=offset, bound_B=records.bound_B,
-        k=cluster_config.k, cluster_mode=cluster_config.mode,
+        loss_kind=records.loss_kind, k=cluster_config.k, cluster_mode=cluster_config.mode,
         split_fraction=cluster_config.split_fraction, cluster_seed=cluster_config.seed,
     )
     return replace(policy, config_hash=stamp), report
+
+
+def calibrate(
+    records: RecordTable,
+    mode: str,
+    epsilon: float,
+    est_config: EstimatorConfig,
+    cluster_config: ClusterConfig | None = None,
+    *,
+    n_min: int = DEFAULT_N_MIN,
+) -> tuple[RoutingPolicy, CalibrationReport]:
+    """Calibrate `records` under `mode`, one of MODES: marginal pools every
+    record in one group, gpac groups them by their labels, and cpac learns
+    the groups under `cluster_config`, which only cpac reads and needs."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "cpac":
+        if cluster_config is None:
+            raise ValueError("cpac needs a cluster config")
+        return calibrate_cpac(records, cluster_config, epsilon, est_config, n_min=n_min)
+    assigner = TrivialAssigner() if mode == "marginal" else LabelAssigner(records.labels)
+    return calibrate_gpac(records, assigner, epsilon, est_config, n_min=n_min)
 
 
 __all__ = [
@@ -169,4 +192,5 @@ __all__ = [
     "ClusterConfig",
     "kmeans_1d",
     "calibrate_cpac",
+    "calibrate",
 ]

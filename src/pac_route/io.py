@@ -165,6 +165,9 @@ def _read_csv(fh, path, end: str | None) -> tuple[dict, list[int], str | None, i
             raise ValueError(
                 f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
             )
+        twice = [name for i, name in enumerate(header) if name in RECORD_FIELDS and name in header[:i]]
+        if twice:
+            raise ValueError(f"{path}:1: the header names field {twice[0]!r} more than once")
         width = len(header)
         for row in reader:
             if not row:

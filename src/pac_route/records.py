@@ -337,7 +337,8 @@ class RecordTable:
     label_code indexes `labels` (NO_LABEL = no group label); a missing token
     count is NaN.  bound_B is the a-priori bound B the losses were resolved
     under, a float: every loss lies in [0, B], and the Hoeffding bound and
-    the config hash read B here.
+    the config hash read B here.  loss_kind is the kind they were resolved
+    as, which the config hash reads too.
     The columns are checked once, here, so code reading them needs no
     per-record validation.
     """
@@ -350,6 +351,7 @@ class RecordTable:
     tokens_thinking: np.ndarray
     tokens_cheap: np.ndarray
     bound_B: float = 1.0
+    loss_kind: str = "precomputed"
 
     def __post_init__(self):
         n = len(self.ids)
@@ -369,6 +371,8 @@ class RecordTable:
         object.__setattr__(self, "bound_B", float(self.bound_B))
         if not np.all((self.loss >= 0.0) & (self.loss <= self.bound_B)):
             raise ValueError(f"resolved losses must lie in [0, {self.bound_B}]")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("the label vocabulary must not repeat a label")
         if n and not NO_LABEL <= self.label_code.min() <= self.label_code.max() < len(self.labels):
@@ -393,6 +397,7 @@ class RecordTable:
             tokens_thinking=columns.tokens_thinking,
             tokens_cheap=columns.tokens_cheap,
             bound_B=columns.spec.bound_B,
+            loss_kind=columns.spec.kind,
         )
 
     @classmethod
@@ -406,11 +411,11 @@ class RecordTable:
 
     def take(self, idx) -> "RecordTable":
         """The rows at integer positions `idx`, a 1-d array, in that order,
-        sharing `labels` and `bound_B`.  A subset of checked rows keeps every
-        table rule, so it is not checked again."""
+        sharing `labels`, `bound_B` and `loss_kind`.  A subset of checked
+        rows keeps every table rule, so it is not checked again."""
         if np.ndim(idx) != 1:
             raise ValueError("row positions must be a 1-d array")
-        rows = {name: column[idx] for name, column in vars(self).items() if name not in ("labels", "bound_B")}
+        rows = {name: column[idx] for name, column in vars(self).items() if isinstance(column, np.ndarray)}
         table = object.__new__(RecordTable)
         vars(table).update(vars(self), **rows)
         return table

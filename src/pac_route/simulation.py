@@ -16,17 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import (
-    GROUP_ALL,
-    MODES,
-    GroupKey,
-    LabelAssigner,
-    Partition,
-    RoutingPolicy,
-    TrivialAssigner,
-    calibrate_gpac,
-)
-from .clustering import ClusterConfig, calibrate_cpac
+from .calibration import GROUP_ALL, GroupKey, Partition, RoutingPolicy, TrivialAssigner
+from .clustering import ClusterConfig, calibrate
 from .estimator import EstimatorConfig
 from .io import json_field, json_integer, json_list, json_number, json_numbers, json_object, json_string
 from .io import load_json
@@ -267,10 +258,6 @@ def coverage_experiment(
     Every trial derives its data and estimator streams from (seed, trial
     index), so runs are reproducible and trials are mutually independent.
     """
-    if method not in MODES:
-        raise ValueError(f"method must be one of {MODES}, got {method!r}")
-    if method == "cpac" and cluster_config is None:
-        raise ValueError("cpac needs a cluster config")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n_cal < 1:
@@ -282,12 +269,8 @@ def coverage_experiment(
     for t in range(trials):
         records = generate(spec, n_cal, substream(master, "trial", t, "data"))
         cfg = replace(est_config, seed=derive_seed(master, "trial", t, "calibrate"))
-        if method == "cpac":
-            cc = replace(cluster_config, seed=derive_seed(master, "trial", t, "cluster"))
-            policy, _ = calibrate_cpac(records, cc, epsilon, cfg)
-        else:
-            assigner = TrivialAssigner() if method == "marginal" else LabelAssigner(records.labels)
-            policy, _ = calibrate_gpac(records, assigner, epsilon, cfg)
+        cc = cluster_config and replace(cluster_config, seed=derive_seed(master, "trial", t, "cluster"))
+        policy, _ = calibrate(records, method, epsilon, cfg, cc)
         risks, efficiency = policy_true_metrics(spec, policy)
         efficiency_sum += efficiency
         for key, risk in risks.items():

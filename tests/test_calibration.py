@@ -431,6 +431,22 @@ def test_integer_and_float_bounds_stamp_one_config_hash(calibrate):
     assert stamp(LossSpec(bound_B=2)).config_hash == stamp(LossSpec(bound_B=2.0)).config_hash
 
 
+@pytest.mark.parametrize("calibrate", ["gpac", "cpac"])
+def test_the_loss_kind_changes_the_config_hash(calibrate):
+    # one set of rows, with both a precomputed loss and an answer triple
+    rows = [dict(row, thinking_answer="a", cheap_answer="b" if i % 4 == 0 else "a", gold_answer="a")
+            for i, row in enumerate(pool(np.linspace(0.0, 0.3, 20), np.linspace(0, 1, 20)))]
+
+    def stamp(kind):
+        records = RecordTable.from_records(rows, LossSpec(kind))
+        assert records.loss_kind == kind
+        if calibrate == "cpac":
+            return calibrate_cpac(records, ClusterConfig(k=2, mode="joint"), 0.1, EstimatorConfig(seed=1))[0]
+        return calibrate_gpac(records, TrivialAssigner(), 0.1, EstimatorConfig(seed=1))[0]
+
+    assert stamp("precomputed").config_hash != stamp("binary").config_hash
+
+
 # --------------------------------------------------------------- routing
 
 

@@ -107,8 +107,8 @@ def test_calibrate_cpac_hash_tracks_cluster_settings(tmp_path, records_file):
 
 
 @pytest.mark.parametrize("mode,digests", [
-    (["--mode", "gpac"], {"1": "dbb75062d5222e4e", "2": "38f3cfac2e4fc193"}),
-    (["--mode", "cpac", "--k", "2"], {"1": "3e1df3afc96f5fe0", "2": "c4a06e8f03c36544"}),
+    (["--mode", "gpac"], {"1": "384ac15202c84b85", "2": "4aa8896786b0ddd2"}),
+    (["--mode", "cpac", "--k", "2"], {"1": "6326f540a9f71d65", "2": "fe1435e03f966625"}),
 ])
 def test_calibrate_hash_tracks_the_loss_bound(tmp_path, records_file, mode, digests):
     # pinned digests: a policy's provenance must not drift when code moves
@@ -117,6 +117,19 @@ def test_calibrate_hash_tracks_the_loss_bound(tmp_path, records_file, mode, dige
         assert main(["calibrate", "--records", records_file, *mode, "--bound-b", bound,
                      *EPS, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["provenance"]["config_hash"] == digest
+
+
+def test_calibrate_hash_tracks_the_loss_kind(tmp_path):
+    # every row carries both a precomputed loss and an answer triple
+    rows = [dict(row, thinking_answer="a", cheap_answer="b" if i % 4 == 0 else "a", gold_answer="a")
+            for i, row in enumerate(labeled_rows())]
+    path = write_jsonl(tmp_path / "r.jsonl", rows)
+    hashes = set()
+    for kind in ("precomputed", "binary"):
+        out = tmp_path / f"policy_{kind}.json"
+        assert main(["calibrate", "--records", path, "--loss-kind", kind, *EPS, "--out", str(out)]) == 0
+        hashes.add(json.loads(out.read_text())["provenance"]["config_hash"])
+    assert len(hashes) == 2
 
 
 def test_calibrate_cpac_needs_k(tmp_path, records_file):
@@ -188,6 +201,25 @@ def test_calibrate_from_csv(tmp_path):
     assert main(["calibrate", "--records", str(path), *EPS,
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["thresholds"][0]["group_key"] == "solo"
+
+
+def test_csv_header_naming_a_field_twice_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text("id,uncertainty,uncertainty,loss\na,0.25,0.5,0\nb,0.25,0.5,0\n")
+    out = tmp_path / "partition.json"
+    assert main(["cluster", "--records", str(path), "--k", "1", "--out", str(out)]) == 2
+    assert (f"cannot read records: {path}:1: the header names field 'uncertainty' more than once"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_csv_header_naming_an_unknown_column_twice_only_warns(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text("id,uncertainty,note,note,loss\na,0.25,x,y,0\nb,0.75,x,y,0\n")
+    out = tmp_path / "partition.json"
+    assert main(["cluster", "--records", str(path), "--k", "1", "--out", str(out)]) == 0
+    assert "ignored 2 unknown field(s)" in capsys.readouterr().err
+    assert json.loads(out.read_text())["centroids"] == [0.5]
 
 
 def test_usage_error_exits_two(records_file):
@@ -524,6 +556,11 @@ def _centroids_string(data):
     return {**data, "mode": "cpac", "assigner": {"kind": "centroids", "centroids": "12"}, "thresholds": []}
 
 
+def _negative_n(data):
+    data["thresholds"][0]["n"] = -5
+    return data
+
+
 def _n_fraction(data):
     data["thresholds"][0]["n"] = 50.7
     return data
@@ -600,6 +637,7 @@ POLICY_EDITS = [
     _threshold_object, _assigner_string, _group_key_list,
     _bogus_mode, _negative_epsilon, _zero_epsilon, _infinite_epsilon, _alpha_seven, _alpha_zero,
     _mode_of_another_assigner, _mode_missing, _assigner_missing, _duplicate_label, _nan_centroid,
+    _negative_n,
 ]
 
 
@@ -611,6 +649,12 @@ def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, c
     assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
     assert "cannot read policy" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_negative_n_names_its_group(tmp_path, records_file, policy_file, capsys):
+    bad = _edited_policy(tmp_path, policy_file, _negative_n)
+    assert main(["route", "--policy", bad, "--records", records_file, "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read policy: group 'easy': n -5 is negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["route", "evaluate"])

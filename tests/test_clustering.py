@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pac_route.calibration import LabelAssigner, load_policy, save_policy
+from pac_route.calibration import LabelAssigner, TrivialAssigner, calibrate_gpac, load_policy, save_policy
 from pac_route.clustering import (
     ClusterConfig,
     Partition,
+    calibrate,
     calibrate_cpac,
     kmeans_1d,
 )
@@ -381,6 +382,35 @@ def test_cpac_policy_round_trip(tmp_path):
     assert back.to_dict() == policy.to_dict()
     assert isinstance(back.assigner, Partition)
     assert back.assigner.centroids == policy.assigner.centroids
+
+
+@pytest.mark.parametrize("mode, cluster_config", [
+    ("marginal", None),
+    ("gpac", None),
+    ("cpac", ClusterConfig(k=2, mode="split", seed=4)),
+    ("cpac", ClusterConfig(k=2, mode="joint", joint_slack=0.01, seed=4)),
+], ids=["marginal", "gpac", "cpac-split", "cpac-joint"])
+def test_calibrate_matches_the_direct_call_of_its_mode(mode, cluster_config):
+    rows = rigged_records(300, np.random.default_rng(5))
+    records = table([dict(row, group_label="ab"[i % 2]) for i, row in enumerate(rows)])
+    config = EstimatorConfig(seed=4)
+    if mode == "cpac":
+        direct = calibrate_cpac(records, cluster_config, 0.05, config, n_min=5)
+    else:
+        assigner = TrivialAssigner() if mode == "marginal" else LabelAssigner(records.labels)
+        direct = calibrate_gpac(records, assigner, 0.05, config, n_min=5)
+    policy, report = calibrate(records, mode, 0.05, config, cluster_config, n_min=5)
+    assert policy.mode == mode
+    assert policy.to_dict() == direct[0].to_dict()
+    assert report.to_dict() == direct[1].to_dict()
+
+
+def test_calibrate_rejects_an_unknown_mode_and_cpac_without_a_cluster_config():
+    records = table(rigged_records(50, np.random.default_rng(6)))
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        calibrate(records, "bootstrap", 0.05, EstimatorConfig())
+    with pytest.raises(ValueError, match="^cpac needs a cluster config$"):
+        calibrate(records, "cpac", 0.05, EstimatorConfig())
 
 
 def test_cluster_config_validation():

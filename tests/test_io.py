@@ -8,6 +8,7 @@ import re
 import stat
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +102,10 @@ def read_records_csv_reference(path) -> tuple[list[dict], int]:
             raise ValueError(
                 f"{path}: embedding columns {sorted(present)} are not supported in CSV; use JSONL"
             )
+        repeated = sorted(name for name, count in Counter(reader.fieldnames).items()
+                          if count > 1 and name in RECORD_FIELDS)
+        if repeated:
+            raise ValueError(f"{path}:1: the header names fields {repeated} more than once")
         for row in reader:
             lineno = reader.line_num
             data: dict = {}
@@ -253,6 +258,18 @@ def test_csv_rejects_embedding_columns(tmp_path):
     with pytest.raises(ValueError) as info:
         load_records(path)
     assert "JSONL" in str(info.value)
+
+
+@pytest.mark.parametrize("header, named", [
+    ("id,uncertainty,uncertainty,loss", "uncertainty"),
+    ("id,loss,uncertainty,group_label,loss,group_label", "loss"),
+])
+def test_csv_rejects_a_header_naming_a_field_twice(tmp_path, header, named):
+    path = tmp_path / "records.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_records(path)
+    assert str(info.value) == f"{path}:1: the header names field {named!r} more than once"
 
 
 def test_csv_requires_header(tmp_path):

@@ -427,6 +427,7 @@ def table_columns(**overrides):
     dict(bound_B=0.0),
     dict(bound_B=math.inf),
     dict(bound_B=math.nan),
+    dict(loss_kind="nonsense"),
 ])
 def test_table_rejects_bad_columns(overrides):
     RecordTable(**table_columns())
@@ -443,6 +444,13 @@ def test_table_carries_the_bound_its_losses_were_resolved_under():
     assert table.bound_B == 2.0 and table.loss.max() > 1.0
     assert table.take(np.array([2, 0])).bound_B == 2.0
     assert RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3.0)).bound_B == 3.0
+
+
+def test_table_carries_the_kind_its_losses_were_resolved_as():
+    assert RecordTable(**table_columns()).loss_kind == "precomputed"
+    rows = [make_record(id=f"r{i}", thinking_answer="a", cheap_answer="b", gold_answer="a") for i in range(3)]
+    table = RecordTable.from_records(rows, LossSpec("binary"))
+    assert table.loss_kind == "binary" and table.take(np.array([2, 0])).loss_kind == "binary"
 
 
 def test_table_rejects_unresolved_records():

@@ -33,6 +33,7 @@ from typing import Any
 import numpy as np
 
 from .estimator import (
+    DEFAULT_N_MIN,
     EstimatorConfig,
     UcbCurve,
     candidate_grid,
@@ -50,7 +51,6 @@ MODES = ("marginal", "gpac", "cpac")
 GROUP_ALL = "all"
 CHEAP = "cheap"
 THINK = "think"
-DEFAULT_N_MIN = 10
 # the limit of a group that never routes cheap: always_think, no threshold, unresolved
 _NEVER = -math.inf
 
@@ -218,9 +218,6 @@ class RoutingPolicy:
     def mode(self) -> str:
         return self.assigner.mode
 
-    def threshold_for(self, group_key: GroupKey) -> GroupThreshold | None:
-        return next((t for t in self.thresholds if t.group_key == group_key), None)
-
     def to_dict(self) -> dict:
         return {
             "version": POLICY_VERSION,
@@ -310,7 +307,6 @@ def calibrate_group(
     rng: np.random.Generator,
     *,
     group_key: GroupKey = GROUP_ALL,
-    n_min: int = DEFAULT_N_MIN,
     ucb_offset: float = 0.0,
 ) -> tuple[GroupThreshold, UcbCurve | None]:
     """Select one group's threshold; returns the bound curve for reporting.
@@ -321,16 +317,16 @@ def calibrate_group(
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
     n = len(records_j)
-    if n < max(n_min, 2 if config.method == "clt" else 1):
+    if n < max(config.n_min, 2 if config.method == "clt" else 1):
         return GroupThreshold(group_key, None, None, n), None
     samples = draw_z_samples(records_j, config, rng)
-    if samples.kept < n_min:
+    if samples.kept < config.n_min:
         return GroupThreshold(group_key, None, None, n), None
     grid = candidate_grid(samples)
     if config.method == "clt":
         curve = ucb_clt(samples, grid, config.alpha)
     else:
-        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.bound_B, config.pi)
+        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.spec.bound_B, config.pi)
     if ucb_offset:
         curve = UcbCurve(curve.candidates, curve.mean, curve.ucb + ucb_offset)
     feasible = np.flatnonzero(curve.ucb <= epsilon)
@@ -349,7 +345,6 @@ def calibrate_gpac(
     epsilon: float,
     config: EstimatorConfig,
     *,
-    n_min: int = DEFAULT_N_MIN,
     ucb_offset: float = 0.0,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
     """Calibrate one threshold per assigner group over `records`.
@@ -358,8 +353,6 @@ def calibrate_gpac(
     only counted in the report.  Each group draws from its own substream of
     config.seed, so adding a group never changes another group's result.
     """
-    if n_min < 0:
-        raise ValueError(f"n_min must be non-negative, got {n_min}")
     codes = assigner.assign(records)
     n_unresolved = int(np.count_nonzero(codes < 0))
     if n_unresolved == len(records):
@@ -371,7 +364,7 @@ def calibrate_gpac(
         rng = substream(config.seed, "calibrate", key)
         threshold, curve = calibrate_group(
             records.take(np.flatnonzero(codes == code)), epsilon, config, rng,
-            group_key=key, n_min=n_min, ucb_offset=ucb_offset,
+            group_key=key, ucb_offset=ucb_offset,
         )
         thresholds.append(threshold)
         entry = threshold.to_dict()
@@ -385,8 +378,7 @@ def calibrate_gpac(
         seed=config.seed,
         assigner=assigner,
         thresholds=tuple(thresholds),
-        config_hash=config_hash(config, mode=assigner.mode, epsilon=epsilon, n_min=n_min, ucb_offset=ucb_offset,
-                                bound_B=records.bound_B, loss_kind=records.loss_kind),
+        config_hash=config_hash(config, records.spec, mode=assigner.mode, epsilon=epsilon, ucb_offset=ucb_offset),
     )
     report = CalibrationReport(
         groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
@@ -408,16 +400,14 @@ def route(
     return RouteDecision(record_id, key, CHEAP if uncertainty <= policy.limits.get(key, _NEVER) else THINK)
 
 
-def config_hash(config: EstimatorConfig, **extras) -> str:
-    """Short stable digest of `config` and `extras`, the other settings of the
-    calibration (the table's loss kind and bound B among them)."""
-    payload = {
-        "method": config.method,
-        "alpha": config.alpha,
-        "pi": config.pi,
-        "seed": config.seed,
-    }
-    payload.update(extras)
+def config_hash(*configs, **settings) -> str:
+    """Short stable digest of every field of each of `configs`, dataclasses
+    keyed by their class name (the estimator config, the table's loss spec
+    and, for cpac, the cluster config), and of the loose `settings`: the
+    mode, epsilon and ucb_offset.  A config's instance dict is its fields,
+    and reading it costs a fraction of `dataclasses.asdict`."""
+    payload = {type(c).__name__: vars(c) for c in configs}
+    payload.update(settings)
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -24,9 +24,9 @@ import os
 import sys
 
 from . import __version__
-from .calibration import CHEAP, DEFAULT_N_MIN, MODES, PolicyVersionError, load_policy, route
+from .calibration import CHEAP, MODES, PolicyVersionError, load_policy, route
 from .clustering import CLUSTER_MODES, ClusterConfig, calibrate, kmeans_1d
-from .estimator import METHODS, EstimatorConfig
+from .estimator import DEFAULT_N_MIN, METHODS, EstimatorConfig
 from .evaluation import STP_VARIANTS, evaluate
 from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, render_json
 from .records import (
@@ -93,8 +93,10 @@ def _write(write, *args) -> None:
 
 
 def _configs(args, method: str, cpac: bool) -> tuple[EstimatorConfig, ClusterConfig | None]:
-    """The estimator config and, for cpac, the cluster config."""
-    config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, seed=args.seed)
+    """The estimator config and, for cpac, the cluster config; `simulate`,
+    which has no --n-min, keeps the default n_min."""
+    config = EstimatorConfig(method=method, alpha=args.alpha, pi=args.pi, seed=args.seed,
+                             n_min=getattr(args, "n_min", DEFAULT_N_MIN))
     if not cpac:
         return config, None
     if args.k is None:
@@ -111,7 +113,7 @@ def cmd_calibrate(args) -> int:
     spec = LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     config, cluster = _configs(args, args.method, args.mode == "cpac")
     records = RecordTable.from_columns(_read_records(args, spec))
-    policy, report = calibrate(records, args.mode, args.epsilon, config, cluster, n_min=args.n_min)
+    policy, report = calibrate(records, args.mode, args.epsilon, config, cluster)
     outputs = [(render_json(policy.to_dict()), args.out)]
     if args.report:
         outputs.append((render_json(report.to_dict()), args.report))

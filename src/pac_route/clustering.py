@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import DEFAULT_N_MIN, MODES, CalibrationReport, LabelAssigner, Partition, RoutingPolicy
+from .calibration import MODES, CalibrationReport, LabelAssigner, Partition, RoutingPolicy
 from .calibration import TrivialAssigner, calibrate_gpac, config_hash
 from .estimator import EstimatorConfig
 from .records import RecordTable
@@ -47,6 +47,7 @@ class ClusterConfig:
             raise ValueError("split_fraction must lie strictly inside (0, 1)")
         if not 0.0 <= self.joint_slack < np.inf:
             raise ValueError("joint_slack must be non-negative and finite")
+        object.__setattr__(self, "joint_slack", float(self.joint_slack))  # 0 and 0.0 stamp one config_hash
 
 
 def kmeans_1d(values, k: int) -> Partition:
@@ -132,8 +133,6 @@ def calibrate_cpac(
     cluster_config: ClusterConfig,
     epsilon: float,
     est_config: EstimatorConfig,
-    *,
-    n_min: int = DEFAULT_N_MIN,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
     """Learn a k-group partition of the uncertainty axis, then calibrate it.
 
@@ -155,12 +154,9 @@ def calibrate_cpac(
         cluster_side = cal_side = records
         offset = cluster_config.joint_slack
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
-    policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, n_min=n_min, ucb_offset=offset)
-    stamp = config_hash(
-        est_config, mode=partition.mode, epsilon=epsilon, n_min=n_min, ucb_offset=offset, bound_B=records.bound_B,
-        loss_kind=records.loss_kind, k=cluster_config.k, cluster_mode=cluster_config.mode,
-        split_fraction=cluster_config.split_fraction, cluster_seed=cluster_config.seed,
-    )
+    policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, ucb_offset=offset)
+    stamp = config_hash(est_config, records.spec, cluster_config,
+                        mode=partition.mode, epsilon=epsilon, ucb_offset=offset)
     return replace(policy, config_hash=stamp), report
 
 
@@ -170,8 +166,6 @@ def calibrate(
     epsilon: float,
     est_config: EstimatorConfig,
     cluster_config: ClusterConfig | None = None,
-    *,
-    n_min: int = DEFAULT_N_MIN,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
     """Calibrate `records` under `mode`, one of MODES: marginal pools every
     record in one group, gpac groups them by their labels, and cpac learns
@@ -181,9 +175,9 @@ def calibrate(
     if mode == "cpac":
         if cluster_config is None:
             raise ValueError("cpac needs a cluster config")
-        return calibrate_cpac(records, cluster_config, epsilon, est_config, n_min=n_min)
+        return calibrate_cpac(records, cluster_config, epsilon, est_config)
     assigner = TrivialAssigner() if mode == "marginal" else LabelAssigner(records.labels)
-    return calibrate_gpac(records, assigner, epsilon, est_config, n_min=n_min)
+    return calibrate_gpac(records, assigner, epsilon, est_config)
 
 
 __all__ = [

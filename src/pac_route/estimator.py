@@ -28,6 +28,7 @@ import numpy as np
 from .records import RecordTable
 
 METHODS = ("clt", "hoeffding")
+DEFAULT_N_MIN = 10
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,15 @@ class EstimatorConfig:
     """Sampling and bound settings shared by every group of one calibration run.
 
     pi is the keep probability of every record, a number in (0, 1] kept as
-    a float, so pi=1 and pi=1.0 stamp one config_hash.
+    a float, so pi=1 and pi=1.0 stamp one config_hash.  A group with fewer
+    than n_min records, or whose draw keeps fewer, is not bounded.
     """
 
     method: str = "clt"
     alpha: float = 0.05
     pi: float = 0.5
     seed: int = 0
+    n_min: int = DEFAULT_N_MIN
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -51,6 +54,8 @@ class EstimatorConfig:
         if not (type(self.pi) is not bool and isinstance(self.pi, (int, float)) and 0.0 < self.pi <= 1.0):
             raise ValueError(f"pi must be a number in (0, 1], got {self.pi!r}")
         object.__setattr__(self, "pi", float(self.pi))
+        if not (type(self.n_min) is not bool and isinstance(self.n_min, int) and self.n_min >= 0):
+            raise ValueError(f"n_min must be non-negative, got {self.n_min}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,7 @@ def ucb_hoeffding(
 
 __all__ = [
     "METHODS",
+    "DEFAULT_N_MIN",
     "EstimatorConfig",
     "ZSamples",
     "UcbCurve",

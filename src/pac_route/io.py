@@ -179,9 +179,9 @@ def _read_csv(fh, path, end: str | None) -> tuple[dict, list[int], str | None, i
             lines.append(reader.line_num)
     except csv.Error as exc:  # such as a cell over the field size limit
         stop = f"{path}:{reader.line_num}: {exc}"
-    # every row has each header name (short rows are padded); cells beyond
-    # the header count as one more unknown field
-    ignored = len(rows) * len(set(header).difference(RECORD_FIELDS)) + long_rows
+    # every row has a cell under each header column (short rows are padded);
+    # cells beyond the header count as one more unknown field
+    ignored = len(rows) * sum(name not in RECORD_FIELDS for name in header) + long_rows
     column_of = {name: i for i, name in enumerate(header)}
     raw: dict[str, list | None] = {"id": [None] * len(rows)}
     failure = None  # (row, header position, message) of the first bad cell

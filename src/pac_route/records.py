@@ -335,10 +335,9 @@ class RecordTable:
     """Resolved records as aligned columns, one row per record.
 
     label_code indexes `labels` (NO_LABEL = no group label); a missing token
-    count is NaN.  bound_B is the a-priori bound B the losses were resolved
-    under, a float: every loss lies in [0, B], and the Hoeffding bound and
-    the config hash read B here.  loss_kind is the kind they were resolved
-    as, which the config hash reads too.
+    count is NaN.  spec is the loss spec the losses were resolved under:
+    every loss lies in [0, spec.bound_B], the Hoeffding bound reads B there,
+    and the config hash digests the whole spec.
     The columns are checked once, here, so code reading them needs no
     per-record validation.
     """
@@ -350,8 +349,7 @@ class RecordTable:
     labels: tuple[str, ...]
     tokens_thinking: np.ndarray
     tokens_cheap: np.ndarray
-    bound_B: float = 1.0
-    loss_kind: str = "precomputed"
+    spec: LossSpec = LossSpec()
 
     def __post_init__(self):
         n = len(self.ids)
@@ -366,13 +364,8 @@ class RecordTable:
         u = self.uncertainty
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValueError("uncertainties must lie in [0, 1]")
-        if not 0.0 < self.bound_B < math.inf:
-            raise ValueError("loss bound B must be positive and finite")
-        object.__setattr__(self, "bound_B", float(self.bound_B))
-        if not np.all((self.loss >= 0.0) & (self.loss <= self.bound_B)):
-            raise ValueError(f"resolved losses must lie in [0, {self.bound_B}]")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        if not np.all((self.loss >= 0.0) & (self.loss <= self.spec.bound_B)):
+            raise ValueError(f"resolved losses must lie in [0, {self.spec.bound_B}]")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("the label vocabulary must not repeat a label")
         if n and not NO_LABEL <= self.label_code.min() <= self.label_code.max() < len(self.labels):
@@ -396,8 +389,7 @@ class RecordTable:
             labels=tuple(vocab),
             tokens_thinking=columns.tokens_thinking,
             tokens_cheap=columns.tokens_cheap,
-            bound_B=columns.spec.bound_B,
-            loss_kind=columns.spec.kind,
+            spec=columns.spec,
         )
 
     @classmethod
@@ -411,19 +403,14 @@ class RecordTable:
 
     def take(self, idx) -> "RecordTable":
         """The rows at integer positions `idx`, a 1-d array, in that order,
-        sharing `labels`, `bound_B` and `loss_kind`.  A subset of checked
-        rows keeps every table rule, so it is not checked again."""
+        sharing `labels` and `spec`.  A subset of checked rows keeps every
+        table rule, so it is not checked again."""
         if np.ndim(idx) != 1:
             raise ValueError("row positions must be a 1-d array")
         rows = {name: column[idx] for name, column in vars(self).items() if isinstance(column, np.ndarray)}
         table = object.__new__(RecordTable)
         vars(table).update(vars(self), **rows)
         return table
-
-    @property
-    def group_labels(self) -> np.ndarray:
-        """Each row's group label, None where it has none (an object array)."""
-        return np.array(self.labels + (None,), dtype=object)[self.label_code]
 
 
 __all__ = [

@@ -84,6 +84,16 @@ def calibrate_group_reference(uncertainty, loss, bound_B, epsilon, config, rng, 
     return threshold, grid, mean, ucb
 
 
+def threshold_for(policy, group_key):
+    """The policy's threshold entry for `group_key`, or None."""
+    return next((t for t in policy.thresholds if t.group_key == group_key), None)
+
+
+def group_labels(table) -> np.ndarray:
+    """Each row's group label, None where it has none (an object array)."""
+    return np.array(table.labels + (None,), dtype=object)[table.label_code]
+
+
 def binomial_slack(level: float, trials: int, n_se: float = 3.0) -> float:
     """n_se standard errors of a trials-sized binomial at rate `level`."""
     return n_se * math.sqrt(level * (1.0 - level) / trials)

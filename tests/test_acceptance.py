@@ -36,7 +36,7 @@ from pac_route.evaluation import error_gap, group_sizes, stp, trial_error
 from pac_route.records import LossSpec, RecordTable, cosine_loss
 from pac_route.seeding import derive_seed, substream
 from pac_route.simulation import coverage_experiment, generate, load_spec
-from reference import partition_gap, sample_group
+from reference import partition_gap, sample_group, threshold_for
 
 pytestmark = pytest.mark.acceptance
 
@@ -294,7 +294,7 @@ def test_08_heldout_concentration():
         )
         policy, _ = calibrate_gpac(records, LabelAssigner(records.labels), EPS, cfg)
         for j, group in enumerate(spec.groups):
-            row = policy.threshold_for(group.name)
+            row = threshold_for(policy, group.name)
             cut = -1.0 if row is None or row.threshold is None else row.threshold
             for n_test in sizes:
                 u, loss = sample_group(

@@ -31,7 +31,7 @@ from pac_route.calibration import (
 from pac_route.clustering import ClusterConfig, Partition, calibrate_cpac
 from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
 from pac_route.records import LossSpec, RecordTable
-from reference import calibrate_group_reference
+from reference import calibrate_group_reference, group_labels, threshold_for
 
 
 def pool(losses, uncertainties, label=None):
@@ -139,7 +139,7 @@ def test_assign_agrees_with_resolve(case):
     codes = assigner.assign(table)
     assert codes.shape == (len(table),)
     assert ((-1 <= codes) & (codes < len(assigner.keys))).all()  # codes index the assigner's keys
-    expected = [assigner.resolve(label, u) for label, u in zip(table.group_labels, table.uncertainty)]
+    expected = [assigner.resolve(label, u) for label, u in zip(group_labels(table), table.uncertainty)]
     assert [None if c < 0 else assigner.keys[c] for c in codes] == expected
 
 
@@ -169,11 +169,11 @@ def test_a_draw_that_keeps_fewer_than_n_min_records_always_thinks():
     config = EstimatorConfig(pi=0.2, seed=5)
     kept = int(np.count_nonzero(np.random.default_rng(5).random(40) < 0.2))
     assert 0 < kept < 40
-    t, curve = calibrate_group(recs, 0.5, config, np.random.default_rng(5), n_min=kept + 1)
+    t, curve = calibrate_group(recs, 0.5, dataclasses.replace(config, n_min=kept + 1), np.random.default_rng(5))
     assert t.to_dict() == {"group_key": GROUP_ALL, "threshold": "always_think", "ucb": None, "n": 40}
     assert curve is None
     # the boundary is inclusive, as it is for n
-    t, curve = calibrate_group(recs, 0.5, config, np.random.default_rng(5), n_min=kept)
+    t, curve = calibrate_group(recs, 0.5, dataclasses.replace(config, n_min=kept), np.random.default_rng(5))
     assert t.threshold == pytest.approx(0.98) and curve is not None
 
 
@@ -181,15 +181,15 @@ def test_a_draw_that_keeps_fewer_than_n_min_records_always_thinks():
 def test_a_group_too_small_to_bound_always_thinks(n_min):
     # cluster 1 of (0.1, 0.9) has no record: nothing to draw
     recs = table(pool([0.0] * 20, np.linspace(0.0, 0.3, 20)))
-    policy, _ = calibrate_gpac(recs, Partition((0.1, 0.9)), 0.05, EstimatorConfig(), n_min=n_min)
+    policy, _ = calibrate_gpac(recs, Partition((0.1, 0.9)), 0.05, EstimatorConfig(n_min=n_min))
     assert policy.thresholds[1].to_dict() == {"group_key": 1, "threshold": "always_think", "ucb": None, "n": 0}
     assert policy.thresholds[0].threshold == pytest.approx(0.3)
     # one record: the CLT bound needs two draws, Hoeffding takes one
     recs = table(labeled("a", [0.0] * 20, np.linspace(0, 1, 20)) + labeled("b", [0.0], [0.5]))
     for method in METHODS:
         policy, report = calibrate_gpac(recs, LabelAssigner(("a", "b")), 0.05,
-                                        EstimatorConfig(method=method, pi=1), n_min=n_min)
-        assert policy.threshold_for("b").to_dict() == {
+                                        EstimatorConfig(method=method, pi=1, n_min=n_min))
+        assert threshold_for(policy, "b").to_dict() == {
             "group_key": "b", "threshold": "always_think", "ucb": None, "n": 1}
         assert ("curve" in report.groups[1]) == (method == "hoeffding")
 
@@ -292,11 +292,11 @@ def test_calibrate_group_matches_the_two_sort_reference(scores, losses, data, me
     # bit for bit: the one sort changes no threshold, candidate, mean or bound
     rows = data.draw(st.lists(st.tuples(_SCORES[scores], _LOSSES[losses]), min_size=2, max_size=150))
     u, loss = np.array(rows).T
-    cfg = EstimatorConfig(method=method, pi=pi, seed=seed)
+    cfg = EstimatorConfig(method=method, pi=pi, seed=seed, n_min=0)
     records = table([dict(id=f"r{i}", uncertainty=x, loss=y) for i, (x, y) in enumerate(rows)])
-    t, curve = calibrate_group(records, epsilon, cfg, np.random.default_rng(seed), n_min=0, ucb_offset=ucb_offset)
+    t, curve = calibrate_group(records, epsilon, cfg, np.random.default_rng(seed), ucb_offset=ucb_offset)
     threshold, grid, mean, ucb = calibrate_group_reference(
-        u, loss, records.bound_B, epsilon, cfg, np.random.default_rng(seed), ucb_offset)
+        u, loss, records.spec.bound_B, epsilon, cfg, np.random.default_rng(seed), ucb_offset)
     assert t.threshold == threshold
     np.testing.assert_array_equal(curve.candidates, grid)
     np.testing.assert_array_equal(curve.mean, mean)
@@ -316,8 +316,8 @@ def test_gpac_calibrates_each_label_separately():
     recs = labeled("good", [0.0] * 50, np.linspace(0.01, 0.99, 50)) + \
         labeled("bad", [1.0] * 50, np.linspace(0.01, 0.99, 50))
     policy, report = gpac(recs, 0.05, EstimatorConfig(seed=10))
-    good = policy.threshold_for("good")
-    bad = policy.threshold_for("bad")
+    good = threshold_for(policy, "good")
+    bad = threshold_for(policy, "bad")
     assert good.threshold == pytest.approx(0.99)
     bad_admitted = 0.0 if bad.always_think else np.mean(
         [r["uncertainty"] <= bad.threshold for r in recs if r["group_label"] == "bad"])
@@ -340,7 +340,7 @@ def test_unlabeled_records_are_dropped_and_counted():
         pool([0.0] * 7, np.linspace(0.1, 0.7, 7))
     policy, report = gpac(recs, 0.05, EstimatorConfig(seed=12))
     assert report.n_unresolved == 7
-    assert policy.threshold_for("a").n_calibration == 20
+    assert threshold_for(policy, "a").n_calibration == 20
 
 
 def test_no_resolvable_records_is_an_error():
@@ -384,7 +384,7 @@ def test_group_streams_do_not_bleed_into_each_other():
     b = labeled("b", [1.0] * 60, np.linspace(0, 1, 60))
     alone, _ = gpac(a, 0.1, EstimatorConfig(seed=55))
     both, _ = gpac(a + b, 0.1, EstimatorConfig(seed=55))
-    assert alone.threshold_for("a").to_dict() == both.threshold_for("a").to_dict()
+    assert threshold_for(alone, "a").to_dict() == threshold_for(both, "a").to_dict()
 
 
 def test_report_curves_cover_each_calibrated_group():
@@ -402,7 +402,7 @@ def test_cosine_table_calibrates_with_a_default_config():
                  cheap_embedding=(math.cos(angle), math.sin(angle)))
             for i, (u, angle) in enumerate(zip(rng.uniform(0, 1, 40), rng.uniform(0, math.pi, 40)))]
     records = RecordTable.from_records(rows, LossSpec(kind="cosine"))
-    assert records.bound_B == 2.0 and records.loss.max() > 1.0
+    assert records.spec.bound_B == 2.0 and records.loss.max() > 1.0
     policy, report = calibrate_gpac(records, LabelAssigner(records.labels), 0.5, EstimatorConfig())
     assert [t.group_key for t in policy.thresholds] == ["g"] and report.groups[0]["n"] == 40
 
@@ -439,7 +439,7 @@ def test_the_loss_kind_changes_the_config_hash(calibrate):
 
     def stamp(kind):
         records = RecordTable.from_records(rows, LossSpec(kind))
-        assert records.loss_kind == kind
+        assert records.spec.kind == kind
         if calibrate == "cpac":
             return calibrate_cpac(records, ClusterConfig(k=2, mode="joint"), 0.1, EstimatorConfig(seed=1))[0]
         return calibrate_gpac(records, TrivialAssigner(), 0.1, EstimatorConfig(seed=1))[0]
@@ -540,10 +540,10 @@ def test_threshold_lookup_follows_replace():
         assigner=LabelAssigner(labels=("g", "h")),
         thresholds=(GroupThreshold("g", 0.4, 0.01, 50), GroupThreshold("h", None, None, 3)),
     )
-    assert policy.threshold_for("g").threshold == 0.4
-    assert policy.threshold_for("x") is None
+    assert threshold_for(policy, "g").threshold == 0.4
+    assert threshold_for(policy, "x") is None
     moved = dataclasses.replace(policy, thresholds=(GroupThreshold("g", 0.6, 0.01, 50),))
-    assert moved.threshold_for("g").threshold == 0.6 and moved.threshold_for("h") is None
+    assert threshold_for(moved, "g").threshold == 0.6 and threshold_for(moved, "h") is None
     assert route(moved, "g", 0.5).action == CHEAP and route(policy, "g", 0.5).action == THINK
 
 
@@ -578,7 +578,7 @@ def test_limits_hold_the_highest_score_routed_cheap():
     # always_think never routes cheap, an unlisted key is absent
     assert policy.limits == {"g": 0.4, "h": float("-inf")}
     assert route(policy, "g", 0.5).action == THINK and route(policy, "g", 0.4).action == CHEAP
-    assert policy.threshold_for("g").threshold == 0.4
+    assert threshold_for(policy, "g").threshold == 0.4
 
 
 BAD_KEYS = {"marginal": (GROUP_ALL, "x"), "gpac": ("g", "h"), "cpac": (1, 2)}
@@ -646,5 +646,24 @@ def test_config_hash_tracks_inputs():
     assert len(a) == 16
 
 
+# a value unlike the default of every config field of that name
+_CHANGED = {"method": "hoeffding", "alpha": 0.1, "pi": 0.25, "seed": 1, "n_min": 5, "kind": "cosine",
+            "bound_B": 2.0, "k": 3, "mode": "joint", "split_fraction": 0.25, "joint_slack": 0.01}
+_CONFIGS = (EstimatorConfig(), LossSpec(), ClusterConfig(k=2))
+
+
+@pytest.mark.parametrize("config,name", [(c, f.name) for c in _CONFIGS for f in dataclasses.fields(c)],
+                         ids=[f"{type(c).__name__}.{f.name}" for c in _CONFIGS for f in dataclasses.fields(c)])
+def test_every_config_field_changes_the_config_hash(config, name):
+    changed = dataclasses.replace(config, **{name: _CHANGED[name]})
+    assert getattr(changed, name) != getattr(config, name)
+    others = [c for c in _CONFIGS if c is not config]
+    assert config_hash(*others, changed, mode="cpac") != config_hash(*others, config, mode="cpac")
+
+
 def test_integer_and_float_keep_probabilities_stamp_one_config_hash():
     assert config_hash(EstimatorConfig(pi=1)) == config_hash(EstimatorConfig(pi=1.0))
+
+
+def test_integer_and_float_joint_slacks_stamp_one_config_hash():
+    assert config_hash(ClusterConfig(k=2, joint_slack=0)) == config_hash(ClusterConfig(k=2, joint_slack=0.0))

@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pac_route.cli as cli
+from pac_route import __version__
 from pac_route.calibration import (
     CHEAP,
     THINK,
@@ -107,8 +110,8 @@ def test_calibrate_cpac_hash_tracks_cluster_settings(tmp_path, records_file):
 
 
 @pytest.mark.parametrize("mode,digests", [
-    (["--mode", "gpac"], {"1": "384ac15202c84b85", "2": "4aa8896786b0ddd2"}),
-    (["--mode", "cpac", "--k", "2"], {"1": "6326f540a9f71d65", "2": "fe1435e03f966625"}),
+    (["--mode", "gpac"], {"1": "b36357a0ac3129ad", "2": "71fe5cbc5a8508ae"}),
+    (["--mode", "cpac", "--k", "2"], {"1": "4c20eb920ec81fdb", "2": "4189180054ec693b"}),
 ])
 def test_calibrate_hash_tracks_the_loss_bound(tmp_path, records_file, mode, digests):
     # pinned digests: a policy's provenance must not drift when code moves
@@ -147,6 +150,20 @@ def test_calibrate_report(tmp_path, records_file):
     data = json.loads(rep.read_text())
     assert data["n_total"] == 60
     assert {g["group_key"] for g in data["groups"]} == {"easy", "hard"}
+
+
+def test_calibrate_report_keeps_no_curve_for_a_group_below_n_min(tmp_path, capsys):
+    rows = labeled_rows() + [{"id": f"rare{i}", "uncertainty": 0.3, "group_label": "rare", "loss": 0.0}
+                             for i in range(2)] + [{"id": "loose", "uncertainty": 0.4, "loss": 0.0}]
+    records = write_jsonl(tmp_path / "records.jsonl", rows)
+    out, rep = tmp_path / "policy.json", tmp_path / "report.json"
+    assert main(["calibrate", "--records", records, *EPS, "--n-min", "3",
+                 "--out", str(out), "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["n_total"] == 63 and data["n_unresolved"] == 1
+    assert [sorted(g) for g in data["groups"][:2]] == [["curve", "group_key", "n", "threshold", "ucb"]] * 2
+    assert data["groups"][2] == {"group_key": "rare", "threshold": "always_think", "ucb": None, "n": 2}
+    assert "excluded 1 record(s) with unresolvable group" in capsys.readouterr().out
 
 
 def test_calibrate_missing_file(tmp_path):
@@ -218,8 +235,17 @@ def test_csv_header_naming_an_unknown_column_twice_only_warns(tmp_path, capsys):
     path.write_text("id,uncertainty,note,note,loss\na,0.25,x,y,0\nb,0.75,x,y,0\n")
     out = tmp_path / "partition.json"
     assert main(["cluster", "--records", str(path), "--k", "1", "--out", str(out)]) == 0
-    assert "ignored 2 unknown field(s)" in capsys.readouterr().err
+    assert "ignored 4 unknown field(s)" in capsys.readouterr().err
     assert json.loads(out.read_text())["centroids"] == [0.5]
+
+
+def test_python_m_pac_route_runs_the_cli(monkeypatch, capsys):
+    # runpy runs the package's __main__ as `python -m pac_route` does, in this process
+    monkeypatch.setattr(sys, "argv", ["pac_route", "--version"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("pac_route", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"pac-route {__version__}\n"
 
 
 def test_usage_error_exits_two(records_file):

@@ -19,7 +19,7 @@ from pac_route.clustering import (
 from pac_route.estimator import EstimatorConfig
 from pac_route.records import LossSpec, RecordTable
 from pac_route.seeding import derive_seed
-from reference import partition_gap
+from reference import partition_gap, threshold_for
 
 
 def pool(losses, uncertainties):
@@ -347,8 +347,8 @@ def test_cpac_joint_slack_never_raises_thresholds():
         table(recs), ClusterConfig(k=2, mode="joint", joint_slack=0.03, seed=2),
         0.05, EstimatorConfig(seed=2))
     for key in (0, 1):
-        a = slacked.threshold_for(key)
-        b = plain.threshold_for(key)
+        a = threshold_for(slacked, key)
+        b = threshold_for(plain, key)
         lo = -1.0 if a.threshold is None else a.threshold
         hi = -1.0 if b.threshold is None else b.threshold
         assert lo <= hi
@@ -393,13 +393,13 @@ def test_cpac_policy_round_trip(tmp_path):
 def test_calibrate_matches_the_direct_call_of_its_mode(mode, cluster_config):
     rows = rigged_records(300, np.random.default_rng(5))
     records = table([dict(row, group_label="ab"[i % 2]) for i, row in enumerate(rows)])
-    config = EstimatorConfig(seed=4)
+    config = EstimatorConfig(seed=4, n_min=5)
     if mode == "cpac":
-        direct = calibrate_cpac(records, cluster_config, 0.05, config, n_min=5)
+        direct = calibrate_cpac(records, cluster_config, 0.05, config)
     else:
         assigner = TrivialAssigner() if mode == "marginal" else LabelAssigner(records.labels)
-        direct = calibrate_gpac(records, assigner, 0.05, config, n_min=5)
-    policy, report = calibrate(records, mode, 0.05, config, cluster_config, n_min=5)
+        direct = calibrate_gpac(records, assigner, 0.05, config)
+    policy, report = calibrate(records, mode, 0.05, config, cluster_config)
     assert policy.mode == mode
     assert policy.to_dict() == direct[0].to_dict()
     assert report.to_dict() == direct[1].to_dict()

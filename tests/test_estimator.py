@@ -48,6 +48,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("pi", "0.5"), ("pi", True), ("pi", {"r0": 0.5}), ("pi", float("nan")),
+    ("n_min", -1), ("n_min", True), ("n_min", 1.5),
 ])
 def test_config_rejects_a_setting_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -266,6 +267,13 @@ def test_curve_requires_ascending_candidates():
             mean=np.zeros(2),
             ucb=np.zeros(2),
         )
+
+
+def test_samples_and_curves_reject_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        ZSamples(z=np.zeros(2), u_origin=np.zeros(3))
+    with pytest.raises(ValueError, match="one length"):
+        UcbCurve(candidates=np.zeros(2), mean=np.zeros(2), ucb=np.zeros(3))
 
 
 def test_zsamples_rejects_negative_z():

@@ -109,10 +109,11 @@ def read_records_csv_reference(path) -> tuple[list[dict], int]:
         for row in reader:
             lineno = reader.line_num
             data: dict = {}
-            unknown = 0
+            # the row dict keeps one key per repeated name, but every cell under an
+            # unknown name is skipped; the cells past the header (key None) count once
+            unknown = sum(name not in RECORD_FIELDS for name in reader.fieldnames) + (None in row)
             for key, raw in row.items():
                 if key not in RECORD_FIELDS:
-                    unknown += 1
                     continue
                 if raw is None or raw == "":
                     continue

@@ -20,4 +20,4 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["decision"].action in ("cheap", "think")
     assert (tmp_path / "policy.json").is_file()
-    assert len(namespace["records"]) == 1 and namespace["records"].bound_B == 1.0
+    assert len(namespace["records"]) == 1 and namespace["records"].spec.bound_B == 1.0

@@ -20,6 +20,7 @@ from pac_route.records import (
     cosine_loss,
     resolve_loss,
 )
+from reference import group_labels
 
 
 def make_record(**kw):
@@ -212,9 +213,7 @@ def test_loss_bound_is_kept_as_a_float():
     for spec in (LossSpec(bound_B=2), LossSpec("cosine", 2), LossSpec("binary", 1)):
         assert type(spec.bound_B) is float
     assert LossSpec(bound_B=2) == LossSpec(bound_B=2.0)
-    table = RecordTable(**table_columns(bound_B=2))
-    assert type(table.bound_B) is float and table.bound_B == 2.0
-    assert type(RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3)).bound_B) is float
+    assert type(RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3)).spec.bound_B) is float
 
 
 def test_loss_spec_rejects_binary_with_other_bound():
@@ -222,6 +221,14 @@ def test_loss_spec_rejects_binary_with_other_bound():
         LossSpec(kind="binary", bound_B=2.0)
     with pytest.raises(ValueError):
         LossSpec(kind="nonsense", bound_B=1.0)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(bound_B=0.0), dict(bound_B=math.inf), dict(bound_B=math.nan), dict(kind="nonsense"),
+], ids=["B=0", "B=inf", "B=nan", "kind=nonsense"])
+def test_loss_spec_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        LossSpec(**settings)
 
 
 def test_resolve_loss_precomputed_path():
@@ -371,7 +378,7 @@ def test_table_from_records_keeps_every_field():
     assert table.loss.tolist() == [1.0, 0.0, 0.5, 0.0]
     assert table.labels == ("b", "a")  # first-appearance order
     assert table.label_code.tolist() == [0, NO_LABEL, 1, 0]
-    assert table.group_labels.tolist() == ["b", None, "a", "b"]
+    assert group_labels(table).tolist() == ["b", None, "a", "b"]
     assert table.tokens_thinking[0] == 100 and table.tokens_cheap[2] == 0
     assert np.isnan(table.tokens_thinking[1]) and np.isnan(table.tokens_cheap[3])
 
@@ -394,9 +401,12 @@ def test_take_gives_the_columns_of_its_rows():
     idx = np.array([5, 0, 3, 3, 1])
     sub = table.take(idx)
     built = RecordTable.from_records([rows[i] for i in idx], LossSpec())
-    for name in ("ids", "uncertainty", "loss", "group_labels", "tokens_thinking", "tokens_cheap"):
+    for name in ("ids", "uncertainty", "loss", "tokens_thinking", "tokens_cheap"):
         assert getattr(sub, name).dtype == getattr(built, name).dtype
         np.testing.assert_array_equal(getattr(sub, name), getattr(built, name))
+    # each table's label codes index its own vocabulary, so compare the labels they name
+    assert sub.label_code.dtype == built.label_code.dtype
+    assert group_labels(sub).tolist() == group_labels(built).tolist()
     assert sub.labels is table.labels
     for bad in (np.array([[0, 1]]), 2, np.int64(2)):
         with pytest.raises(ValueError, match="1-d"):
@@ -423,11 +433,7 @@ def table_columns(**overrides):
     dict(loss=[0.0, 1.5]),
     dict(loss=[0.0, math.nan]),
     dict(loss=[-0.5, 1.0]),
-    dict(loss=[0.0, 2.5], bound_B=2.0),
-    dict(bound_B=0.0),
-    dict(bound_B=math.inf),
-    dict(bound_B=math.nan),
-    dict(loss_kind="nonsense"),
+    dict(loss=[0.0, 2.5], spec=LossSpec(bound_B=2.0)),
 ])
 def test_table_rejects_bad_columns(overrides):
     RecordTable(**table_columns())
@@ -436,21 +442,20 @@ def test_table_rejects_bad_columns(overrides):
 
 
 def test_table_carries_the_bound_its_losses_were_resolved_under():
-    assert RecordTable(**table_columns()).bound_B == 1.0
-    assert RecordTable(**table_columns(loss=[0.0, 1.5], bound_B=2.0)).bound_B == 2.0
+    assert RecordTable(**table_columns()).spec == LossSpec()
+    assert RecordTable(**table_columns(loss=[0.0, 1.5], spec=LossSpec(bound_B=2.0))).spec.bound_B == 2.0
     rows = [make_record(id=f"r{i}", thinking_embedding=(1.0, 0.0), cheap_embedding=(-1.0, 0.1 * i))
             for i in range(3)]
     table = RecordTable.from_records(rows, LossSpec("cosine"))
-    assert table.bound_B == 2.0 and table.loss.max() > 1.0
-    assert table.take(np.array([2, 0])).bound_B == 2.0
-    assert RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3.0)).bound_B == 3.0
+    assert table.spec == LossSpec("cosine", 2.0) and table.loss.max() > 1.0
+    assert table.take(np.array([2, 0])).spec is table.spec
+    assert RecordTable.from_records([make_record(loss=0.5)], LossSpec(bound_B=3.0)).spec.bound_B == 3.0
 
 
 def test_table_carries_the_kind_its_losses_were_resolved_as():
-    assert RecordTable(**table_columns()).loss_kind == "precomputed"
     rows = [make_record(id=f"r{i}", thinking_answer="a", cheap_answer="b", gold_answer="a") for i in range(3)]
     table = RecordTable.from_records(rows, LossSpec("binary"))
-    assert table.loss_kind == "binary" and table.take(np.array([2, 0])).loss_kind == "binary"
+    assert table.spec.kind == "binary" and table.take(np.array([2, 0])).spec.kind == "binary"
 
 
 def test_table_rejects_unresolved_records():

@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -203,6 +203,7 @@ class RoutingPolicy:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"tolerance epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))  # 1 and 1.0 stamp one config_hash
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         keys = [t.group_key for t in self.thresholds]
@@ -378,12 +379,10 @@ def calibrate_gpac(
         seed=config.seed,
         assigner=assigner,
         thresholds=tuple(thresholds),
-        config_hash=config_hash(config, records.spec, mode=assigner.mode, epsilon=epsilon, ucb_offset=ucb_offset),
     )
-    report = CalibrationReport(
-        groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved
-    )
-    return policy, report
+    stamp = config_hash(config, records.spec, mode=assigner.mode, epsilon=policy.epsilon, ucb_offset=ucb_offset)
+    report = CalibrationReport(groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved)
+    return replace(policy, config_hash=stamp), report
 
 
 def route(

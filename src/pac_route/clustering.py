@@ -71,7 +71,7 @@ def kmeans_1d(values, k: int) -> Partition:
     n = len(xs)
     if not np.all(np.isfinite(xs)):
         raise ValueError("values must be finite")
-    n_distinct = len(np.unique(xs))
+    n_distinct = np.count_nonzero(xs[1:] != xs[:-1]) + (n > 0)  # runs of the sorted values
     if not 1 <= k <= n_distinct:
         raise ValueError(f"k must lie in [1, {n_distinct}] for {n_distinct} distinct values")
     p1 = np.concatenate([[0.0], np.cumsum(xs)])
@@ -156,7 +156,7 @@ def calibrate_cpac(
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
     policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, ucb_offset=offset)
     stamp = config_hash(est_config, records.spec, cluster_config,
-                        mode=partition.mode, epsilon=epsilon, ucb_offset=offset)
+                        mode=partition.mode, epsilon=policy.epsilon, ucb_offset=offset)
     return replace(policy, config_hash=stamp), report
 
 

@@ -20,7 +20,7 @@ Two upper confidence bounds on E[Z(u)] are provided: a normal-approximation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -64,12 +64,15 @@ class ZSamples:
 
     Building a batch sorts both arrays by u_origin, ties in their given
     order.  kept counts the draws whose keep coin landed; a batch built by
-    hand, without coins, leaves it None.
+    hand, without coins, leaves it None.  The sort also yields the read-only
+    grid (see candidate_grid) and counts, the draws at or below each point.
     """
 
     z: np.ndarray
     u_origin: np.ndarray
     kept: int | None = None
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray | slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.z.shape != self.u_origin.shape or self.z.ndim != 1:
@@ -77,10 +80,23 @@ class ZSamples:
         if len(self.z) and self.z.min() < 0:
             raise ValueError("importance draws must be non-negative")
         order = np.argsort(self.u_origin)
-        if not np.all(np.diff(self.u_origin[order]) > 0):  # without ties every sort is the stable one
+        u = self.u_origin[order]
+        rises = u[1:] > u[:-1]
+        tie_free = rises.all()
+        if not tie_free:  # without ties every sort is the stable one
             order = np.argsort(self.u_origin, kind="stable")
+            u = self.u_origin[order]
         object.__setattr__(self, "z", self.z[order])
-        object.__setattr__(self, "u_origin", self.u_origin[order])
+        object.__setattr__(self, "u_origin", u)
+        # a grid point is the first score of a run, its count the run's end: a slice if no score repeats
+        counts = slice(1, None) if tie_free else np.append(np.flatnonzero(rises) + 1, len(u))
+        grid = u if tie_free else u[np.concatenate([[0], counts[:-1]])]
+        if not len(grid) or grid[0] > 0.0:
+            grid = np.concatenate([[0.0], grid])
+            counts = slice(0, None) if tie_free else np.concatenate([[0], counts])
+        grid.flags.writeable = False  # every curve built on the grid shares it
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return len(self.z)
@@ -119,17 +135,13 @@ def draw_z_samples(
 
 
 def candidate_grid(samples: ZSamples) -> np.ndarray:
-    """Sorted distinct scores of the draws, with 0.0 prepended if absent.
+    """The batch's sorted distinct scores, with 0.0 prepended if absent.
 
     The estimate and both bounds are step functions that only change at
     observed scores, so this grid is lossless; the 0.0 candidate keeps "route
     nothing observed" expressible as a real threshold.
     """
-    u = samples.u_origin
-    grid = np.concatenate([u[:1], u[1:][u[1:] > u[:-1]]])
-    if len(grid) == 0 or grid[0] > 0.0:
-        grid = np.concatenate([[0.0], grid])
-    return grid
+    return samples.grid
 
 
 def _masked_moments(samples: ZSamples, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +149,8 @@ def _masked_moments(samples: ZSamples, candidates: np.ndarray) -> tuple[np.ndarr
     z = samples.z
     s1 = np.concatenate([[0.0], np.cumsum(z)])
     s2 = np.concatenate([[0.0], np.cumsum(z * z)])
-    counts = np.searchsorted(samples.u_origin, candidates, side="right")
+    own = candidates is samples.grid  # the batch's grid comes with its counts
+    counts = samples.counts if own else np.searchsorted(samples.u_origin, candidates, side="right")
     return s1[counts], s2[counts]
 
 

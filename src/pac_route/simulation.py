@@ -122,12 +122,15 @@ def _prob_at(group: GroupSpec, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _cell_probs(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Merged bin edges, and each group's loss probability in each merged cell (read-only, shared)."""
+def _cell_probs(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merged bin edges, each group's loss probability in each merged cell, and the
+    weights' CDF that Generator.choice draws group indices from (read-only, shared)."""
     edges = np.unique(np.concatenate([g.bin_edges for g in spec.groups]))
     table = np.array([_prob_at(g, edges[:-1]) for g in spec.groups])
-    edges.flags.writeable = table.flags.writeable = False
-    return edges, table
+    cdf = spec.weights.cumsum()
+    cdf /= cdf[-1]
+    edges.flags.writeable = table.flags.writeable = cdf.flags.writeable = False
+    return edges, table, cdf
 
 
 @functools.lru_cache(maxsize=4)
@@ -145,10 +148,10 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTab
     given generator state always yields the same records.  Label codes index
     the spec's groups.
     """
-    group_idx = rng.choice(len(spec.groups), size=n, p=spec.weights)
+    edges, table, cdf = _cell_probs(spec)
+    group_idx = cdf.searchsorted(rng.random(n), side="right")
     u = rng.random(n)
     coins = rng.random(n)
-    edges, table = _cell_probs(spec)
     # u < 1 = edges[-1], so every score falls in a cell
     probs = table[group_idx, np.searchsorted(edges, u, side="right") - 1]
     return RecordTable(
@@ -169,7 +172,7 @@ def true_risk(spec: SyntheticSpec, group_index: int, u: float) -> float:
 
 def mixture_profile(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Merged bin edges and the group-weighted loss probability in each cell."""
-    edges, table = _cell_probs(spec)
+    edges, table, _ = _cell_probs(spec)
     probs = np.zeros(len(edges) - 1)
     for g, row in zip(spec.groups, table):
         probs += g.weight * row

@@ -667,3 +667,18 @@ def test_integer_and_float_keep_probabilities_stamp_one_config_hash():
 
 def test_integer_and_float_joint_slacks_stamp_one_config_hash():
     assert config_hash(ClusterConfig(k=2, joint_slack=0)) == config_hash(ClusterConfig(k=2, joint_slack=0.0))
+
+
+def test_integer_and_float_tolerances_stamp_one_config_hash():
+    rng = np.random.default_rng(8)
+    records = table(labeled("a", rng.integers(0, 2, 20).tolist(), rng.random(20).tolist())
+                    + labeled("b", rng.integers(0, 2, 20).tolist(), rng.random(20).tolist()))
+    config = EstimatorConfig(n_min=2)
+    for calibrate in (
+        lambda eps: calibrate_gpac(records, LabelAssigner(records.labels), eps, config),
+        lambda eps: calibrate_cpac(records, ClusterConfig(k=2), eps, config),
+    ):
+        (as_int, _), (as_float, _) = calibrate(1), calibrate(1.0)
+        assert as_int.config_hash == as_float.config_hash
+        assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
+        assert '"epsilon": 1.0,' in json.dumps(as_int.to_dict())

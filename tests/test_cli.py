@@ -466,7 +466,7 @@ def test_route_wrong_typed_field_is_an_input_error(tmp_path, policy_file, capsys
 
 
 def test_route_rejects_other_policy_versions(tmp_path, records_file, policy_file):
-    data = json.loads(open(policy_file).read())
+    data = json.loads(Path(policy_file).read_text())
     data["version"] = "pac-route/9"
     bad = tmp_path / "bad_policy.json"
     bad.write_text(json.dumps(data))

@@ -119,10 +119,12 @@ def test_kmeans_k_equals_distinct_values():
 def test_kmeans_k_out_of_range():
     with pytest.raises(ValueError):
         kmeans_1d([0.1, 0.5], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[1, 1\] for 1 distinct values"):
         kmeans_1d([0.5, 0.5, 0.5], 2)  # one distinct value
     with pytest.raises(ValueError):
         kmeans_1d([0.1, 0.5], 0)
+    with pytest.raises(ValueError, match=r"\[1, 0\] for 0 distinct values"):
+        kmeans_1d([], 1)
 
 
 def test_kmeans_rejects_non_finite_values():

@@ -171,6 +171,64 @@ def test_candidate_grid_keeps_existing_zero():
     np.testing.assert_array_equal(grid, [0.0, 0.7])
 
 
+def test_an_empty_batch_has_the_zero_candidate_alone():
+    np.testing.assert_array_equal(candidate_grid(draws_at([])), [0.0])
+
+
+def test_a_tie_free_batch_scored_from_zero_is_its_own_grid():
+    s = draws_at([0.4, 0.0, 0.9, 0.1])
+    np.testing.assert_array_equal(candidate_grid(s), [0.0, 0.1, 0.4, 0.9])
+    np.testing.assert_array_equal(candidate_grid(s), s.u_origin)
+
+
+@pytest.mark.parametrize("scores,grid", [
+    ([0.3, 0.7, 0.3, 0.7, 0.7], [0.0, 0.3, 0.7]),
+    ([0.5, 0.0, 0.5, 0.0], [0.0, 0.5]),
+    ([0.6] * 4, [0.0, 0.6]),
+])
+def test_an_all_tied_batch_has_one_candidate_per_distinct_score(scores, grid):
+    np.testing.assert_array_equal(candidate_grid(draws_at(scores)), grid)
+
+
+def test_the_grid_is_read_only():
+    # every curve built on the grid shares the batch's array
+    with pytest.raises(ValueError):
+        candidate_grid(draws_at([0.2, 0.5]))[0] = 0.9
+
+
+def test_bounds_on_the_batch_grid_read_its_counts_without_a_search(monkeypatch):
+    s = ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]), u_origin=np.array([0.3, 0.1, 0.3, 0.8]))
+
+    def searchsorted(*args, **kwargs):
+        raise AssertionError("searchsorted ran on the batch's own grid")
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    curve = ucb_clt(s, candidate_grid(s), alpha=0.05)
+    np.testing.assert_array_equal(curve.mean, [0.0, 0.0, 1.0, 1.0])
+
+
+_SCORES = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=60),   # ties
+    st.lists(st.floats(0.01, 1.0), unique=True, min_size=1, max_size=60),       # none
+    st.lists(st.floats(0.01, 1.0), unique=True, min_size=1, max_size=60).map(lambda u: u + [0.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), scores=_SCORES)
+def test_bounds_on_the_batch_grid_match_the_searched_counts(data, scores):
+    # a copy of the grid is another array, so the bounds search it instead
+    z = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=len(scores), max_size=len(scores)))
+    s = ZSamples(z=np.array(z), u_origin=np.array(scores, dtype=float))
+    grid = candidate_grid(s)
+    curves = [(ucb_hoeffding(s, g, alpha=0.05, bound_B=1.0, pi=0.5),) for g in (grid, grid.copy())]
+    if len(s) >= 2:
+        curves = [c + (ucb_clt(s, g, alpha=0.05),) for c, g in zip(curves, (grid, grid.copy()))]
+    for own, searched in zip(*curves):
+        for name in ("candidates", "mean", "ucb"):
+            assert getattr(own, name).tobytes() == getattr(searched, name).tobytes()
+
+
 # ---------------------------------------------------------------- bounds
 
 

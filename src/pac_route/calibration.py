@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -201,9 +201,7 @@ class RoutingPolicy:
     limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"tolerance epsilon must be positive and finite, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))  # 1 and 1.0 stamp one config_hash
+        object.__setattr__(self, "epsilon", _tolerance(self.epsilon))  # 1 and 1.0 write one policy
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         keys = [t.group_key for t in self.thresholds]
@@ -264,30 +262,28 @@ class RouteDecision:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-group diagnostics from a calibration run, for humans and plots.
+    """Per-group diagnostics from a calibration run, for humans and plots:
+    each group's (threshold, curve) pair from `calibrate_group`, the curve
+    None for a group that was never sampled."""
 
-    Each group entry is its threshold's dict plus, for a sampled group, its
-    bound curve under "curve", kept as a UcbCurve until `to_dict`.
-    """
-
-    groups: tuple[dict, ...]
+    groups: tuple[tuple[GroupThreshold, UcbCurve | None], ...]
     n_total: int
     n_unresolved: int
 
     def to_dict(self) -> dict:
-        return {
-            "groups": [_entry_to_dict(entry) for entry in self.groups],
-            "n_total": self.n_total,
-            "n_unresolved": self.n_unresolved,
-        }
+        groups = [
+            t.to_dict() if curve is None
+            else {**t.to_dict(), "curve": {name: a.tolist() for name, a in vars(curve).items()}}
+            for t, curve in self.groups
+        ]
+        return {**vars(self), "groups": groups}
 
 
-def _entry_to_dict(entry: dict) -> dict:
-    curve = entry.get("curve")
-    if curve is None:
-        return dict(entry)
-    lists = {"candidates": curve.candidates.tolist(), "mean": curve.mean.tolist(), "ucb": curve.ucb.tolist()}
-    return {**entry, "curve": lists}
+def _tolerance(epsilon) -> float:
+    """The tolerance epsilon as a float: a number, never a bool, in (0, inf)."""
+    if type(epsilon) is bool or not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < math.inf:
+        raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
+    return float(epsilon)
 
 
 def assigner_from_dict(data: dict):
@@ -315,8 +311,7 @@ def calibrate_group(
     ucb_offset is added to every bound value before selection (used by joint
     clustered calibration to budget for the data reuse).
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
+    epsilon = _tolerance(epsilon)
     n = len(records_j)
     if n < max(config.n_min, 2 if config.method == "clt" else 1):
         return GroupThreshold(group_key, None, None, n), None
@@ -345,7 +340,7 @@ def calibrate_gpac(
     assigner,
     epsilon: float,
     config: EstimatorConfig,
-    *,
+    *configs,
     ucb_offset: float = 0.0,
 ) -> tuple[RoutingPolicy, CalibrationReport]:
     """Calibrate one threshold per assigner group over `records`.
@@ -353,36 +348,30 @@ def calibrate_gpac(
     Records whose group cannot be resolved are excluded from calibration and
     only counted in the report.  Each group draws from its own substream of
     config.seed, so adding a group never changes another group's result.
+    The policy's config_hash digests config, the table's loss spec, any
+    further `configs` (cpac's ClusterConfig), the mode, epsilon and
+    ucb_offset.
     """
     codes = assigner.assign(records)
     n_unresolved = int(np.count_nonzero(codes < 0))
     if n_unresolved == len(records):
         raise NoRecordsError("no record resolves to any group; nothing to calibrate")
-
-    thresholds = []
-    group_entries = []
-    for code, key in enumerate(assigner.keys):
-        rng = substream(config.seed, "calibrate", key)
-        threshold, curve = calibrate_group(
-            records.take(np.flatnonzero(codes == code)), epsilon, config, rng,
-            group_key=key, ucb_offset=ucb_offset,
-        )
-        thresholds.append(threshold)
-        entry = threshold.to_dict()
-        if curve is not None:
-            entry["curve"] = curve
-        group_entries.append(entry)
-
+    epsilon = _tolerance(epsilon)
+    groups = tuple(
+        calibrate_group(records.take(np.flatnonzero(codes == code)), epsilon, config,
+                        substream(config.seed, "calibrate", key), group_key=key, ucb_offset=ucb_offset)
+        for code, key in enumerate(assigner.keys)
+    )
     policy = RoutingPolicy(
         epsilon=epsilon,
         alpha=config.alpha,
         seed=config.seed,
         assigner=assigner,
-        thresholds=tuple(thresholds),
+        thresholds=tuple(threshold for threshold, _ in groups),
+        config_hash=config_hash(config, records.spec, *configs,
+                                mode=assigner.mode, epsilon=epsilon, ucb_offset=ucb_offset),
     )
-    stamp = config_hash(config, records.spec, mode=assigner.mode, epsilon=policy.epsilon, ucb_offset=ucb_offset)
-    report = CalibrationReport(groups=tuple(group_entries), n_total=len(records), n_unresolved=n_unresolved)
-    return replace(policy, config_hash=stamp), report
+    return policy, CalibrationReport(groups, len(records), n_unresolved)
 
 
 def route(

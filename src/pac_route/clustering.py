@@ -17,12 +17,12 @@ and routing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import MODES, CalibrationReport, LabelAssigner, Partition, RoutingPolicy
-from .calibration import TrivialAssigner, calibrate_gpac, config_hash
+from .calibration import TrivialAssigner, calibrate_gpac
 from .estimator import EstimatorConfig
 from .records import RecordTable
 from .seeding import substream
@@ -45,9 +45,12 @@ class ClusterConfig:
             raise ValueError(f"mode must be one of {CLUSTER_MODES}, got {self.mode!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie strictly inside (0, 1)")
-        if not 0.0 <= self.joint_slack < np.inf:
+        slack = self.joint_slack
+        if type(slack) is bool or not isinstance(slack, (int, float)) or not 0.0 <= slack < np.inf:
             raise ValueError("joint_slack must be non-negative and finite")
-        object.__setattr__(self, "joint_slack", float(self.joint_slack))  # 0 and 0.0 stamp one config_hash
+        object.__setattr__(self, "joint_slack", float(slack))  # 0 and 0.0 stamp one config_hash
+        if type(self.seed) is not int:  # a bool is no seed
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def kmeans_1d(values, k: int) -> Partition:
@@ -154,10 +157,7 @@ def calibrate_cpac(
         cluster_side = cal_side = records
         offset = cluster_config.joint_slack
     partition = kmeans_1d(cluster_side.uncertainty, cluster_config.k)
-    policy, report = calibrate_gpac(cal_side, partition, epsilon, est_config, ucb_offset=offset)
-    stamp = config_hash(est_config, records.spec, cluster_config,
-                        mode=partition.mode, epsilon=policy.epsilon, ucb_offset=offset)
-    return replace(policy, config_hash=stamp), report
+    return calibrate_gpac(cal_side, partition, epsilon, est_config, cluster_config, ucb_offset=offset)
 
 
 def calibrate(

@@ -56,6 +56,8 @@ class EstimatorConfig:
         object.__setattr__(self, "pi", float(self.pi))
         if not (type(self.n_min) is not bool and isinstance(self.n_min, int) and self.n_min >= 0):
             raise ValueError(f"n_min must be non-negative, got {self.n_min}")
+        if type(self.seed) is not int:  # a bool is no seed
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,7 @@ class MetricsReport:
     flagged_groups: tuple[GroupKey, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "error": self.error,
-            "per_group_error": dict(self.per_group_error),
-            "error_gap": self.error_gap,
-            "n_per_group": dict(self.n_per_group),
-            "n_unresolved": self.n_unresolved,
-            "trials": self.trials,
-            "stp": self.stp,
-            "stp_variant": self.stp_variant,
-            "flagged_groups": list(self.flagged_groups),
-        }
+        return {**vars(self), "flagged_groups": list(self.flagged_groups)}
 
 
 def _route_all(table: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:

@@ -61,11 +61,10 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if self.bound_B is None:
-            object.__setattr__(self, "bound_B", 2.0 if self.kind == "cosine" else 1.0)
-        if not 0.0 < self.bound_B < math.inf:
+        bound = (2.0 if self.kind == "cosine" else 1.0) if self.bound_B is None else self.bound_B
+        if type(bound) is bool or not isinstance(bound, (int, float)) or not 0.0 < bound < math.inf:
             raise ValueError("loss bound B must be positive and finite")
-        object.__setattr__(self, "bound_B", float(self.bound_B))
+        object.__setattr__(self, "bound_B", float(bound))
         if self.kind == "binary" and self.bound_B != 1.0:
             raise ValueError("binary loss is {0, 1}; bound B must be 1")
 

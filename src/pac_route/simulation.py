@@ -75,23 +75,6 @@ class SyntheticSpec:
     def weights(self) -> np.ndarray:
         return np.array([g.weight for g in self.groups])
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "notes": self.notes,
-            "groups": [
-                {
-                    "name": g.name,
-                    "weight": g.weight,
-                    "bins": list(g.bin_edges),
-                    "loss_prob": list(g.loss_prob),
-                    "tokens_thinking": g.tokens_thinking,
-                    "tokens_cheap": g.tokens_cheap,
-                }
-                for g in self.groups
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
         data = json_object(data, "a synthetic spec")
@@ -235,16 +218,8 @@ class CoverageReport:
     n_cal: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_group_coverage": {str(k): v for k, v in self.per_group_coverage.items()},
-            "per_group_mean_risk": {str(k): v for k, v in self.per_group_mean_risk.items()},
-            "efficiency": self.efficiency,
-            "trials": self.trials,
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "n_cal": self.n_cal,
-        }
+        return {name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+                for name, value in vars(self).items()}
 
 
 def coverage_experiment(

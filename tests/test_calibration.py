@@ -191,7 +191,7 @@ def test_a_group_too_small_to_bound_always_thinks(n_min):
                                         EstimatorConfig(method=method, pi=1, n_min=n_min))
         assert threshold_for(policy, "b").to_dict() == {
             "group_key": "b", "threshold": "always_think", "ucb": None, "n": 1}
-        assert ("curve" in report.groups[1]) == (method == "hoeffding")
+        assert (report.groups[1][1] is not None) == (method == "hoeffding")
 
 
 def test_zero_loss_group_selects_top_candidate():
@@ -391,9 +391,9 @@ def test_report_curves_cover_each_calibrated_group():
     recs = labeled("a", [0.0] * 40, np.linspace(0, 1, 40)) + \
         labeled("b", [0.0] * 4, np.linspace(0.2, 0.8, 4))
     _, report = gpac(recs, 0.05, EstimatorConfig(seed=16))
-    by_key = {g["group_key"]: g for g in report.groups}
-    assert "curve" in by_key["a"]
-    assert "curve" not in by_key["b"]  # below n_min, never sampled
+    by_key = {t.group_key: curve for t, curve in report.groups}
+    assert by_key["a"] is not None
+    assert by_key["b"] is None  # below n_min, never sampled
 
 
 def test_cosine_table_calibrates_with_a_default_config():
@@ -404,7 +404,7 @@ def test_cosine_table_calibrates_with_a_default_config():
     records = RecordTable.from_records(rows, LossSpec(kind="cosine"))
     assert records.spec.bound_B == 2.0 and records.loss.max() > 1.0
     policy, report = calibrate_gpac(records, LabelAssigner(records.labels), 0.5, EstimatorConfig())
-    assert [t.group_key for t in policy.thresholds] == ["g"] and report.groups[0]["n"] == 40
+    assert [t.group_key for t in policy.thresholds] == ["g"] and report.groups[0][0].n_calibration == 40
 
 
 @pytest.mark.parametrize("bound_B", [1.0, 2.0])
@@ -682,3 +682,36 @@ def test_integer_and_float_tolerances_stamp_one_config_hash():
         assert as_int.config_hash == as_float.config_hash
         assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
         assert '"epsilon": 1.0,' in json.dumps(as_int.to_dict())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LossSpec(bound_B=True), "loss bound B must be positive and finite"),
+    (lambda: LossSpec(bound_B="1"), "loss bound B must be positive and finite"),
+    (lambda: ClusterConfig(k=2, joint_slack=True), "joint_slack must be non-negative and finite"),
+    (lambda: ClusterConfig(k=2, joint_slack=False), "joint_slack must be non-negative and finite"),
+    (lambda: ClusterConfig(k=2, joint_slack="0"), "joint_slack must be non-negative and finite"),
+    (lambda: EstimatorConfig(seed=True), "seed must be an integer, got True"),
+    (lambda: EstimatorConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: EstimatorConfig(seed="1"), "seed must be an integer, got '1'"),
+    (lambda: ClusterConfig(k=2, seed=True), "seed must be an integer, got True"),
+    (lambda: ClusterConfig(k=2, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: ClusterConfig(k=2, seed="1"), "seed must be an integer, got '1'"),
+], ids=["bound_B-True", "bound_B-str", "joint_slack-True", "joint_slack-False", "joint_slack-str",
+        "estimator_seed-True", "estimator_seed-float", "estimator_seed-str",
+        "cluster_seed-True", "cluster_seed-float", "cluster_seed-str"])
+def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_a_bool_tolerance_is_rejected_everywhere():
+    records = table(labeled("a", [0.0] * 20, np.linspace(0, 1, 20)))
+    config = EstimatorConfig()
+    for build in (
+        lambda: RoutingPolicy(epsilon=True, alpha=0.05, seed=0, assigner=TrivialAssigner(), thresholds=()),
+        lambda: calibrate_group(records, True, config, np.random.default_rng(0)),
+        lambda: calibrate_gpac(records, LabelAssigner(records.labels), True, config),
+        lambda: calibrate_cpac(records, ClusterConfig(k=2), True, config),
+    ):
+        with pytest.raises(ValueError, match="^tolerance epsilon must be positive and finite, got True$"):
+            build()

@@ -1,5 +1,7 @@
 """Synthetic populations and the coverage experiment around them."""
 
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -73,11 +75,19 @@ def test_spec_names_must_be_distinct():
 
 
 def test_spec_json_round_trip(tmp_path):
-    spec = two_group_spec()
+    spec = dataclasses.replace(two_group_spec(), name="two", notes="lo and hi")
     path = tmp_path / "spec.json"
-    path.write_text(__import__("json").dumps(spec.to_dict()))
-    back = load_spec(path)
-    assert back == spec
+    path.write_text(json.dumps({
+        "name": "two",
+        "notes": "lo and hi",
+        "groups": [
+            {"name": "lo", "weight": 0.6, "bins": [0.0, 0.5, 1.0], "loss_prob": [0.1, 0.3],
+             "tokens_thinking": 100, "tokens_cheap": 10},
+            {"name": "hi", "weight": 0.4, "bins": [0.0, 1.0], "loss_prob": [0.8],
+             "tokens_thinking": 200, "tokens_cheap": 20},
+        ],
+    }))
+    assert load_spec(path) == spec
 
 
 def test_committed_specs_load():

@@ -43,7 +43,7 @@ from .estimator import (
 )
 from .io import atomic_write_json, json_array, json_field, json_integer, json_number, json_numbers, json_object
 from .io import json_list, json_string, json_typed, load_json
-from .records import NoRecordsError, RecordTable
+from .records import _NUMBER, _SEED, NoRecordsError, RecordTable, _setting, _settle
 from .seeding import substream
 
 POLICY_VERSION = "pac-route/1"
@@ -53,6 +53,9 @@ CHEAP = "cheap"
 THINK = "think"
 # the limit of a group that never routes cheap: always_think, no threshold, unresolved
 _NEVER = -math.inf
+_EPSILON = (_NUMBER, lambda e: 0.0 < e < math.inf, "tolerance epsilon must be positive and finite, got {}")
+_POLICY = (("epsilon", *_EPSILON), ("alpha", _NUMBER, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1), got {}"),
+           _SEED)
 
 GroupKey = str | int
 
@@ -201,9 +204,7 @@ class RoutingPolicy:
     limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _tolerance(self.epsilon))  # 1 and 1.0 write one policy
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _settle(self, _POLICY)
         keys = [t.group_key for t in self.thresholds]
         if len(set(keys)) != len(keys):
             raise ValueError("policy lists a group key more than once")
@@ -279,13 +280,6 @@ class CalibrationReport:
         return {**vars(self), "groups": groups}
 
 
-def _tolerance(epsilon) -> float:
-    """The tolerance epsilon as a float: a number, never a bool, in (0, inf)."""
-    if type(epsilon) is bool or not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < math.inf:
-        raise ValueError(f"tolerance epsilon must be positive and finite, got {epsilon}")
-    return float(epsilon)
-
-
 def assigner_from_dict(data: dict):
     kind = json_object(data, "the assigner").get("kind")
     if kind == "trivial":
@@ -311,9 +305,9 @@ def calibrate_group(
     ucb_offset is added to every bound value before selection (used by joint
     clustered calibration to budget for the data reuse).
     """
-    epsilon = _tolerance(epsilon)
+    epsilon = _setting(epsilon, *_EPSILON)
     n = len(records_j)
-    if n < max(config.n_min, 2 if config.method == "clt" else 1):
+    if n < (2 if config.method == "clt" else 1):  # a draw keeps at most n, so n < n_min fails below
         return GroupThreshold(group_key, None, None, n), None
     samples = draw_z_samples(records_j, config, rng)
     if samples.kept < config.n_min:
@@ -356,7 +350,7 @@ def calibrate_gpac(
     n_unresolved = int(np.count_nonzero(codes < 0))
     if n_unresolved == len(records):
         raise NoRecordsError("no record resolves to any group; nothing to calibrate")
-    epsilon = _tolerance(epsilon)
+    epsilon = _setting(epsilon, *_EPSILON)
     groups = tuple(
         calibrate_group(records.take(np.flatnonzero(codes == code)), epsilon, config,
                         substream(config.seed, "calibrate", key), group_key=key, ucb_offset=ucb_offset)

@@ -24,10 +24,14 @@ import numpy as np
 from .calibration import MODES, CalibrationReport, LabelAssigner, Partition, RoutingPolicy
 from .calibration import TrivialAssigner, calibrate_gpac
 from .estimator import EstimatorConfig
-from .records import RecordTable
+from .records import _INTEGER, _NUMBER, _SEED, RecordTable, _settle
 from .seeding import substream
 
 CLUSTER_MODES = ("split", "joint")
+_CLUSTER = (("k", _INTEGER, lambda k: k >= 1, "k must be an integer >= 1, got {!r}"),
+            ("split_fraction", _NUMBER, lambda f: 0.0 < f < 1.0, "split_fraction must lie strictly inside (0, 1)"),
+            ("joint_slack", _NUMBER, lambda s: 0.0 <= s < np.inf, "joint_slack must be non-negative and finite"),
+            _SEED)
 
 
 @dataclass(frozen=True)
@@ -39,18 +43,9 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (type(self.k) is not bool and isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if self.mode not in CLUSTER_MODES:
             raise ValueError(f"mode must be one of {CLUSTER_MODES}, got {self.mode!r}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie strictly inside (0, 1)")
-        slack = self.joint_slack
-        if type(slack) is bool or not isinstance(slack, (int, float)) or not 0.0 <= slack < np.inf:
-            raise ValueError("joint_slack must be non-negative and finite")
-        object.__setattr__(self, "joint_slack", float(slack))  # 0 and 0.0 stamp one config_hash
-        if type(self.seed) is not int:  # a bool is no seed
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _settle(self, _CLUSTER)
 
 
 def kmeans_1d(values, k: int) -> Partition:

@@ -25,19 +25,21 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .records import RecordTable
+from .records import _INTEGER, _NUMBER, _SEED, RecordTable, _settle
 
 METHODS = ("clt", "hoeffding")
 DEFAULT_N_MIN = 10
+_ESTIMATOR = (("alpha", _NUMBER, lambda alpha: 0.0 < alpha < 1.0, "alpha must lie in (0, 1)"),
+              ("pi", _NUMBER, lambda pi: 0.0 < pi <= 1.0, "pi must be a number in (0, 1], got {!r}"),
+              ("n_min", _INTEGER, lambda n_min: n_min >= 0, "n_min must be non-negative, got {}"), _SEED)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Sampling and bound settings shared by every group of one calibration run.
 
-    pi is the keep probability of every record, a number in (0, 1] kept as
-    a float, so pi=1 and pi=1.0 stamp one config_hash.  A group with fewer
-    than n_min records, or whose draw keeps fewer, is not bounded.
+    pi is the keep probability of every record.  A group whose draw keeps
+    fewer than n_min records is not bounded.
     """
 
     method: str = "clt"
@@ -49,15 +51,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not (type(self.pi) is not bool and isinstance(self.pi, (int, float)) and 0.0 < self.pi <= 1.0):
-            raise ValueError(f"pi must be a number in (0, 1], got {self.pi!r}")
-        object.__setattr__(self, "pi", float(self.pi))
-        if not (type(self.n_min) is not bool and isinstance(self.n_min, int) and self.n_min >= 0):
-            raise ValueError(f"n_min must be non-negative, got {self.n_min}")
-        if type(self.seed) is not int:  # a bool is no seed
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _settle(self, _ESTIMATOR)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import GroupKey, RoutingPolicy
-from .records import MissingTokensError, NoRecordsError, RecordTable
+from .records import _COUNT, MissingTokensError, NoRecordsError, RecordTable, _setting
 from .seeding import substream
 
 STP_VARIANTS = ("cascade", "router")
@@ -169,8 +169,7 @@ def evaluate(
     one trial are flagged in the report.  Token counts are checked for every
     record before any trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _setting(trials, *_COUNT, "trials")
     codes, cheap = _route_all(records, policy)
     charged = np.where(cheap, records.loss, 0.0)
     saved = None if stp_variant is None else _saved(records, cheap, stp_variant)

@@ -52,8 +52,7 @@ class LossError(ValueError):
 @dataclass(frozen=True)
 class LossSpec:
     """How to obtain each record's loss and the a-priori bound B on it; B
-    defaults to 1, or 2 for cosine loss, which spans [0, 2], and is kept as
-    a float, so B = 2 and B = 2.0 are one spec with one config hash."""
+    defaults to 1, or 2 for cosine loss, which spans [0, 2]."""
 
     kind: str = "precomputed"
     bound_B: float | None = None
@@ -62,9 +61,7 @@ class LossSpec:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         bound = (2.0 if self.kind == "cosine" else 1.0) if self.bound_B is None else self.bound_B
-        if type(bound) is bool or not isinstance(bound, (int, float)) or not 0.0 < bound < math.inf:
-            raise ValueError("loss bound B must be positive and finite")
-        object.__setattr__(self, "bound_B", float(bound))
+        object.__setattr__(self, "bound_B", _setting(bound, *_BOUND))
         if self.kind == "binary" and self.bound_B != 1.0:
             raise ValueError("binary loss is {0, 1}; bound B must be 1")
 
@@ -138,6 +135,9 @@ _NUMBER = ((float, int), (np.floating, np.integer), "a number")
 _INTEGER = ((int,), (np.integer,), "an integer")
 _STRING = ((str,), (), "a string")
 _NEEDS = "record needs at least id and uncertainty"
+_BOUND = (_NUMBER, lambda bound: 0.0 < bound < math.inf, "loss bound B must be positive and finite")
+_COUNT = (_INTEGER, lambda count: count >= 1, "{1} must be at least 1")  # {1}: the count's name
+_SEED = ("seed", _INTEGER, lambda seed: True, "seed must be an integer, got {!r}")  # every config's seed
 
 
 def _first(column, ok) -> int | None:
@@ -148,6 +148,23 @@ def _first(column, ok) -> int | None:
 def _of(kind: tuple, value) -> bool:
     types, numpy_types, _ = kind
     return type(value) in types or isinstance(value, numpy_types)
+
+
+def _setting(value, kind: tuple, ok, message: str, *context):
+    """`value` of `kind` (never a bool) with ok(value), as a float, or an int for _INTEGER, so a numpy
+    scalar becomes a number JSON writes; anything else is a ValueError(message.format(value, *context))."""
+    try:
+        if _of(kind, value) and ok(number := (int if kind is _INTEGER else float)(value)):
+            return number
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(message.format(value, *context))
+
+
+def _settle(config, rules: tuple, *context) -> None:
+    """_setting of each field of `config`, a frozen dataclass, that `rules` names: (field, kind, ok, message)."""
+    for name, kind, ok, message in rules:
+        object.__setattr__(config, name, _setting(getattr(config, name), kind, ok, message, *context))
 
 
 def _check_types(errors: list, name: str, column: list, kind: tuple) -> None:

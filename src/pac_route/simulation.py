@@ -21,8 +21,12 @@ from .clustering import ClusterConfig, calibrate
 from .estimator import EstimatorConfig
 from .io import json_field, json_integer, json_list, json_number, json_numbers, json_object, json_string
 from .io import load_json
-from .records import RecordTable
+from .records import _COUNT, _INTEGER, _NUMBER, RecordTable, _setting, _settle
 from .seeding import derive_seed, substream
+
+_GROUP = (("weight", _NUMBER, lambda w: w > 0, "group {1}: weight must be positive"),  # {1}: the group's name
+          ("tokens_thinking", _INTEGER, lambda t: t > 0, "group {1}: bad token counts"),
+          ("tokens_cheap", _INTEGER, lambda t: t >= 0, "group {1}: bad token counts"))
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,7 @@ class GroupSpec:
         probs = tuple(map(float, self.loss_prob))
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "loss_prob", probs)
-        if not self.weight > 0:
-            raise ValueError(f"group {self.name}: weight must be positive")
+        _settle(self, _GROUP, self.name)
         if len(edges) < 2 or len(probs) != len(edges) - 1:
             raise ValueError(f"group {self.name}: need one loss probability per bin")
         if edges[0] != 0.0 or edges[-1] != 1.0:
@@ -51,8 +54,6 @@ class GroupSpec:
             raise ValueError(f"group {self.name}: bin edges must be strictly ascending")
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"group {self.name}: loss probabilities must lie in [0, 1]")
-        if self.tokens_thinking <= 0 or self.tokens_cheap < 0:
-            raise ValueError(f"group {self.name}: bad token counts")
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,17 @@ def _prob_at(group: GroupSpec, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _cell_probs(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merged bin edges, each group's loss probability in each merged cell, and the
-    weights' CDF that Generator.choice draws group indices from (read-only, shared)."""
+def _cell_probs(spec: SyntheticSpec) -> tuple[np.ndarray, ...]:
+    """Merged bin edges, each group's loss probability in each cell, the weights' CDF that Generator.choice
+    draws group indices from, and a row each of the groups' thinking and cheap tokens (read-only, shared)."""
     edges = np.unique(np.concatenate([g.bin_edges for g in spec.groups]))
     table = np.array([_prob_at(g, edges[:-1]) for g in spec.groups])
     cdf = spec.weights.cumsum()
     cdf /= cdf[-1]
-    edges.flags.writeable = table.flags.writeable = cdf.flags.writeable = False
-    return edges, table, cdf
+    # one contiguous row each, as gathering a row of a 2-d array by index takes three times as long
+    tokens = np.array([(g.tokens_thinking, g.tokens_cheap) for g in spec.groups], dtype=float).T.copy()
+    edges.flags.writeable = table.flags.writeable = cdf.flags.writeable = tokens.flags.writeable = False
+    return edges, table, cdf, *tokens
 
 
 @functools.lru_cache(maxsize=4)
@@ -131,7 +134,7 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTab
     given generator state always yields the same records.  Label codes index
     the spec's groups.
     """
-    edges, table, cdf = _cell_probs(spec)
+    edges, table, cdf, thinking, cheap = _cell_probs(spec)
     group_idx = cdf.searchsorted(rng.random(n), side="right")
     u = rng.random(n)
     coins = rng.random(n)
@@ -143,8 +146,8 @@ def generate(spec: SyntheticSpec, n: int, rng: np.random.Generator) -> RecordTab
         loss=(coins < probs).astype(float),
         label_code=group_idx,
         labels=tuple(g.name for g in spec.groups),
-        tokens_thinking=np.array([g.tokens_thinking for g in spec.groups], dtype=float)[group_idx],
-        tokens_cheap=np.array([g.tokens_cheap for g in spec.groups], dtype=float)[group_idx],
+        tokens_thinking=thinking[group_idx],
+        tokens_cheap=cheap[group_idx],
     )
 
 
@@ -155,7 +158,7 @@ def true_risk(spec: SyntheticSpec, group_index: int, u: float) -> float:
 
 def mixture_profile(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Merged bin edges and the group-weighted loss probability in each cell."""
-    edges, table, _ = _cell_probs(spec)
+    edges, table, *_ = _cell_probs(spec)
     probs = np.zeros(len(edges) - 1)
     for g, row in zip(spec.groups, table):
         probs += g.weight * row
@@ -236,10 +239,7 @@ def coverage_experiment(
     Every trial derives its data and estimator streams from (seed, trial
     index), so runs are reproducible and trials are mutually independent.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if n_cal < 1:
-        raise ValueError("n_cal must be at least 1")
+    trials, n_cal = _setting(trials, *_COUNT, "trials"), _setting(n_cal, *_COUNT, "n_cal")
     master = est_config.seed
     covered: dict[GroupKey, int] = {}
     risk_sums: dict[GroupKey, float] = {}

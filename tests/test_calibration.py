@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import ClusterConfig, Partition, calibrate_cpac
 from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
+from pac_route.evaluation import evaluate
 from pac_route.records import LossSpec, RecordTable
+from pac_route.simulation import GroupSpec, SyntheticSpec, coverage_experiment
 from reference import calibrate_group_reference, group_labels, threshold_for
 
 
@@ -684,6 +687,26 @@ def test_integer_and_float_tolerances_stamp_one_config_hash():
         assert '"epsilon": 1.0,' in json.dumps(as_int.to_dict())
 
 
+def _policy(**settings):
+    return RoutingPolicy(**{"epsilon": 0.1, "alpha": 0.05, "seed": 0, "assigner": TrivialAssigner(),
+                            "thresholds": (), **settings})
+
+
+def _group(**settings):
+    return GroupSpec(**{"name": "g", "weight": 1.0, "bin_edges": (0, 1), "loss_prob": (0.1,), **settings})
+
+
+_SPEC = SyntheticSpec((_group(),))
+
+
+def _coverage(n_cal=20, trials=2):
+    return coverage_experiment(_SPEC, n_cal, trials, 0.1, "gpac", EstimatorConfig())
+
+
+def _evaluate(trials):
+    return evaluate(table(labeled("a", [0.0, 1.0, 0.0], [0.1, 0.5, 0.9])), _policy(), trials=trials, seed=1)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: LossSpec(bound_B=True), "loss bound B must be positive and finite"),
     (lambda: LossSpec(bound_B="1"), "loss bound B must be positive and finite"),
@@ -696,12 +719,61 @@ def test_integer_and_float_tolerances_stamp_one_config_hash():
     (lambda: ClusterConfig(k=2, seed=True), "seed must be an integer, got True"),
     (lambda: ClusterConfig(k=2, seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: ClusterConfig(k=2, seed="1"), "seed must be an integer, got '1'"),
+    (lambda: EstimatorConfig(alpha="0.05"), "alpha must lie in (0, 1)"),
+    (lambda: ClusterConfig(k=2, split_fraction="0.5"), "split_fraction must lie strictly inside (0, 1)"),
+    (lambda: _policy(alpha="0.05"), "alpha must lie in (0, 1), got 0.05"),
+    (lambda: _policy(seed=True), "seed must be an integer, got True"),
+    (lambda: _policy(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: _policy(seed="1"), "seed must be an integer, got '1'"),
+    (lambda: _group(weight=True), "group g: weight must be positive"),
+    (lambda: _group(weight="1"), "group g: weight must be positive"),
+    (lambda: _group(tokens_thinking=1.5), "group g: bad token counts"),
+    (lambda: _group(tokens_thinking=True), "group g: bad token counts"),
+    (lambda: _group(tokens_cheap=True), "group g: bad token counts"),
+    (lambda: _coverage(trials=True), "trials must be at least 1"),
+    (lambda: _coverage(trials=1.5), "trials must be at least 1"),
+    (lambda: _coverage(n_cal=True), "n_cal must be at least 1"),
+    (lambda: _coverage(n_cal=20.0), "n_cal must be at least 1"),
+    (lambda: _evaluate(True), "trials must be at least 1"),
+    (lambda: _evaluate(1.5), "trials must be at least 1"),
 ], ids=["bound_B-True", "bound_B-str", "joint_slack-True", "joint_slack-False", "joint_slack-str",
         "estimator_seed-True", "estimator_seed-float", "estimator_seed-str",
-        "cluster_seed-True", "cluster_seed-float", "cluster_seed-str"])
+        "cluster_seed-True", "cluster_seed-float", "cluster_seed-str", "alpha-str", "split_fraction-str",
+        "policy_alpha-str", "policy_seed-True", "policy_seed-float", "policy_seed-str",
+        "weight-True", "weight-str", "tokens_thinking-float", "tokens_thinking-True", "tokens_cheap-True",
+        "coverage_trials-True", "coverage_trials-float", "n_cal-True", "n_cal-float",
+        "evaluate_trials-True", "evaluate_trials-float"])
 def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("stamp, value", [
+    (lambda alpha: config_hash(EstimatorConfig(alpha=alpha)), 0.125),
+    (lambda pi: config_hash(EstimatorConfig(pi=pi)), 0.25),
+    (lambda n_min: config_hash(EstimatorConfig(n_min=n_min)), 5),
+    (lambda seed: config_hash(EstimatorConfig(seed=seed)), 7),
+    (lambda k: config_hash(ClusterConfig(k=k)), 3),
+    (lambda share: config_hash(ClusterConfig(k=2, split_fraction=share)), 0.25),
+    (lambda slack: config_hash(ClusterConfig(k=2, joint_slack=slack)), 0.0625),
+    (lambda seed: config_hash(ClusterConfig(k=2, seed=seed)), 7),
+    (lambda bound: config_hash(LossSpec(bound_B=bound)), 2.0),
+    (lambda epsilon: gpac(labeled("a", [0.0] * 20, np.linspace(0, 1, 20)), epsilon, EstimatorConfig())[0]
+     .config_hash, 0.25),
+    (lambda alpha: json.dumps(_policy(alpha=alpha).to_dict()), 0.125),
+    (lambda seed: json.dumps(_policy(seed=seed).to_dict()), 7),
+    (lambda weight: json.dumps(dataclasses.asdict(_group(weight=weight))), 1.0),
+    (lambda tokens: json.dumps(dataclasses.asdict(_group(tokens_thinking=tokens))), 300),
+    (lambda tokens: json.dumps(dataclasses.asdict(_group(tokens_cheap=tokens))), 30),
+    (lambda trials: json.dumps(_coverage(trials=trials).to_dict()), 3),
+    (lambda n_cal: json.dumps(_coverage(n_cal=n_cal).to_dict()), 30),
+    (lambda trials: json.dumps(_evaluate(trials).to_dict()), 3),
+], ids=["alpha", "pi", "n_min", "estimator_seed", "k", "split_fraction", "joint_slack", "cluster_seed",
+        "bound_B", "epsilon", "policy_alpha", "policy_seed", "weight", "tokens_thinking", "tokens_cheap",
+        "coverage_trials", "n_cal", "evaluate_trials"])
+def test_a_numpy_scalar_setting_stamps_what_its_python_number_does(stamp, value):
+    as_numpy = (np.float32 if isinstance(value, float) else np.int64)(value)
+    assert stamp(as_numpy) == stamp(value)
 
 
 def test_a_bool_tolerance_is_rejected_everywhere():

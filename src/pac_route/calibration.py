@@ -41,9 +41,9 @@ from .estimator import (
     ucb_clt,
     ucb_hoeffding,
 )
-from .io import atomic_write_json, json_array, json_field, json_integer, json_number, json_numbers, json_object
-from .io import json_list, json_string, json_typed, load_json
-from .records import _NUMBER, _SEED, NoRecordsError, RecordTable, _setting, _settle
+from .io import atomic_write_json, json_field, json_list, json_object, load_json
+from .records import _ANY, _INTEGER, _NUMBER, _SEED, _STRING, NoRecordsError, RecordTable, _setting, _settings
+from .records import _settle
 from .seeding import substream
 
 POLICY_VERSION = "pac-route/1"
@@ -53,9 +53,16 @@ CHEAP = "cheap"
 THINK = "think"
 # the limit of a group that never routes cheap: always_think, no threshold, unresolved
 _NEVER = -math.inf
-_EPSILON = (_NUMBER, lambda e: 0.0 < e < math.inf, "tolerance epsilon must be positive and finite, got {}")
-_POLICY = (("epsilon", *_EPSILON), ("alpha", _NUMBER, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1), got {}"),
-           _SEED)
+_EPSILON = (_NUMBER, lambda e: 0.0 < e < math.inf, "tolerance epsilon must be positive and finite, got {!r}")
+_POLICY = (("epsilon", *_EPSILON), ("alpha", _NUMBER, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1), got {!r}"),
+           _SEED, ("config_hash", _STRING, _ANY, "config_hash must be a string, got {!r}"))
+# a policy file's threshold entry, {1} its group key: a label or a cluster index
+_KEY = (((str, int), (), "a string or an integer", lambda key: key), _ANY,
+        "group_key must be a string or an integer, got {!r}")
+_THRESHOLD = (_NUMBER, lambda t: 0.0 <= t <= 1.0,
+              'group {1!r}: threshold must lie in [0, 1] or be "always_think", got {0!r}')
+_UCB = (_NUMBER, _ANY, "group {1!r}: ucb must be a number or null, got {0!r}")
+_N = (_INTEGER, lambda n: n >= 0, "group {1!r}: n must be a non-negative integer, got {0!r}")
 
 GroupKey = str | int
 
@@ -95,8 +102,10 @@ class LabelAssigner:
     keys = property(lambda self: self.labels)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"labels must be distinct, got {list(self.labels)}")
+        labels = _settings(self.labels, _STRING, _ANY, "labels must be strings, got {!r}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"labels must be distinct, got {list(labels)}")
+        object.__setattr__(self, "labels", labels)
 
     def resolve(self, group_label: str | None, uncertainty: float) -> GroupKey | None:
         return group_label if group_label in self.labels else None
@@ -121,9 +130,7 @@ class Partition:
     keys: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.centroids)
-        if not all(map(math.isfinite, c)):
-            raise ValueError(f"centroids must be finite, got {list(c)}")
+        c = _settings(self.centroids, _NUMBER, math.isfinite, "centroids must be finite numbers, got {!r}")
         if len(c) == 0 or not all(a < b for a, b in zip(c, c[1:])):
             raise ValueError("centroids must be non-empty and strictly ascending")
         object.__setattr__(self, "centroids", c)
@@ -174,19 +181,16 @@ class GroupThreshold:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupThreshold":
+        """The entry `data` of a policy file, checked here rather than when a
+        GroupThreshold is built, so calibration builds its thresholds unchecked."""
         data = json_object(data, "a threshold entry")
-        key = json_field(data, "group_key", lambda key: json_typed(key, (str, int), "a string or an integer"))
-        threshold = json_field(data, "threshold", lambda t: None if t == "always_think" else json_number(t))
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"group {key!r}: threshold {threshold} outside [0, 1]")
-        n = json_field(data, "n", json_integer)
-        if n < 0:
-            raise ValueError(f"group {key!r}: n {n} is negative")
+        key = _setting(json_field(data, "group_key"), *_KEY)
+        threshold, ucb = json_field(data, "threshold"), data.get("ucb")
         return cls(
             group_key=key,
-            threshold=threshold,
-            ucb_at_threshold=json_field(data, "ucb", lambda u: None if u is None else json_number(u), None),
-            n_calibration=n,
+            threshold=None if threshold == "always_think" else _setting(threshold, *_THRESHOLD, key),
+            ucb_at_threshold=None if ucb is None else _setting(ucb, *_UCB, key),
+            n_calibration=_setting(json_field(data, "n"), *_N, key),
         )
 
 
@@ -238,16 +242,15 @@ class RoutingPolicy:
                 f"unsupported policy version {version!r}; this build speaks {POLICY_VERSION}"
             )
         assigner = assigner_from_dict(data.get("assigner"))
-        if json_field(data, "mode", json_string) != assigner.mode:
+        if json_field(data, "mode") != assigner.mode:
             raise ValueError(f"policy mode {data['mode']!r} is not its assigner's ({assigner.mode!r})")
-        provenance = json_object(data.get("provenance", {}), "provenance")
         return cls(
-            epsilon=json_field(data, "epsilon", json_number),
-            alpha=json_field(data, "alpha", json_number),
-            seed=json_field(data, "seed", json_integer),
+            epsilon=json_field(data, "epsilon"),
+            alpha=json_field(data, "alpha"),
+            seed=json_field(data, "seed"),
             assigner=assigner,
             thresholds=tuple(GroupThreshold.from_dict(t) for t in json_field(data, "thresholds", json_list)),
-            config_hash=json_field(provenance, "config_hash", json_string, ""),
+            config_hash=json_object(data.get("provenance", {}), "provenance").get("config_hash", ""),
         )
 
 
@@ -285,9 +288,9 @@ def assigner_from_dict(data: dict):
     if kind == "trivial":
         return TrivialAssigner()
     if kind == "labels":
-        return LabelAssigner(labels=json_field(data, "labels", lambda v: json_array(v, (str,), "a string")))
+        return LabelAssigner(json_field(data, "labels", json_list))
     if kind == "centroids":
-        return Partition(json_field(data, "centroids", json_numbers))
+        return Partition(json_field(data, "centroids", json_list))
     raise ValueError(f"unknown assigner kind {kind!r}")
 
 

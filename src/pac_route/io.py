@@ -8,8 +8,10 @@ every field under the rules rows built in memory follow too.  The first bad
 row, a syntax error, a line that is not UTF-8 or a bad value, is reported
 with its `path:line`.  Fields we do not know are ignored and counted, so
 callers can surface a warning.
-`load_json`, `json_field` and the other `json_*` checks read policy and spec
-files.
+`load_json`, `json_field`, `json_object` and `json_list` read policy and
+spec files, checking only their JSON shape: that a field is present and that
+an object or an array is one.  Every value in them is checked by the class it
+builds, as a value built in memory is.
 Outputs are staged in a temporary sibling, made as `open()` makes a file,
 under the umask in force, and renamed into place, so a failed run never
 leaves a partial file and two runs writing one path each leave it whole;
@@ -24,7 +26,6 @@ import errno
 import json
 import os
 import re
-from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -49,38 +50,21 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-def json_typed(value, types: tuple, what: str):
-    """`value` if its exact type is one of `types` (a bool is no integer), else a TypeError."""
-    if type(value) not in types:
-        raise TypeError(f"must be {what}, got {value!r}")
+def json_list(value) -> list:
+    """`value` itself if it is a JSON array, else a TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"must be an array, got {value!r}")
     return value
 
 
-def json_array(value, types: tuple, what: str) -> tuple:
-    """A JSON array whose items are all of `types`, as a tuple."""
-    return tuple(json_typed(item, types, what) for item in json_list(value))
-
-
-def json_number(value) -> float:
-    """A JSON number, an int or a float but never a bool, as a float."""
-    return float(json_typed(value, (int, float), "a number"))
-
-
-json_list = partial(json_typed, types=(list,), what="an array")
-json_string = partial(json_typed, types=(str,), what="a string")
-json_integer = partial(json_typed, types=(int,), what="an integer")
-json_numbers = partial(json_array, types=(int, float), what="a number")
-_REQUIRED = object()
-
-
-def json_field(data: dict, name: str, convert, default=_REQUIRED):
-    """convert(data[name]), or convert(default) when the field is absent and a
-    default is given; a missing field, or a TypeError or ValueError from the
-    conversion, is a ValueError that names the field."""
-    if default is _REQUIRED and name not in data:
+def json_field(data: dict, name: str, shape=None):
+    """data[name], or shape(data[name]) when a shape check is given; a missing
+    field, or a TypeError or ValueError from the check, is a ValueError that
+    names the field."""
+    if name not in data:
         raise ValueError(f"field {name!r} is missing")
     try:
-        return convert(data.get(name, default))
+        return data[name] if shape is None else shape(data[name])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
 
@@ -289,13 +273,7 @@ def atomic_write_json(data, path) -> None:
 
 __all__ = [
     "json_object",
-    "json_typed",
-    "json_array",
-    "json_number",
     "json_list",
-    "json_string",
-    "json_integer",
-    "json_numbers",
     "json_field",
     "load_json",
     "load_records",

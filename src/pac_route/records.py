@@ -128,16 +128,17 @@ _STRING_FIELDS = ("group_label", "thinking_answer", "cheap_answer", "gold_answer
 _EMBEDDING_FIELDS = ("thinking_embedding", "cheap_embedding")
 _TOKEN_FIELDS = ("tokens_thinking", "tokens_cheap")
 _NONE = type(None)
-# (exact types, numpy scalar types, what a value must be): a JSON number is an
-# int or a float, never a bool; JSON never yields the numpy scalars, rows
-# built in memory may
-_NUMBER = ((float, int), (np.floating, np.integer), "a number")
-_INTEGER = ((int,), (np.integer,), "an integer")
-_STRING = ((str,), (), "a string")
+# (exact types, numpy scalar types, what a value must be, the type a setting
+# of the kind is kept as): a JSON number is an int or a float, never a bool;
+# JSON never yields the numpy scalars, rows built in memory may
+_NUMBER = ((float, int), (np.floating, np.integer), "a number", float)
+_INTEGER = ((int,), (np.integer,), "an integer", int)
+_STRING = ((str,), (), "a string", str)
 _NEEDS = "record needs at least id and uncertainty"
 _BOUND = (_NUMBER, lambda bound: 0.0 < bound < math.inf, "loss bound B must be positive and finite")
 _COUNT = (_INTEGER, lambda count: count >= 1, "{1} must be at least 1")  # {1}: the count's name
-_SEED = ("seed", _INTEGER, lambda seed: True, "seed must be an integer, got {!r}")  # every config's seed
+_ANY = lambda value: True  # the range of a setting any value of its kind may take
+_SEED = ("seed", _INTEGER, _ANY, "seed must be an integer, got {!r}")  # every config's seed
 
 
 def _first(column, ok) -> int | None:
@@ -146,19 +147,27 @@ def _first(column, ok) -> int | None:
 
 
 def _of(kind: tuple, value) -> bool:
-    types, numpy_types, _ = kind
-    return type(value) in types or isinstance(value, numpy_types)
+    return type(value) in kind[0] or isinstance(value, kind[1])
 
 
 def _setting(value, kind: tuple, ok, message: str, *context):
-    """`value` of `kind` (never a bool) with ok(value), as a float, or an int for _INTEGER, so a numpy
-    scalar becomes a number JSON writes; anything else is a ValueError(message.format(value, *context))."""
+    """`value` of `kind` (a bool is no number) with ok(value), kept as the kind's type, so a numpy scalar
+    becomes a number JSON writes; anything else is a ValueError(message.format(value, *context))."""
     try:
-        if _of(kind, value) and ok(number := (int if kind is _INTEGER else float)(value)):
-            return number
+        if _of(kind, value) and ok(setting := kind[3](value)):
+            return setting
     except OverflowError:  # an int too large for a float
         pass
     raise ValueError(message.format(value, *context))
+
+
+def _settings(values, kind: tuple, ok, message: str, *context) -> tuple:
+    """_setting of each of `values`, as a tuple; values all of the type a setting is kept as, and in
+    range, come back as they are, after one type test."""
+    values = tuple(values)
+    if set(map(type, values)) <= {kind[3]} and all(map(ok, values)):
+        return values
+    return tuple(_setting(value, kind, ok, message, *context) for value in values)
 
 
 def _settle(config, rules: tuple, *context) -> None:

@@ -12,21 +12,27 @@ held.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import GROUP_ALL, GroupKey, Partition, RoutingPolicy, TrivialAssigner
+from .calibration import _EPSILON, GROUP_ALL, GroupKey, Partition, RoutingPolicy, TrivialAssigner
 from .clustering import ClusterConfig, calibrate
 from .estimator import EstimatorConfig
-from .io import json_field, json_integer, json_list, json_number, json_numbers, json_object, json_string
-from .io import load_json
-from .records import _COUNT, _INTEGER, _NUMBER, RecordTable, _setting, _settle
+from .io import json_field, json_list, json_object, load_json
+from .records import _ANY, _COUNT, _INTEGER, _NUMBER, _STRING, RecordTable, _setting, _settings, _settle
 from .seeding import derive_seed, substream
 
-_GROUP = (("weight", _NUMBER, lambda w: w > 0, "group {1}: weight must be positive"),  # {1}: the group's name
-          ("tokens_thinking", _INTEGER, lambda t: t > 0, "group {1}: bad token counts"),
-          ("tokens_cheap", _INTEGER, lambda t: t >= 0, "group {1}: bad token counts"))
+# {1}: the group's name, settled first
+_GROUP = (("name", _STRING, _ANY, "group name must be a string, got {!r}"),
+          ("weight", _NUMBER, lambda w: w > 0, "group {1}: weight must be positive"),
+          ("tokens_thinking", _INTEGER, lambda t: t > 0, "group {1}: tokens_thinking must be a positive integer"),
+          ("tokens_cheap", _INTEGER, lambda t: t >= 0, "group {1}: tokens_cheap must be a non-negative integer"))
+_EDGE = (_NUMBER, math.isfinite, "group {1}: bin edges must be finite numbers, got {0!r}")
+_PROB = (_NUMBER, lambda p: 0.0 <= p <= 1.0, "group {1}: loss probabilities must lie in [0, 1]")
+_SPEC = (("name", _STRING, _ANY, "spec name must be a string, got {!r}"),
+         ("notes", _STRING, _ANY, "spec notes must be a string, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -41,19 +47,16 @@ class GroupSpec:
     tokens_cheap: int = 50
 
     def __post_init__(self):
-        edges = tuple(map(float, self.bin_edges))
-        probs = tuple(map(float, self.loss_prob))
+        _settle(self, _GROUP, self.name)
+        edges, probs = _settings(self.bin_edges, *_EDGE, self.name), _settings(self.loss_prob, *_PROB, self.name)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "loss_prob", probs)
-        _settle(self, _GROUP, self.name)
         if len(edges) < 2 or len(probs) != len(edges) - 1:
             raise ValueError(f"group {self.name}: need one loss probability per bin")
         if edges[0] != 0.0 or edges[-1] != 1.0:
             raise ValueError(f"group {self.name}: bin edges must start at 0 and end at 1")
         if not all(a < b for a, b in zip(edges, edges[1:])):
             raise ValueError(f"group {self.name}: bin edges must be strictly ascending")
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ValueError(f"group {self.name}: loss probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,7 @@ class SyntheticSpec:
     notes: str = ""
 
     def __post_init__(self):
+        _settle(self, _SPEC)
         if not self.groups:
             raise ValueError("a synthetic spec needs at least one group")
         names = [g.name for g in self.groups]
@@ -80,18 +84,18 @@ class SyntheticSpec:
     def from_dict(cls, data: dict) -> "SyntheticSpec":
         data = json_object(data, "a synthetic spec")
         groups = tuple(_group_from_dict(i, g) for i, g in enumerate(json_field(data, "groups", json_list)))
-        return cls(groups, json_field(data, "name", json_string, ""), json_field(data, "notes", json_string, ""))
+        return cls(groups, data.get("name", ""), data.get("notes", ""))
 
 
 def _group_from_dict(i: int, data: dict) -> GroupSpec:
     data = json_object(data, f"group {i}")
     return GroupSpec(
-        name=json_field(data, "name", json_string, f"g{i}"),
-        weight=json_field(data, "weight", json_number),
-        bin_edges=json_field(data, "bins", json_numbers),
-        loss_prob=json_field(data, "loss_prob", json_numbers),
-        tokens_thinking=json_field(data, "tokens_thinking", json_integer, 400),
-        tokens_cheap=json_field(data, "tokens_cheap", json_integer, 50),
+        name=data.get("name", f"g{i}"),
+        weight=json_field(data, "weight"),
+        bin_edges=json_field(data, "bins", json_list),
+        loss_prob=json_field(data, "loss_prob", json_list),
+        tokens_thinking=data.get("tokens_thinking", 400),
+        tokens_cheap=data.get("tokens_cheap", 50),
     )
 
 
@@ -240,6 +244,7 @@ def coverage_experiment(
     index), so runs are reproducible and trials are mutually independent.
     """
     trials, n_cal = _setting(trials, *_COUNT, "trials"), _setting(n_cal, *_COUNT, "n_cal")
+    epsilon = _setting(epsilon, *_EPSILON)
     master = est_config.seed
     covered: dict[GroupKey, int] = {}
     risk_sums: dict[GroupKey, float] = {}

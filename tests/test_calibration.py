@@ -699,8 +699,8 @@ def _group(**settings):
 _SPEC = SyntheticSpec((_group(),))
 
 
-def _coverage(n_cal=20, trials=2):
-    return coverage_experiment(_SPEC, n_cal, trials, 0.1, "gpac", EstimatorConfig())
+def _coverage(n_cal=20, trials=2, epsilon=0.1):
+    return coverage_experiment(_SPEC, n_cal, trials, epsilon, "gpac", EstimatorConfig())
 
 
 def _evaluate(trials):
@@ -721,15 +721,26 @@ def _evaluate(trials):
     (lambda: ClusterConfig(k=2, seed="1"), "seed must be an integer, got '1'"),
     (lambda: EstimatorConfig(alpha="0.05"), "alpha must lie in (0, 1)"),
     (lambda: ClusterConfig(k=2, split_fraction="0.5"), "split_fraction must lie strictly inside (0, 1)"),
-    (lambda: _policy(alpha="0.05"), "alpha must lie in (0, 1), got 0.05"),
+    (lambda: _policy(alpha="0.05"), "alpha must lie in (0, 1), got '0.05'"),
     (lambda: _policy(seed=True), "seed must be an integer, got True"),
     (lambda: _policy(seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: _policy(seed="1"), "seed must be an integer, got '1'"),
     (lambda: _group(weight=True), "group g: weight must be positive"),
     (lambda: _group(weight="1"), "group g: weight must be positive"),
-    (lambda: _group(tokens_thinking=1.5), "group g: bad token counts"),
-    (lambda: _group(tokens_thinking=True), "group g: bad token counts"),
-    (lambda: _group(tokens_cheap=True), "group g: bad token counts"),
+    (lambda: _policy(config_hash=3), "config_hash must be a string, got 3"),
+    (lambda: _group(tokens_thinking=1.5), "group g: tokens_thinking must be a positive integer"),
+    (lambda: _group(tokens_thinking=True), "group g: tokens_thinking must be a positive integer"),
+    (lambda: _group(tokens_cheap=True), "group g: tokens_cheap must be a non-negative integer"),
+    (lambda: _group(name=7), "group name must be a string, got 7"),
+    (lambda: _group(bin_edges=("0", "1")), "group g: bin edges must be finite numbers, got '0'"),
+    (lambda: _group(bin_edges=(0, 10**400, 1), loss_prob=(0.1, 0.1)),
+     f"group g: bin edges must be finite numbers, got {10**400}"),
+    (lambda: _group(loss_prob=("0.1",)), "group g: loss probabilities must lie in [0, 1]"),
+    (lambda: SyntheticSpec((_group(),), name=5), "spec name must be a string, got 5"),
+    (lambda: SyntheticSpec((_group(),), notes=["x"]), "spec notes must be a string, got ['x']"),
+    (lambda: Partition(["0.2", "0.8"]), "centroids must be finite numbers, got '0.2'"),
+    (lambda: Partition([True, 2]), "centroids must be finite numbers, got True"),
+    (lambda: LabelAssigner((1, 2)), "labels must be strings, got 1"),
     (lambda: _coverage(trials=True), "trials must be at least 1"),
     (lambda: _coverage(trials=1.5), "trials must be at least 1"),
     (lambda: _coverage(n_cal=True), "n_cal must be at least 1"),
@@ -740,7 +751,9 @@ def _evaluate(trials):
         "estimator_seed-True", "estimator_seed-float", "estimator_seed-str",
         "cluster_seed-True", "cluster_seed-float", "cluster_seed-str", "alpha-str", "split_fraction-str",
         "policy_alpha-str", "policy_seed-True", "policy_seed-float", "policy_seed-str",
-        "weight-True", "weight-str", "tokens_thinking-float", "tokens_thinking-True", "tokens_cheap-True",
+        "weight-True", "weight-str", "config_hash-int", "tokens_thinking-float", "tokens_thinking-True",
+        "tokens_cheap-True", "group_name-int", "bin_edges-str", "bin_edges-huge", "loss_prob-str",
+        "spec_name-int", "spec_notes-list", "centroids-str", "centroids-bool", "labels-int",
         "coverage_trials-True", "coverage_trials-float", "n_cal-True", "n_cal-float",
         "evaluate_trials-True", "evaluate_trials-float"])
 def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
@@ -774,6 +787,11 @@ def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
 def test_a_numpy_scalar_setting_stamps_what_its_python_number_does(stamp, value):
     as_numpy = (np.float32 if isinstance(value, float) else np.int64)(value)
     assert stamp(as_numpy) == stamp(value)
+
+
+def test_a_coverage_report_keeps_epsilon_as_a_float():
+    assert json.dumps(_coverage(epsilon=np.float32(0.25)).to_dict()) == json.dumps(_coverage(epsilon=0.25).to_dict())
+    assert '"epsilon": 1.0,' in json.dumps(_coverage(epsilon=1).to_dict())
 
 
 def test_a_bool_tolerance_is_rejected_everywhere():

@@ -572,8 +572,7 @@ def _assigner_missing(data):
     return data
 
 
-# JSON values of the wrong type that tuple(), int() or float() would accept, each with
-# the field its error must name
+# JSON values of the wrong type that tuple(), int() or float() would accept
 def _labels_string(data):
     return {**data, "assigner": {"kind": "labels", "labels": "math"}}
 
@@ -631,10 +630,27 @@ def _thresholds_empty_object(data):
     return {**data, "thresholds": {}}
 
 
-WRONG_TYPES = {_labels_string: "labels", _centroids_string: "centroids", _n_fraction: "n", _n_bool: "n",
-               _epsilon_bool: "epsilon", _alpha_string: "alpha", _seed_fraction: "seed", _mode_number: "mode",
-               _config_hash_number: "config_hash", _threshold_string: "threshold", _ucb_string: "ucb",
-               _thresholds_empty_object: "thresholds"}
+def _group_key_float(data):
+    data["thresholds"][0]["group_key"] = 1.0
+    return data
+
+
+# each with the one message it gets, which names its field
+WRONG_TYPES = {
+    _labels_string: "field 'labels': must be an array, got 'math'",
+    _centroids_string: "field 'centroids': must be an array, got '12'",
+    _n_fraction: "group 'easy': n must be a non-negative integer, got 50.7",
+    _n_bool: "group 'easy': n must be a non-negative integer, got True",
+    _epsilon_bool: "tolerance epsilon must be positive and finite, got True",
+    _alpha_string: "alpha must lie in (0, 1), got '0.05'",
+    _seed_fraction: "seed must be an integer, got 1.5",
+    _mode_number: "policy mode 5 is not its assigner's ('gpac')",
+    _config_hash_number: "config_hash must be a string, got 5",
+    _threshold_string: "group 'easy': threshold must lie in [0, 1] or be \"always_think\", got '0.5'",
+    _ucb_string: "group 'easy': ucb must be a number or null, got '0.01'",
+    _thresholds_empty_object: "field 'thresholds': must be an array, got {}",
+    _group_key_float: "group_key must be a string or an integer, got 1.0",
+}
 
 
 def _negative_epsilon(data):
@@ -657,13 +673,27 @@ def _alpha_zero(data):
     return {**data, "alpha": 0.0}
 
 
+# integers too large for a float
+def _epsilon_huge(data):
+    return {**data, "epsilon": 10**400}
+
+
+def _threshold_huge(data):
+    data["thresholds"][0]["threshold"] = 10**400
+    return data
+
+
+def _centroid_huge(data):
+    return {**data, "mode": "cpac", "assigner": {"kind": "centroids", "centroids": [0.5, 10**400]}, "thresholds": []}
+
+
 POLICY_EDITS = [
     _raise_threshold, _duplicate_key, _unknown_key, _negative_threshold,
     _top_level_list, _thresholds_number, _labels_number, _n_list, _centroid_list,
     _threshold_object, _assigner_string, _group_key_list,
     _bogus_mode, _negative_epsilon, _zero_epsilon, _infinite_epsilon, _alpha_seven, _alpha_zero,
     _mode_of_another_assigner, _mode_missing, _assigner_missing, _duplicate_label, _nan_centroid,
-    _negative_n,
+    _negative_n, _epsilon_huge, _threshold_huge, _centroid_huge,
 ]
 
 
@@ -680,7 +710,7 @@ def test_invalid_policy_is_an_input_error(tmp_path, records_file, policy_file, c
 def test_a_negative_n_names_its_group(tmp_path, records_file, policy_file, capsys):
     bad = _edited_policy(tmp_path, policy_file, _negative_n)
     assert main(["route", "--policy", bad, "--records", records_file, "--out", str(tmp_path / "out")]) == 2
-    assert "cannot read policy: group 'easy': n -5 is negative" in capsys.readouterr().err
+    assert "cannot read policy: group 'easy': n must be a non-negative integer, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["route", "evaluate"])
@@ -702,7 +732,7 @@ def test_policy_value_of_the_wrong_json_type_names_its_field(
     bad = _edited_policy(tmp_path, policy_file, edit)
     out = tmp_path / "out"
     assert main([command, "--policy", bad, "--records", records_file, "--out", str(out)]) == 2
-    assert f"cannot read policy: field '{WRONG_TYPES[edit]}': must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: cannot read policy: {WRONG_TYPES[edit]}\n"
     assert not out.exists()
 
 
@@ -964,7 +994,7 @@ def _spec_groups_empty(spec):
 
 
 # JSON values of the wrong type that str(), float(), tuple() or int() would
-# accept, each with the field its error must name
+# accept
 def _spec_name_number(spec):
     spec["groups"][0]["name"] = 7
     return spec
@@ -994,11 +1024,35 @@ def _spec_groups_string(spec):
     return {**spec, "groups": "ab"}
 
 
-SPEC_WRONG_TYPES = {_spec_name_number: "name", _spec_weight_string: "weight", _spec_bins_string: "bins",
-                    _spec_tokens_fraction: "tokens_thinking", _spec_tokens_bool: "tokens_cheap",
-                    _spec_groups_string: "groups"}
+def _spec_notes_number(spec):
+    return {**spec, "notes": 5}
+
+
+# integers too large for a float
+def _spec_weight_huge(spec):
+    spec["groups"][0]["weight"] = 10**400
+    return spec
+
+
+def _spec_bins_huge(spec):
+    spec["groups"][0]["bins"] = [0, 10**400, 1]
+    spec["groups"][0]["loss_prob"] = [0.1, 0.1]
+    return spec
+
+
+# each with the one message it gets, which names its field
+SPEC_WRONG_TYPES = {
+    _spec_name_number: "group name must be a string, got 7",
+    _spec_weight_string: "group a: weight must be positive",
+    _spec_bins_string: "field 'bins': must be an array, got '01'",
+    _spec_tokens_fraction: "group a: tokens_thinking must be a positive integer",
+    _spec_tokens_bool: "group a: tokens_cheap must be a non-negative integer",
+    _spec_groups_string: "field 'groups': must be an array, got 'ab'",
+    _spec_notes_number: "spec notes must be a string, got 5",
+}
 SPEC_EDITS = [_spec_groups_number, _spec_top_level_list, _spec_bins_number, _spec_bins_nan, _spec_weight_list,
-              _spec_tokens_thinking_zero, _spec_tokens_cheap_negative, _spec_groups_empty, *SPEC_WRONG_TYPES]
+              _spec_tokens_thinking_zero, _spec_tokens_cheap_negative, _spec_groups_empty, _spec_weight_huge,
+              _spec_bins_huge, *SPEC_WRONG_TYPES]
 
 
 @pytest.mark.parametrize("edit", SPEC_EDITS, ids=lambda f: f.__name__[len("_spec_"):])
@@ -1010,7 +1064,7 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, edit):
                  "--epsilon", "0.05", "--out", str(out)]) == 7
     err = capsys.readouterr().err
     assert "invalid synthetic spec" in err
-    assert edit not in SPEC_WRONG_TYPES or f"field '{SPEC_WRONG_TYPES[edit]}': must be" in err
+    assert edit not in SPEC_WRONG_TYPES or err == f"error: invalid synthetic spec: {SPEC_WRONG_TYPES[edit]}\n"
     assert not out.exists()
 
 

@@ -4,8 +4,9 @@ In one dimension the optimal k-means clusters are contiguous runs of the
 sorted values, so the exact optimum is found by dynamic programming over
 prefix sums; no Lloyd iterations and no restarts, hence fully deterministic.
 The optimal start of the last cluster is monotone in the prefix end, so each
-cluster-count layer but the last is a divide and conquer over that split; the
-last layer is needed at the full prefix only, which one O(n) scan gives.  The
+cluster-count layer but the last is a divide and conquer over that split,
+walked by a schedule cached per (layer, n) at about 24 n bytes; the last
+layer is needed at the full prefix only, which one O(n) scan gives.  The
 cost is one sort, k - 2 layers of O(n log n) and that scan, with ties broken
 toward the earliest split.  Values spread over less than about 1e-6 leave the
 prefix-sum costs at rounding level, where the partition is optimal only up to
@@ -17,6 +18,7 @@ and routing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,23 @@ class ClusterConfig:
         _settle(self, _CLUSTER)
 
 
+@functools.lru_cache(maxsize=4)
+def _schedule(c: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Layer c's divide and conquer over prefix ends c .. n, by recursion level: the ends `mid` it solves
+    and, for the range [a, b] each one splits, a - 1 and b + 1, whose picks bound its candidates."""
+    levels = []
+    a, b = np.array([c]), np.array([n])
+    while len(a):
+        mid = (a + b) // 2
+        level = (mid, a - 1, b + 1)
+        for v in level:
+            v.flags.writeable = False
+        levels.append(level)
+        left, right = a < mid, mid < b
+        a, b = np.concatenate([a[left], mid[right] + 1]), np.concatenate([mid[left] - 1, b[right]])
+    return tuple(levels)
+
+
 def kmeans_1d(values, k: int) -> Partition:
     """Globally optimal k-means of scalar values, over the sorted order.
 
@@ -57,7 +76,10 @@ def kmeans_1d(values, k: int) -> Partition:
     of the last cluster never decreases as j grows, so each layer is a divide
     and conquer over that split (Gronlund et al., arXiv:1701.07204), run one
     recursion level at a time with all pending prefix ends of a level handled
-    in a few array operations.  Only layers 2 .. k - 1 are built that way:
+    in a few array operations.  Which ends a level solves, and whose picks
+    bound their candidates, depends on (layer, n) alone: `_schedule` caches
+    it as read-only arrays, about 24 n bytes an entry, so fits of one size
+    share it.  Only layers 2 .. k - 1 are built that way:
     the backtrack reads layer k at j = n alone, so the last cut is one scan
     over every candidate start.  That is one sort, k - 2 layers of
     O(n log n) and one O(n) scan in time, and O(k n) memory.
@@ -84,32 +106,22 @@ def kmeans_1d(values, k: int) -> Partition:
     # best[j] = optimal cost of the first j points with the current cluster count
     best = seg_cost(0, np.arange(n + 1).clip(1))
     best[0] = 0.0
-    splits = np.zeros((k - 1, n + 1), dtype=int)
+    splits = np.zeros((k - 1, n + 2), dtype=int)
     for c in range(2, k):
         nxt = np.full(n + 1, np.inf)
-        # pending subproblems: prefix ends [j_lo, j_hi], split candidates [o_lo, o_hi]
-        j_lo = np.array([c])
-        j_hi = np.array([n])
-        o_lo = np.array([c - 1])
-        o_hi = np.array([n - 1])
-        while len(j_lo):
-            mid = (j_lo + j_hi) // 2
+        # layer c's picks by prefix end; the sentinels bound the outermost range's candidates
+        pick_at = splits[c - 1]
+        pick_at[c - 1], pick_at[n + 1] = c - 1, n - 1
+        for mid, before, after in _schedule(c, n):
+            o_lo, o_hi = pick_at[before], pick_at[after]
             width = np.minimum(mid - 1, o_hi) - o_lo + 1
             starts = np.cumsum(width) - width
             i = np.arange(width.sum()) - np.repeat(starts - o_lo, width)
             total = best[i] + seg_cost(i, np.repeat(mid, width))
             low = np.minimum.reduceat(total, starts)
             hits = np.flatnonzero(total == np.repeat(low, width))
-            first = hits[np.searchsorted(hits, starts)]
-            pick = i[first]
             nxt[mid] = low
-            splits[c - 1, mid] = pick
-            left = j_lo < mid
-            right = mid < j_hi
-            j_lo = np.concatenate([j_lo[left], mid[right] + 1])
-            j_hi = np.concatenate([mid[left] - 1, j_hi[right]])
-            o_lo = np.concatenate([o_lo[left], pick[right]])
-            o_hi = np.concatenate([pick[left], o_hi[right]])
+            pick_at[mid] = i[hits[np.searchsorted(hits, starts)]]
         best = nxt
 
     cuts = [n]

@@ -26,7 +26,7 @@ from .seeding import derive_seed, substream
 
 # {1}: the group's name, settled first
 _GROUP = (("name", _STRING, _ANY, "group name must be a string, got {!r}"),
-          ("weight", _NUMBER, lambda w: w > 0, "group {1}: weight must be positive"),
+          ("weight", _NUMBER, lambda w: 0.0 < w < math.inf, "group {1}: weight must be a positive finite number"),
           ("tokens_thinking", _INTEGER, lambda t: t > 0, "group {1}: tokens_thinking must be a positive integer"),
           ("tokens_cheap", _INTEGER, lambda t: t >= 0, "group {1}: tokens_cheap must be a non-negative integer"))
 _EDGE = (_NUMBER, math.isfinite, "group {1}: bin edges must be finite numbers, got {0!r}")

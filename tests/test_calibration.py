@@ -725,8 +725,9 @@ def _evaluate(trials):
     (lambda: _policy(seed=True), "seed must be an integer, got True"),
     (lambda: _policy(seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: _policy(seed="1"), "seed must be an integer, got '1'"),
-    (lambda: _group(weight=True), "group g: weight must be positive"),
-    (lambda: _group(weight="1"), "group g: weight must be positive"),
+    (lambda: _group(weight=True), "group g: weight must be a positive finite number"),
+    (lambda: _group(weight="1"), "group g: weight must be a positive finite number"),
+    (lambda: _group(weight=math.inf), "group g: weight must be a positive finite number"),
     (lambda: _policy(config_hash=3), "config_hash must be a string, got 3"),
     (lambda: _group(tokens_thinking=1.5), "group g: tokens_thinking must be a positive integer"),
     (lambda: _group(tokens_thinking=True), "group g: tokens_thinking must be a positive integer"),
@@ -736,11 +737,15 @@ def _evaluate(trials):
     (lambda: _group(bin_edges=(0, 10**400, 1), loss_prob=(0.1, 0.1)),
      f"group g: bin edges must be finite numbers, got {10**400}"),
     (lambda: _group(loss_prob=("0.1",)), "group g: loss probabilities must lie in [0, 1]"),
+    (lambda: _group(bin_edges=5), "group g: bin edges must be finite numbers, got 5"),
+    (lambda: _group(loss_prob=0.1), "group g: loss probabilities must lie in [0, 1]"),
     (lambda: SyntheticSpec((_group(),), name=5), "spec name must be a string, got 5"),
     (lambda: SyntheticSpec((_group(),), notes=["x"]), "spec notes must be a string, got ['x']"),
     (lambda: Partition(["0.2", "0.8"]), "centroids must be finite numbers, got '0.2'"),
     (lambda: Partition([True, 2]), "centroids must be finite numbers, got True"),
+    (lambda: Partition(5), "centroids must be finite numbers, got 5"),
     (lambda: LabelAssigner((1, 2)), "labels must be strings, got 1"),
+    (lambda: LabelAssigner("math"), "labels must be strings, got 'math'"),
     (lambda: _coverage(trials=True), "trials must be at least 1"),
     (lambda: _coverage(trials=1.5), "trials must be at least 1"),
     (lambda: _coverage(n_cal=True), "n_cal must be at least 1"),
@@ -751,9 +756,10 @@ def _evaluate(trials):
         "estimator_seed-True", "estimator_seed-float", "estimator_seed-str",
         "cluster_seed-True", "cluster_seed-float", "cluster_seed-str", "alpha-str", "split_fraction-str",
         "policy_alpha-str", "policy_seed-True", "policy_seed-float", "policy_seed-str",
-        "weight-True", "weight-str", "config_hash-int", "tokens_thinking-float", "tokens_thinking-True",
-        "tokens_cheap-True", "group_name-int", "bin_edges-str", "bin_edges-huge", "loss_prob-str",
-        "spec_name-int", "spec_notes-list", "centroids-str", "centroids-bool", "labels-int",
+        "weight-True", "weight-str", "weight-inf", "config_hash-int", "tokens_thinking-float",
+        "tokens_thinking-True", "tokens_cheap-True", "group_name-int", "bin_edges-str", "bin_edges-huge",
+        "loss_prob-str", "bin_edges-int", "loss_prob-float", "spec_name-int", "spec_notes-list", "centroids-str",
+        "centroids-bool", "centroids-int", "labels-int", "labels-str",
         "coverage_trials-True", "coverage_trials-float", "n_cal-True", "n_cal-float",
         "evaluate_trials-True", "evaluate_trials-float"])
 def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):

@@ -1043,7 +1043,7 @@ def _spec_bins_huge(spec):
 # each with the one message it gets, which names its field
 SPEC_WRONG_TYPES = {
     _spec_name_number: "group name must be a string, got 7",
-    _spec_weight_string: "group a: weight must be positive",
+    _spec_weight_string: "group a: weight must be a positive finite number",
     _spec_bins_string: "field 'bins': must be an array, got '01'",
     _spec_tokens_fraction: "group a: tokens_thinking must be a positive integer",
     _spec_tokens_bool: "group a: tokens_cheap must be a non-negative integer",

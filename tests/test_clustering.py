@@ -13,6 +13,7 @@ from pac_route.clustering import (
     ClusterConfig,
     Partition,
     calibrate,
+    _schedule,
     calibrate_cpac,
     kmeans_1d,
 )
@@ -178,6 +179,29 @@ def repeated_values_and_k(draw):
 def test_kmeans_matches_the_quadratic_dp_on_repeated_values(case):
     xs, k = case
     assert kmeans_1d(xs, k).centroids == _kmeans_1d_reference(xs, k)
+
+
+def test_kmeans_reuses_its_cached_schedule_across_value_sets():
+    # two value sets of one n, fitted in one order and then the other, so that
+    # later fits walk the layer schedules the earlier ones cached
+    rng = np.random.default_rng(28)
+    n = 257
+    sets = (rng.uniform(0, 1, n), np.round(rng.uniform(0, 1, n), 2))
+    hits = _schedule.cache_info().hits
+    for order in (sets, sets[::-1]):
+        for xs in order:
+            for k in (3, 4, 5):
+                assert kmeans_1d(xs, k).centroids == _kmeans_1d_reference(xs, k), k
+    # 24 layer walks over the 3 schedules (2, n), (3, n) and (4, n)
+    assert _schedule.cache_info().hits - hits >= 21
+    for c in (2, 3, 4):
+        levels = _schedule(c, n)
+        assert np.array_equal(np.sort(np.concatenate([mid for mid, _, _ in levels])), np.arange(c, n + 1))
+        for level in levels:
+            for column in level:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
 
 
 @pytest.mark.parametrize("xs, k, earliest, later", [

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -162,9 +162,10 @@ def _setting(value, kind: tuple, ok, message: str, *context):
 
 
 def _settings(values, kind: tuple, ok, message: str, *context) -> tuple:
-    """_setting of each of `values`, as a tuple, where a string or a non-iterable is itself a ValueError; values
-    all of the type a setting is kept as, and in range, come back as they are, after one type test."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+    """_setting of each of `values`, as a tuple, where a string, a set (no order to keep) or a non-iterable is itself
+    a ValueError; values all of the type a setting is kept as, and in range, come back as they are, after one type
+    test."""
+    if isinstance(values, (str, bytes, Set)) or not isinstance(values, Iterable):
         raise ValueError(message.format(values, *context))
     values = tuple(values)
     if set(map(type, values)) <= {kind[3]} and all(map(ok, values)):

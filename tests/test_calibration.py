@@ -746,6 +746,11 @@ def _evaluate(trials):
     (lambda: Partition(5), "centroids must be finite numbers, got 5"),
     (lambda: LabelAssigner((1, 2)), "labels must be strings, got 1"),
     (lambda: LabelAssigner("math"), "labels must be strings, got 'math'"),
+    (lambda: LabelAssigner({"math"}), "labels must be strings, got {'math'}"),
+    (lambda: LabelAssigner(frozenset({"math"})), "labels must be strings, got frozenset({'math'})"),
+    (lambda: Partition({0.2, 0.5, 0.8}), "centroids must be finite numbers, got {0.2, 0.5, 0.8}"),
+    (lambda: _group(bin_edges={0.0, 0.5, 1.0}, loss_prob=(0.1, 0.2)),
+     "group g: bin edges must be finite numbers, got {0.0, 0.5, 1.0}"),
     (lambda: _coverage(trials=True), "trials must be at least 1"),
     (lambda: _coverage(trials=1.5), "trials must be at least 1"),
     (lambda: _coverage(n_cal=True), "n_cal must be at least 1"),
@@ -759,7 +764,8 @@ def _evaluate(trials):
         "weight-True", "weight-str", "weight-inf", "config_hash-int", "tokens_thinking-float",
         "tokens_thinking-True", "tokens_cheap-True", "group_name-int", "bin_edges-str", "bin_edges-huge",
         "loss_prob-str", "bin_edges-int", "loss_prob-float", "spec_name-int", "spec_notes-list", "centroids-str",
-        "centroids-bool", "centroids-int", "labels-int", "labels-str",
+        "centroids-bool", "centroids-int", "labels-int", "labels-str", "labels-set", "labels-frozenset",
+        "centroids-set", "bin_edges-set",
         "coverage_trials-True", "coverage_trials-float", "n_cal-True", "n_cal-float",
         "evaluate_trials-True", "evaluate_trials-float"])
 def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):

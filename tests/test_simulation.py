@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,8 @@ from pac_route.calibration import (
 )
 from pac_route.clustering import ClusterConfig, Partition
 from pac_route.estimator import EstimatorConfig
-from pac_route.seeding import substream
+from pac_route import simulation
+from pac_route.seeding import derive_seed, substream
 from pac_route.simulation import (
     CoverageReport,
     GroupSpec,
@@ -333,3 +338,90 @@ def test_substreams_make_trials_independent_of_count():
     records_b = generate(spec, 100, substream(33, "trial", 2, "data"))
     assert same_table(records_a, records_b)
     assert short.trials == 3 and long.trials == 6
+
+
+# ------------------------------------------------------------ trials on every CPU
+
+
+DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+FORK = os.fork
+
+
+def _with_cpus(monkeypatch, cpus):
+    """Let coverage_experiment see `cpus` CPUs, and count its forks."""
+    forks = []
+
+    def counted():
+        forks.append(1)
+        return FORK()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("spec, method, cluster", [
+    ("steep2.json", "gpac", None),
+    ("hetero3.json", "cpac", ClusterConfig(k=3, mode="joint")),
+], ids=["steep2-gpac", "hetero3-cpac-joint-k3"])
+def test_coverage_experiment_reports_the_same_for_any_cpu_count(monkeypatch, spec, method, cluster):
+    spec, trials = load_spec(DATA / spec), 24
+    run = lambda count: coverage_experiment(spec, 300, count, 0.05, method, EstimatorConfig(seed=5), cluster)
+    _with_cpus(monkeypatch, 1)
+    alone = run(trials).to_dict()
+    for cpus in (2, 3, trials + 1):
+        forks = _with_cpus(monkeypatch, cpus)
+        assert run(trials).to_dict() == alone
+        assert len(forks) == min(cpus, 3) - 1  # blocks of at least 8 trials
+    forks = _with_cpus(monkeypatch, 2)
+    run(15)
+    assert not forks  # too few trials for two blocks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing, error, message", [
+    ({11, 17}, ValueError, "trial 11 failed"),  # both children's blocks fail: the earlier one's trial raises
+    ({23}, ValueError, "trial 23 failed"),
+    ({5, 23}, ValueError, "trial 5 failed"),  # this process's own block fails first; the children are killed
+    ({5}, KeyboardInterrupt, "trial 5 failed"),  # interrupted while both children still run
+], ids=["two-children", "last-child", "own-block", "interrupt"])
+def test_a_failing_trial_raises_its_own_error_and_leaves_no_child(monkeypatch, failing, error, message):
+    # 3 CPUs and 24 trials: this process runs trials 0-7, the children 8-15 and 16-23; fork copies the patch
+    _with_cpus(monkeypatch, 3)
+    config = EstimatorConfig(seed=9)
+    trial_of = {derive_seed(config.seed, "trial", t, "calibrate"): t for t in range(24)}
+    real = simulation.calibrate
+
+    def calibrate(records, method, epsilon, cfg, cc):
+        t = trial_of[cfg.seed]
+        if t in failing:
+            raise error(f"trial {t} failed")
+        if error is KeyboardInterrupt and t >= 8:
+            time.sleep(60)  # a child that outlives the test unless it is killed
+        return real(records, method, epsilon, cfg, cc)
+
+    monkeypatch.setattr(simulation, "calibrate", calibrate)
+    started = time.perf_counter()
+    with pytest.raises(error) as caught:
+        coverage_experiment(two_group_spec(), 100, 24, 0.05, "gpac", config)
+    assert caught.value.args == (message,)
+    assert time.perf_counter() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_prints_its_lines_once(tmp_path):
+    out = tmp_path / "coverage.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "pac_route", "simulate", "--spec", str(DATA / "steep2.json"), "--method", "gpac",
+         "--n-cal", "300", "--trials", "20", "--epsilon", "0.05", "--seed", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    worst = min(report["per_group_coverage"].values())
+    assert done.stdout.splitlines() == [
+        f"coverage(min) {worst:.4f} efficiency {report['efficiency']:.4f} over 20 trials", f"wrote {out}"]
+    assert done.stderr == ""

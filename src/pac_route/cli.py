@@ -19,16 +19,20 @@ any other ValueError 4.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .calibration import CHEAP, MODES, PolicyVersionError, load_policy, route
 from .clustering import CLUSTER_MODES, ClusterConfig, calibrate, kmeans_1d
 from .estimator import DEFAULT_N_MIN, METHODS, EstimatorConfig
 from .evaluation import STP_VARIANTS, evaluate
-from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, render_json
+from .io import atomic_write_json, atomic_write_text, atomic_write_texts, load_records, record_spans, render_json
+from .parallel import in_blocks
 from .records import (
     LOSS_KINDS,
     LossError,
@@ -49,6 +53,10 @@ EXIT_MISSING_TOKENS = 6
 EXIT_BAD_SPEC = 7
 # decision lines joined into one string before the next block starts
 _ROUTE_BLOCK = 8192
+# Fewest bytes of JSONL a route span holds.  On a 2-core host, after a calibrate and an evaluate in the same process,
+# two spans of 256 KiB broke even with one (19-22 ms either way) and two of 512 KiB won (57-60 ms against 39-46 ms),
+# so a span pays for its fork well below this floor, and the small inputs (warm-ups, tests) never fork.
+_SPAN_MIN = 1 << 20
 # the exit code of a library error that no file wrapper claimed, most specific first
 _EXIT_CODES = ((NoRecordsError, EXIT_NO_RECORDS), (MissingTokensError, EXIT_MISSING_TOKENS),
                (ValueError, EXIT_BAD_PARAM))
@@ -68,11 +76,15 @@ def _read_records(args, spec: LossSpec | None = None) -> RecordColumns:
         raise _CliError(EXIT_INPUT, f"cannot resolve losses: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read records: {exc}") from exc
-    if ignored:
-        print(f"warning: ignored {ignored} unknown field(s) in {args.records}", file=sys.stderr)
+    _warn_ignored(args, ignored)
     if not len(columns):
         raise _CliError(EXIT_NO_RECORDS, f"no records found in {args.records}")
     return columns
+
+
+def _warn_ignored(args, ignored: int) -> None:
+    if ignored:
+        print(f"warning: ignored {ignored} unknown field(s) in {args.records}", file=sys.stderr)
 
 
 def _load_policy(path):
@@ -127,34 +139,68 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_route(args) -> int:
-    """Route every record with `route`, in file order, and write each decision
-    as its JSON line at once (byte-identical to json.dumps(d.to_dict())),
-    joined into blocks of _ROUTE_BLOCK lines; no decision outlives its line."""
-    policy = _load_policy(args.policy)
-    columns = _read_records(args)
+def _decisions(policy, columns: RecordColumns) -> tuple[list[str], dict]:
+    """The JSON line of each record's decision by `route`, in order
+    (byte-identical to json.dumps(d.to_dict())), joined into blocks of
+    _ROUTE_BLOCK lines, and the number of decisions of each (group key,
+    action); no decision outlives its line."""
     quoted = json.encoder.encode_basestring_ascii
     kinds: dict = {}  # (group key, action) -> [the JSON text after the id, decisions]
     blocks, lines = [], []
-    try:
-        for record_id, label, u in zip(columns.id, columns.group_label, columns.uncertainty.tolist()):
-            d = route(policy, label, u, record_id=record_id)
-            kind = kinds.get((d.group_key, d.action))
-            if kind is None:
-                tail = f', "group_key": {json.dumps(d.group_key)}, "action": {json.dumps(d.action)}}}\n'
-                kind = kinds[d.group_key, d.action] = [tail, 0]
-            kind[1] += 1
-            lines.append(f'{{"id": {quoted(d.record_id)}{kind[0]}')
-            if len(lines) == _ROUTE_BLOCK:
-                blocks.append("".join(lines))
-                lines.clear()
-    except ValueError as exc:
-        raise _CliError(EXIT_INPUT, str(exc)) from exc
+    for record_id, label, u in zip(columns.id, columns.group_label, columns.uncertainty.tolist()):
+        d = route(policy, label, u, record_id=record_id)
+        kind = kinds.get((d.group_key, d.action))
+        if kind is None:
+            tail = f', "group_key": {json.dumps(d.group_key)}, "action": {json.dumps(d.action)}}}\n'
+            kind = kinds[d.group_key, d.action] = [tail, 0]
+        kind[1] += 1
+        lines.append(f'{{"id": {quoted(d.record_id)}{kind[0]}')
+        if len(lines) == _ROUTE_BLOCK:
+            blocks.append("".join(lines))
+            lines.clear()
     blocks.append("".join(lines))
-    _write(atomic_write_text, blocks, args.out)
-    cheap = sum(n for (_, action), (_, n) in kinds.items() if action == CHEAP)
-    unresolved = sum(n for (key, _), (_, n) in kinds.items() if key is None)
-    print(f"cheap {cheap} think {len(columns) - cheap} (unresolved group {unresolved})")
+    return blocks, {key: n for key, (_, n) in kinds.items()}
+
+
+def _route_span(policy, path, span) -> tuple[list[str], dict, int]:
+    """_decisions of the records in byte span `span` of JSONL file `path`, and the unknown fields skipped there."""
+    columns, ignored = load_records(path, "jsonl", span=span)
+    return (*_decisions(policy, columns), ignored)
+
+
+def cmd_route(args) -> int:
+    """Route every record with `route`, in file order, and write each decision
+    as its JSON line (see _decisions).
+
+    A JSONL file is read and routed in one byte span per CPU this process may
+    run on, each of whole lines and none under _SPAN_MIN bytes (io.record_spans),
+    the first span here and every other in a forked child that sends back only
+    its text and counts; the spans' text is written in file order, so the
+    output is the same for any CPU count.  A CSV file, a small one, or any
+    error in any span, or no record in any, runs the one-span path over the
+    whole file here, which reports every error as it always has.
+    """
+    policy = _load_policy(args.policy)
+    parts = None
+    spans = record_spans(args.records, args.format, _SPAN_MIN)
+    if len(spans) > 1:
+        with contextlib.suppress(Exception):  # the one-span path below meets it again and reports it
+            parts = in_blocks(functools.partial(_route_span, policy, args.records), spans)
+    if parts and any(counts for _, counts, _ in parts):
+        _warn_ignored(args, sum(ignored for *_, ignored in parts))
+    else:
+        columns = _read_records(args)
+        try:
+            parts = [(*_decisions(policy, columns), 0)]
+        except ValueError as exc:
+            raise _CliError(EXIT_INPUT, str(exc)) from exc
+    counts = Counter()
+    for _, part, _ in parts:
+        counts.update(part)
+    _write(atomic_write_text, [block for blocks, *_ in parts for block in blocks], args.out)
+    cheap = sum(n for (_, action), n in counts.items() if action == CHEAP)
+    unresolved = sum(n for (key, _), n in counts.items() if key is None)
+    print(f"cheap {cheap} think {counts.total() - cheap} (unresolved group {unresolved})")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import io
 import json
 import os
 import re
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .parallel import cut
 from .records import RECORD_FIELDS, _EMBEDDING_FIELDS, _TOKEN_FIELDS, LossSpec, RecordColumns, _move_rows
 
 # CSV has no embedding columns; float and integer cells are converted, the rest stay strings
@@ -189,23 +191,72 @@ def _read_csv(fh, path, end: str | None) -> tuple[dict, list[int], str | None, i
     return raw, lines, stop, ignored
 
 
-def load_records(path, fmt: str | None = None, spec: LossSpec | None = None) -> tuple[RecordColumns, int]:
+def _format(path, fmt: str | None) -> str:
+    """`fmt`, or the format the extension of `path` names: csv for .csv, else jsonl."""
+    if fmt is None:
+        return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
+    return fmt
+
+
+def _open(path, newline: str | None, span: tuple[int, int] | None, errors: str = "strict"):
+    """`path` as UTF-8 text, or only its bytes [start, end) when a span is
+    given.  The file's own leading byte-order mark is dropped; one that starts
+    a later span is a character of its first line."""
+    if span is None:
+        return open(path, encoding="utf-8-sig", newline=newline, errors=errors)
+    start, end = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(end - start)
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8-sig" if start == 0 else "utf-8", errors, newline)
+
+
+def record_spans(path, fmt: str | None, floor: int) -> list[tuple[int, int] | None]:
+    """The byte spans [start, end) of the records file `path` that can be read
+    apart, one per CPU this process may run on and none under `floor` bytes
+    (`parallel.cut`), each moved to start just after the first newline byte at
+    or after its own start, so that it holds whole lines.  A CSV file, whose
+    header every row needs, a file too small for two spans, or one that cannot
+    be opened, is one span, None: the whole file."""
+    if _format(path, fmt) != "jsonl":
+        return [None]
+    try:
+        with open(path, "rb") as fh:
+            blocks = cut(os.fstat(fh.fileno()).st_size, floor)
+            end, starts = blocks[-1].stop, [0]
+            for block in blocks[1:]:
+                start = block.start - 1
+                fh.seek(start)
+                while chunk := fh.read(1 << 16):
+                    if (newline := chunk.find(b"\n")) >= 0:
+                        start += newline + 1
+                        break
+                    start += len(chunk)
+                if starts[-1] < start < end:  # a line longer than a block moves two starts to one newline
+                    starts.append(start)
+    except OSError:
+        return [None]
+    return list(zip(starts, starts[1:] + [end])) if len(starts) > 1 else [None]
+
+
+def load_records(path, fmt: str | None = None, spec: LossSpec | None = None,
+                 span: tuple[int, int] | None = None) -> tuple[RecordColumns, int]:
     """Load the records of `path` as columns, their losses resolved by `spec`
     if one is given, with the number of unknown fields skipped; format from
     the flag or the file extension.  The earliest bad row raises: a bad value
     (a LossError for a loss that does not resolve), a syntax error, or the
     first line that is not UTF-8, after which the rows before it are read
-    again and checked."""
-    if fmt is None:
-        fmt = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
+    again and checked.  Given a `span` from `record_spans`, only its lines
+    are read, and their line numbers count from its first line."""
+    fmt = _format(path, fmt)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown records format {fmt!r}")
     read, newline = (_read_csv, "") if fmt == "csv" else (_read_jsonl, None)
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        with _open(path, newline, span) as fh:
             raw, lines, failure, ignored = read(fh, path, None)
     except UnicodeDecodeError:
-        with open(path, encoding="utf-8-sig", newline=newline, errors="surrogateescape") as fh:
+        with _open(path, newline, span, "surrogateescape") as fh:
             for good, line in enumerate(fh):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -277,6 +328,7 @@ __all__ = [
     "json_field",
     "load_json",
     "load_records",
+    "record_spans",
     "atomic_write_text",
     "atomic_write_texts",
     "atomic_write_json",

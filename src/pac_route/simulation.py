@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .calibration import _EPSILON, GROUP_ALL, GroupKey, Partition, RoutingPolicy
 from .clustering import ClusterConfig, calibrate
 from .estimator import EstimatorConfig
 from .io import json_field, json_list, json_object, load_json
+from .parallel import cut, in_blocks
 from .records import _ANY, _COUNT, _INTEGER, _NUMBER, _STRING, RecordTable, _setting, _settings, _settle
 from .seeding import derive_seed, substream
 
@@ -257,7 +256,8 @@ def coverage_experiment(
     covered: dict[GroupKey, int] = {}
     risk_sums: dict[GroupKey, float] = {}
     efficiency_sum = 0.0
-    for risks, efficiency in _in_blocks(run, trials):
+    blocks = in_blocks(lambda block: [run(t) for t in block], cut(trials, _BLOCK_MIN))
+    for risks, efficiency in chain.from_iterable(blocks):
         efficiency_sum += efficiency
         for key, risk in risks.items():
             covered[key] = covered.get(key, 0) + (risk <= epsilon + 1e-12)
@@ -287,67 +287,6 @@ def _trial(spec, n_cal, epsilon, method, est_config, cluster_config, t: int) -> 
 # Fewest trials a block holds.  On a 2-core host a fork, its pipe and the wait cost about 2 ms, and the copy-on-write
 # faults that follow (about 600 of them) about 4 ms more, so a child pays only for several trials of 0.5-2.5 ms each.
 _BLOCK_MIN = 8
-
-
-def _in_blocks(run, trials: int) -> list:
-    """[run(t) for t in range(trials)], one contiguous block of trials per CPU this process may run on, but no
-    block of fewer than _BLOCK_MIN trials.
-
-    The first block runs here, every other one in a forked child.  A block
-    whose child did not end cleanly runs again here, so its first failing
-    trial raises here, as in a single loop; the earliest block raises first.
-    Every child is waited for, and on an error or an interrupt killed first.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    count = max(1, min(cpus, trials // _BLOCK_MIN))
-    cuts = [trials * i // count for i in range(count + 1)]
-    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    children = []
-    try:
-        for block in blocks[1:]:
-            children.append((*_fork(run, block), block))
-        results = [run(t) for t in blocks[0]]
-        while children:
-            pid, pipe, block = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            results += pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else [run(t) for t in block]
-        return results
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork(run, block: range):
-    """(pid, read end of its pipe) of a child that pipes back the pickled [run(t) for t in block] and exits 0, or
-    exits 1 if a trial raised.
-
-    Fork is safe here although numpy's OpenBLAS keeps a second OS thread: the
-    child calls no BLAS routine, and it leaves by os._exit, so it runs no
-    atexit handler and flushes no buffer it copied (stdout, an open output).
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as out:
-                pickle.dump([run(t) for t in block], out)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
 
 
 __all__ = [

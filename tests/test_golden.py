@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import pac_route.cli as cli
 from pac_route.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -69,6 +70,41 @@ def test_cli_outputs_match_the_golden_bytes(case, tmp_path, monkeypatch):
     for name, data in _run(CASES[case]).items():
         expected = EXPECTED / (f"{case}.stdout" if name == "stdout" else name)
         assert data == expected.read_bytes(), f"{case}: {name} differs from {expected.name}"
+
+
+FORK = os.fork
+READ_WHOLE = cli._read_records
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.startswith("route-")])
+def test_route_writes_the_golden_bytes_on_any_cpu_count(case, tmp_path, monkeypatch):
+    """Spans of at least 512 bytes cut the 23 kB route input into one span per CPU, up to 25."""
+    monkeypatch.chdir(tmp_path)
+    forks, whole = [], []  # forks, and reads of the whole file (the one-span path)
+
+    def counted():
+        forks.append(1)
+        return FORK()
+
+    def read_whole(*args, **kwargs):
+        whole.append(1)
+        return READ_WHOLE(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "_read_records", read_whole)
+    _run(CASES[case])
+    assert (forks, whole) == ([], [1])  # the input is under the default span floor
+    monkeypatch.setattr(cli, "_SPAN_MIN", 512)
+    for cpus in (1, 2, 3, 25):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        forks.clear()
+        whole.clear()
+        for name, data in _run(CASES[case]).items():
+            expected = EXPECTED / (f"{case}.stdout" if name == "stdout" else name)
+            assert data == expected.read_bytes(), f"{case} on {cpus} CPUs: {name} differs from {expected.name}"
+        assert (len(forks), len(whole)) == (cpus - 1, cpus == 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 if __name__ == "__main__":

@@ -412,6 +412,22 @@ def test_a_failing_trial_raises_its_own_error_and_leaves_no_child(monkeypatch, f
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_failed_fork_runs_its_block_here(monkeypatch):
+    spec = load_spec(DATA / "steep2.json")
+    run = lambda: coverage_experiment(spec, 300, 24, 0.05, "gpac", EstimatorConfig(seed=5)).to_dict()
+    _with_cpus(monkeypatch, 1)
+    alone = run()
+    _with_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run() == alone
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_simulate_prints_its_lines_once(tmp_path):
     out = tmp_path / "coverage.json"
     done = subprocess.run(

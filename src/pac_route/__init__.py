@@ -36,7 +36,6 @@ from .estimator import (
     ZSamples,
     candidate_grid,
     draw_z_samples,
-    hoeffding_delta,
     ucb_clt,
     ucb_hoeffding,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "binary_loss", "cosine_loss", "resolve_loss",
     "EstimatorConfig", "ZSamples", "UcbCurve",
     "draw_z_samples", "candidate_grid", "ucb_clt", "ucb_hoeffding",
-    "hoeffding_delta",
     "TrivialAssigner", "LabelAssigner", "GroupThreshold", "RoutingPolicy",
     "RouteDecision", "CalibrationReport", "PolicyVersionError",
     "calibrate_group", "calibrate_gpac", "route", "save_policy", "load_policy",

@@ -36,7 +36,6 @@ from .estimator import (
     DEFAULT_N_MIN,
     EstimatorConfig,
     UcbCurve,
-    candidate_grid,
     draw_z_samples,
     ucb_clt,
     ucb_hoeffding,
@@ -54,6 +53,7 @@ THINK = "think"
 # the limit of a group that never routes cheap: always_think, no threshold, unresolved
 _NEVER = -math.inf
 _EPSILON = (_NUMBER, lambda e: 0.0 < e < math.inf, "tolerance epsilon must be positive and finite, got {!r}")
+_OFFSET = (_NUMBER, lambda s: 0.0 <= s < math.inf, "ucb_offset must be non-negative and finite, got {!r}")
 _POLICY = (("epsilon", *_EPSILON), ("alpha", _NUMBER, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1), got {!r}"),
            _SEED, ("config_hash", _STRING, _ANY, "config_hash must be a string, got {!r}"))
 # a policy file's threshold entry, {1} its group key: a label or a cluster index
@@ -305,21 +305,17 @@ def calibrate_group(
 ) -> tuple[GroupThreshold, UcbCurve | None]:
     """Select one group's threshold; returns the bound curve for reporting.
 
-    ucb_offset is added to every bound value before selection (used by joint
-    clustered calibration to budget for the data reuse).
+    ucb_offset, a non-negative finite number, is added to every bound value
+    before selection: joint clustered calibration's budget for the data reuse.
     """
-    epsilon = _setting(epsilon, *_EPSILON)
+    epsilon, ucb_offset = _setting(epsilon, *_EPSILON), _setting(ucb_offset, *_OFFSET)
     n = len(records_j)
     if n < (2 if config.method == "clt" else 1):  # a draw keeps at most n, so n < n_min fails below
         return GroupThreshold(group_key, None, None, n), None
     samples = draw_z_samples(records_j, config, rng)
     if samples.kept < config.n_min:
         return GroupThreshold(group_key, None, None, n), None
-    grid = candidate_grid(samples)
-    if config.method == "clt":
-        curve = ucb_clt(samples, grid, config.alpha)
-    else:
-        curve = ucb_hoeffding(samples, grid, config.alpha, records_j.spec.bound_B, config.pi)
+    curve = ucb_clt(samples, config) if config.method == "clt" else ucb_hoeffding(samples, config, records_j.spec)
     if ucb_offset:
         curve = UcbCurve(curve.candidates, curve.mean, curve.ucb + ucb_offset)
     feasible = np.flatnonzero(curve.ucb <= epsilon)
@@ -353,7 +349,7 @@ def calibrate_gpac(
     n_unresolved = int(np.count_nonzero(codes < 0))
     if n_unresolved == len(records):
         raise NoRecordsError("no record resolves to any group; nothing to calibrate")
-    epsilon = _setting(epsilon, *_EPSILON)
+    epsilon, ucb_offset = _setting(epsilon, *_EPSILON), _setting(ucb_offset, *_OFFSET)
     groups = tuple(
         calibrate_group(records.take(np.flatnonzero(codes == code)), epsilon, config,
                         substream(config.seed, "calibrate", key), group_key=key, ucb_offset=ucb_offset)

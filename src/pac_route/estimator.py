@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .records import _INTEGER, _NUMBER, _SEED, RecordTable, _settle
+from .records import _INTEGER, _NUMBER, _SEED, LossSpec, RecordTable, _settle
 
 METHODS = ("clt", "hoeffding")
 DEFAULT_N_MIN = 10
@@ -140,54 +140,43 @@ def candidate_grid(samples: ZSamples) -> np.ndarray:
     return samples.grid
 
 
-def _masked_moments(samples: ZSamples, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate sums S1 = sum Z_t(u) and S2 = sum Z_t(u)^2."""
+def _masked_moments(samples: ZSamples) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid point sums S1 = sum Z_t(u) and S2 = sum Z_t(u)^2."""
     z = samples.z
     s1 = np.concatenate([[0.0], np.cumsum(z)])
     s2 = np.concatenate([[0.0], np.cumsum(z * z)])
-    own = candidates is samples.grid  # the batch's grid comes with its counts
-    counts = samples.counts if own else np.searchsorted(samples.u_origin, candidates, side="right")
-    return s1[counts], s2[counts]
+    return s1[samples.counts], s2[samples.counts]
 
 
-def ucb_clt(samples: ZSamples, candidates, alpha: float) -> UcbCurve:
-    """Normal-approximation bound mean + z_{1-alpha} * sd / sqrt(m).
+def ucb_clt(samples: ZSamples, config: EstimatorConfig) -> UcbCurve:
+    """Normal-approximation bound mean + z_{1-alpha} * sd / sqrt(m) on the
+    batch's grid, alpha from `config`.
 
     The sample standard deviation uses divisor m - 1, so m >= 2 draws are
     required; sd exactly 0 gives ucb equal to the mean.
     """
-    cand = np.asarray(candidates, dtype=float)
     m = len(samples)
     if m < 2:
         raise ValueError("CLT bound needs at least two draws")
-    s1, s2 = _masked_moments(samples, cand)
+    s1, s2 = _masked_moments(samples)
     mean = s1 / m
     var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
     sd = np.sqrt(var)
-    ucb = mean + NormalDist().inv_cdf(1.0 - alpha) * sd / math.sqrt(m)
-    return UcbCurve(candidates=cand, mean=mean, ucb=ucb)
+    ucb = mean + NormalDist().inv_cdf(1.0 - config.alpha) * sd / math.sqrt(m)
+    return UcbCurve(candidates=candidate_grid(samples), mean=mean, ucb=ucb)
 
 
-def hoeffding_delta(alpha: float, bound_B: float, pi: float, m: int) -> float:
-    """Hoeffding half-width sqrt(R^2 * ln(2 / alpha) / (2m)) with R = B / pi."""
+def ucb_hoeffding(samples: ZSamples, config: EstimatorConfig, spec: LossSpec) -> UcbCurve:
+    """Distribution-free bound mean + delta on the batch's grid, one delta for
+    every candidate: sqrt(R^2 * ln(2 / alpha) / (2m)) with R = B / pi, alpha
+    and pi from `config` and B from `spec`."""
+    m = len(samples)
     if m < 1:
         raise ValueError("Hoeffding bound needs at least one draw")
-    if not 0.0 < pi <= 1.0:
-        raise ValueError("pi must lie in (0, 1]")
-    r = bound_B / pi
-    return math.sqrt(r * r * math.log(2.0 / alpha) / (2.0 * m))
-
-
-def ucb_hoeffding(
-    samples: ZSamples, candidates, alpha: float, bound_B: float, pi: float
-) -> UcbCurve:
-    """Distribution-free bound mean + delta with one delta for all candidates."""
-    cand = np.asarray(candidates, dtype=float)
-    m = len(samples)
-    delta = hoeffding_delta(alpha, bound_B, pi, m)
-    s1, _ = _masked_moments(samples, cand)
-    mean = s1 / m
-    return UcbCurve(candidates=cand, mean=mean, ucb=mean + delta)
+    r = spec.bound_B / config.pi
+    delta = math.sqrt(r * r * math.log(2.0 / config.alpha) / (2.0 * m))
+    mean = _masked_moments(samples)[0] / m
+    return UcbCurve(candidates=candidate_grid(samples), mean=mean, ucb=mean + delta)
 
 
 __all__ = [
@@ -200,5 +189,4 @@ __all__ = [
     "candidate_grid",
     "ucb_clt",
     "ucb_hoeffding",
-    "hoeffding_delta",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import GroupKey, RoutingPolicy
-from .records import _COUNT, MissingTokensError, NoRecordsError, RecordTable, _setting
+from .records import _COUNT, _SEED, MissingTokensError, NoRecordsError, RecordTable, _setting
 from .seeding import substream
 
 STP_VARIANTS = ("cascade", "router")
@@ -169,7 +169,7 @@ def evaluate(
     one trial are flagged in the report.  Token counts are checked for every
     record before any trial.
     """
-    trials = _setting(trials, *_COUNT, "trials")
+    trials, seed = _setting(trials, *_COUNT, "trials"), _setting(seed, *_SEED[1:])
     codes, cheap = _route_all(records, policy)
     charged = np.where(cheap, records.loss, 0.0)
     saved = None if stp_variant is None else _saved(records, cheap, stp_variant)

@@ -225,14 +225,9 @@ def record_spans(path, fmt: str | None, floor: int) -> list[tuple[int, int] | No
             blocks = cut(os.fstat(fh.fileno()).st_size, floor)
             end, starts = blocks[-1].stop, [0]
             for block in blocks[1:]:
-                start = block.start - 1
-                fh.seek(start)
-                while chunk := fh.read(1 << 16):
-                    if (newline := chunk.find(b"\n")) >= 0:
-                        start += newline + 1
-                        break
-                    start += len(chunk)
-                if starts[-1] < start < end:  # a line longer than a block moves two starts to one newline
+                fh.seek(block.start - 1)
+                fh.readline()  # to just past the first newline at or after the seek, or to the end
+                if starts[-1] < (start := fh.tell()) < end:  # a line longer than a block moves two starts to one newline
                     starts.append(start)
     except OSError:
         return [None]

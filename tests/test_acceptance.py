@@ -29,8 +29,8 @@ from pac_route.estimator import (
     EstimatorConfig,
     ZSamples,
     draw_z_samples,
-    hoeffding_delta,
     ucb_clt,
+    ucb_hoeffding,
 )
 from pac_route.evaluation import error_gap, group_sizes, stp, trial_error
 from pac_route.records import LossSpec, RecordTable, cosine_loss
@@ -82,23 +82,23 @@ def run_experiment(spec_name, method, ucb, n_cal, cluster=None):
 
 def test_01_formula_oracles():
     start = time.perf_counter()
-    delta = hoeffding_delta(0.05, 1.0, 0.5, 200)
-    curve = ucb_clt(
-        ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]),
-                 u_origin=np.array([0.1, 0.2, 0.3, 0.4])),
-        np.array([0.5]), 0.05,
-    )
+    config = EstimatorConfig(alpha=0.05, pi=0.5)
+    hoeffding = ucb_hoeffding(ZSamples(z=np.zeros(200), u_origin=np.linspace(0.0, 1.0, 200)),
+                              config, LossSpec(bound_B=1.0))
+    delta = hoeffding.ucb[-1] - hoeffding.mean[-1]
+    # the batch's last grid point, 0.4, routes every draw, as any threshold above it would
+    curve = ucb_clt(ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]), u_origin=np.array([0.1, 0.2, 0.3, 0.4])), config)
     cos = cosine_loss((1.0, 0.0), (1.0, 1.0))
     elapsed = time.perf_counter() - start
     ok = (
         abs(delta - 0.19206) <= 1e-5
-        and abs(curve.ucb[0] - 1.94969) <= 1e-4
+        and abs(curve.ucb[-1] - 1.94969) <= 1e-4
         and abs(cos - 0.29289321881345254) <= 1e-9
         and elapsed < 1.0
     )
     assert verdict(
         1, "formula oracles", ok,
-        f"hoeffding={delta:.6f} clt={curve.ucb[0]:.6f} cosine={cos:.10f} [{elapsed:.3f}s]",
+        f"hoeffding={delta:.6f} clt={curve.ucb[-1]:.6f} cosine={cos:.10f} [{elapsed:.3f}s]",
     )
 
 

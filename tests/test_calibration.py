@@ -30,7 +30,7 @@ from pac_route.calibration import (
     save_policy,
 )
 from pac_route.clustering import ClusterConfig, Partition, calibrate_cpac
-from pac_route.estimator import METHODS, EstimatorConfig, hoeffding_delta
+from pac_route.estimator import METHODS, EstimatorConfig, ZSamples, ucb_hoeffding
 from pac_route.evaluation import evaluate
 from pac_route.records import LossSpec, RecordTable
 from pac_route.simulation import GroupSpec, SyntheticSpec, coverage_experiment
@@ -416,8 +416,9 @@ def test_hoeffding_reads_the_bound_from_the_table(bound_B):
     records = RecordTable.from_records(pool(losses, np.linspace(0, 1, 30)), LossSpec(bound_B=bound_B))
     config = EstimatorConfig(method="hoeffding", pi=0.5, seed=3)
     _, curve = calibrate_group(records, 0.5, config, np.random.default_rng(0))
-    # one draw per record: m = n
-    delta = hoeffding_delta(config.alpha, bound_B, 0.5, 30)
+    # one draw per record: m = n, so the width is that of any 30-draw batch under the table's spec
+    delta = ucb_hoeffding(ZSamples(z=np.zeros(30), u_origin=np.zeros(30)), config, records.spec).ucb[-1]
+    assert delta == pytest.approx(bound_B / 0.5 * math.sqrt(math.log(2 / config.alpha) / 60), rel=1e-12)
     np.testing.assert_allclose(curve.ucb - curve.mean, delta, rtol=1e-12)
 
 
@@ -703,8 +704,8 @@ def _coverage(n_cal=20, trials=2, epsilon=0.1):
     return coverage_experiment(_SPEC, n_cal, trials, epsilon, "gpac", EstimatorConfig())
 
 
-def _evaluate(trials):
-    return evaluate(table(labeled("a", [0.0, 1.0, 0.0], [0.1, 0.5, 0.9])), _policy(), trials=trials, seed=1)
+def _evaluate(trials, seed=1):
+    return evaluate(table(labeled("a", [0.0, 1.0, 0.0], [0.1, 0.5, 0.9])), _policy(), trials=trials, seed=seed)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -757,6 +758,9 @@ def _evaluate(trials):
     (lambda: _coverage(n_cal=20.0), "n_cal must be at least 1"),
     (lambda: _evaluate(True), "trials must be at least 1"),
     (lambda: _evaluate(1.5), "trials must be at least 1"),
+    (lambda: _evaluate(3, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: _evaluate(3, seed="1"), "seed must be an integer, got '1'"),
+    (lambda: _evaluate(3, seed=True), "seed must be an integer, got True"),
 ], ids=["bound_B-True", "bound_B-str", "joint_slack-True", "joint_slack-False", "joint_slack-str",
         "estimator_seed-True", "estimator_seed-float", "estimator_seed-str",
         "cluster_seed-True", "cluster_seed-float", "cluster_seed-str", "alpha-str", "split_fraction-str",
@@ -767,7 +771,8 @@ def _evaluate(trials):
         "centroids-bool", "centroids-int", "labels-int", "labels-str", "labels-set", "labels-frozenset",
         "centroids-set", "bin_edges-set",
         "coverage_trials-True", "coverage_trials-float", "n_cal-True", "n_cal-float",
-        "evaluate_trials-True", "evaluate_trials-float"])
+        "evaluate_trials-True", "evaluate_trials-float",
+        "evaluate_seed-float", "evaluate_seed-str", "evaluate_seed-True"])
 def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -793,9 +798,10 @@ def test_a_setting_rejects_a_bool_or_a_value_of_another_type(build, message):
     (lambda trials: json.dumps(_coverage(trials=trials).to_dict()), 3),
     (lambda n_cal: json.dumps(_coverage(n_cal=n_cal).to_dict()), 30),
     (lambda trials: json.dumps(_evaluate(trials).to_dict()), 3),
+    (lambda seed: json.dumps(_evaluate(3, seed=seed).to_dict()), 1),
 ], ids=["alpha", "pi", "n_min", "estimator_seed", "k", "split_fraction", "joint_slack", "cluster_seed",
         "bound_B", "epsilon", "policy_alpha", "policy_seed", "weight", "tokens_thinking", "tokens_cheap",
-        "coverage_trials", "n_cal", "evaluate_trials"])
+        "coverage_trials", "n_cal", "evaluate_trials", "evaluate_seed"])
 def test_a_numpy_scalar_setting_stamps_what_its_python_number_does(stamp, value):
     as_numpy = (np.float32 if isinstance(value, float) else np.int64)(value)
     assert stamp(as_numpy) == stamp(value)
@@ -804,6 +810,19 @@ def test_a_numpy_scalar_setting_stamps_what_its_python_number_does(stamp, value)
 def test_a_coverage_report_keeps_epsilon_as_a_float():
     assert json.dumps(_coverage(epsilon=np.float32(0.25)).to_dict()) == json.dumps(_coverage(epsilon=0.25).to_dict())
     assert '"epsilon": 1.0,' in json.dumps(_coverage(epsilon=1).to_dict())
+
+
+@pytest.mark.parametrize("offset", [-1.0, math.nan, math.inf])
+def test_ucb_offset_must_be_non_negative_and_finite(offset):
+    # at -1.0 a 400-record group with 5% loss would certify threshold 0.999 at epsilon 0.05
+    losses = np.where(np.arange(400) % 20 == 0, 1.0, 0.0)
+    records = table(labeled("a", losses, np.linspace(0, 0.999, 400)))
+    config = EstimatorConfig()
+    message = f"^ucb_offset must be non-negative and finite, got {offset!r}$"
+    with pytest.raises(ValueError, match=message):
+        calibrate_group(records, 0.05, config, np.random.default_rng(0), ucb_offset=offset)
+    with pytest.raises(ValueError, match=message):
+        calibrate_gpac(records, LabelAssigner(records.labels), 0.05, config, ucb_offset=offset)
 
 
 def test_a_bool_tolerance_is_rejected_everywhere():

@@ -15,7 +15,6 @@ from pac_route.estimator import (
     ZSamples,
     candidate_grid,
     draw_z_samples,
-    hoeffding_delta,
     ucb_clt,
     ucb_hoeffding,
 )
@@ -196,49 +195,18 @@ def test_the_grid_is_read_only():
         candidate_grid(draws_at([0.2, 0.5]))[0] = 0.9
 
 
-def test_bounds_on_the_batch_grid_read_its_counts_without_a_search(monkeypatch):
-    s = ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]), u_origin=np.array([0.3, 0.1, 0.3, 0.8]))
-
-    def searchsorted(*args, **kwargs):
-        raise AssertionError("searchsorted ran on the batch's own grid")
-
-    monkeypatch.setattr(np, "searchsorted", searchsorted)
-    curve = ucb_clt(s, candidate_grid(s), alpha=0.05)
-    np.testing.assert_array_equal(curve.mean, [0.0, 0.0, 1.0, 1.0])
-
-
-_SCORES = st.one_of(
-    st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=60),   # ties
-    st.lists(st.floats(0.01, 1.0), unique=True, min_size=1, max_size=60),       # none
-    st.lists(st.floats(0.01, 1.0), unique=True, min_size=1, max_size=60).map(lambda u: u + [0.0]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), scores=_SCORES)
-def test_bounds_on_the_batch_grid_match_the_searched_counts(data, scores):
-    # a copy of the grid is another array, so the bounds search it instead
-    z = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=len(scores), max_size=len(scores)))
-    s = ZSamples(z=np.array(z), u_origin=np.array(scores, dtype=float))
-    grid = candidate_grid(s)
-    curves = [(ucb_hoeffding(s, g, alpha=0.05, bound_B=1.0, pi=0.5),) for g in (grid, grid.copy())]
-    if len(s) >= 2:
-        curves = [c + (ucb_clt(s, g, alpha=0.05),) for c, g in zip(curves, (grid, grid.copy()))]
-    for own, searched in zip(*curves):
-        for name in ("candidates", "mean", "ucb"):
-            assert getattr(own, name).tobytes() == getattr(searched, name).tobytes()
-
-
 # ---------------------------------------------------------------- bounds
 
 
 def test_clt_oracle_fixture():
     # mu = 1, sd = sqrt(4/3), m = 4
     s = ZSamples(z=np.array([2.0, 0.0, 2.0, 0.0]), u_origin=np.full(4, 0.3))
-    curve = ucb_clt(s, [0.5], alpha=0.05)
+    curve = ucb_clt(s, EstimatorConfig(alpha=0.05))
     expected = 1.0 + ndtri(0.95) * math.sqrt(4.0 / 3.0) / 2.0
-    assert abs(curve.ucb[0] - expected) < 1e-12
-    assert abs(curve.ucb[0] - 1.94969) < 1e-4
+    np.testing.assert_array_equal(curve.candidates, [0.0, 0.3])
+    assert curve.ucb[0] == 0.0  # nothing routed below every score
+    assert abs(curve.ucb[-1] - expected) < 1e-12
+    assert abs(curve.ucb[-1] - 1.94969) < 1e-4
 
 
 # alpha levels the CLI is run at, the far tail, and a log-spaced sweep of (0, 1)
@@ -253,17 +221,34 @@ def test_normal_quantile_matches_ndtri():
         assert abs(got - want) <= 8 * math.ulp(want), alpha
 
 
+def hoeffding_width(m, bound_B=1.0, alpha=0.05, pi=0.5):
+    """ucb - mean of the Hoeffding curve over an m-draw batch, taken at its last candidate."""
+    s = ZSamples(z=np.full(m, 0.5), u_origin=np.linspace(0.0, 1.0, m))
+    curve = ucb_hoeffding(s, EstimatorConfig(alpha=alpha, pi=pi), LossSpec(bound_B=bound_B))
+    return curve.ucb[-1] - curve.mean[-1]
+
+
 def test_hoeffding_delta_oracle():
-    assert abs(hoeffding_delta(0.05, 1.0, 0.5, 200) - 0.19206) < 1e-5
+    assert abs(hoeffding_width(200) - 0.19206) < 1e-5
     # closed form, recomputed
-    assert abs(hoeffding_delta(0.05, 1.0, 0.5, 200)
-               - math.sqrt(4 * math.log(40) / 400)) < 1e-15
+    assert abs(hoeffding_width(200) - math.sqrt(4 * math.log(40) / 400)) < 1e-15
 
 
 def test_hoeffding_all_zero_samples():
     s = ZSamples(z=np.zeros(200), u_origin=np.linspace(0.01, 0.99, 200))
-    curve = ucb_hoeffding(s, [0.5, 1.0], alpha=0.05, bound_B=1.0, pi=0.5)
+    curve = ucb_hoeffding(s, EstimatorConfig(alpha=0.05, pi=0.5), LossSpec(bound_B=1.0))
+    assert len(curve.ucb) == 201  # every score, and 0.0 ahead of them
     np.testing.assert_allclose(curve.ucb, 0.19206, atol=1e-5)
+
+
+def test_doubling_the_loss_bound_doubles_the_hoeffding_width():
+    assert hoeffding_width(50, bound_B=2.0) == pytest.approx(2 * hoeffding_width(50, bound_B=1.0), rel=1e-12)
+
+
+def test_hoeffding_rejects_an_empty_batch():
+    s = ZSamples(z=np.zeros(0), u_origin=np.zeros(0))
+    with pytest.raises(ValueError, match="at least one draw"):
+        ucb_hoeffding(s, EstimatorConfig(), LossSpec())
 
 
 def test_masking_matches_direct_computation():
@@ -272,10 +257,9 @@ def test_masking_matches_direct_computation():
         m = int(rng.integers(5, 60))
         z = rng.choice([0.0, 0.5, 2.0], size=m)
         u = rng.uniform(0, 1, size=m)
-        s = ZSamples(z=z, u_origin=u)
-        cands = np.unique(rng.uniform(0, 1, size=5))
-        curve = ucb_clt(s, cands, alpha=0.1)
-        for j, c in enumerate(cands):
+        curve = ucb_clt(ZSamples(z=z, u_origin=u), EstimatorConfig(alpha=0.1))
+        assert len(curve.candidates) == m + 1  # the scores are distinct and none is 0.0
+        for j, c in enumerate(curve.candidates):
             masked = np.where(u <= c, z, 0.0)
             assert abs(curve.mean[j] - masked.mean()) < 1e-12
             expect = masked.mean() + ndtri(0.9) * np.std(masked, ddof=1) / math.sqrt(m)
@@ -287,7 +271,7 @@ def test_clt_mean_monotone_in_threshold():
     rng = np.random.default_rng(12)
     z = rng.choice([0.0, 2.0], size=300, p=[0.8, 0.2])
     u = rng.uniform(0, 1, 300)
-    curve = ucb_clt(ZSamples(z=z, u_origin=u), np.linspace(0, 1, 50), alpha=0.05)
+    curve = ucb_clt(ZSamples(z=z, u_origin=u), EstimatorConfig(alpha=0.05))
     assert np.all(np.diff(curve.mean) >= -1e-15)
 
 
@@ -300,22 +284,21 @@ def test_hoeffding_never_tighter_than_clt_at_default_alpha():
         z = rng.choice([0.0, 1.0, 2.0], size=m)
         u = rng.uniform(0, 1, m)
         s = ZSamples(z=z, u_origin=u)
-        cands = candidate_grid(draws_at([0.2, 0.4, 0.6, 0.8]))
-        clt = ucb_clt(s, cands, alpha=0.05)
-        hoeff = ucb_hoeffding(s, cands, alpha=0.05, bound_B=1.0, pi=0.5)
+        clt = ucb_clt(s, EstimatorConfig(alpha=0.05))
+        hoeff = ucb_hoeffding(s, EstimatorConfig(alpha=0.05, pi=0.5), LossSpec(bound_B=1.0))
         assert np.all(hoeff.ucb >= clt.ucb - 1e-12)
 
 
 def test_clt_needs_two_samples():
     s = ZSamples(z=np.array([1.0]), u_origin=np.array([0.5]))
     with pytest.raises(ValueError):
-        ucb_clt(s, [0.5], alpha=0.05)
+        ucb_clt(s, EstimatorConfig(alpha=0.05))
 
 
 def test_hoeffding_works_from_one_sample():
     s = ZSamples(z=np.array([1.0]), u_origin=np.array([0.5]))
-    curve = ucb_hoeffding(s, [0.5], alpha=0.05, bound_B=1.0, pi=0.5)
-    assert curve.ucb[0] > 1.0
+    curve = ucb_hoeffding(s, EstimatorConfig(alpha=0.05, pi=0.5), LossSpec(bound_B=1.0))
+    assert curve.ucb[-1] > 1.0
 
 
 def test_curve_requires_ascending_candidates():

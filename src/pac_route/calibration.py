@@ -18,7 +18,8 @@ Calibration runs on a :class:`~pac_route.records.RecordTable`.  `assign` maps
 a whole table to group codes, indices into `keys`; calibration buckets rows
 by code, and each group's table is a `take` of its rows in their original
 order.  `resolve` is the same mapping for one input.  A policy checks its
-keys when it is built; every route goes by `RoutingPolicy.limits`.
+keys when it is built; `route` decides one input and `RoutingPolicy.decide`
+a whole table, both by `RoutingPolicy.limits`.
 """
 
 from __future__ import annotations
@@ -221,6 +222,12 @@ class RoutingPolicy:
     @property
     def mode(self) -> str:
         return self.assigner.mode
+
+    def decide(self, table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+        """`route` for every row, by one `assign` call: its group code (-1 = unresolved) and whether it goes cheap."""
+        codes = self.assigner.assign(table)
+        limits = np.array([self.limits.get(key, _NEVER) for key in self.assigner.keys] + [_NEVER])  # last: code -1
+        return codes, table.uncertainty <= limits[codes]
 
     def to_dict(self) -> dict:
         return {

@@ -52,6 +52,8 @@ class EstimatorConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _settle(self, _ESTIMATOR)
+        if self.method == "clt" and 1.0 - self.alpha == 1.0:  # the normal quantile at 1 - alpha would be infinite
+            raise ValueError(f"alpha {self.alpha!r} is too small for clt: 1 - alpha rounds to 1")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ always thinking, in two accounting styles:
     cascade: the cheap model always runs, thinking runs on routed-think inputs;
     router:  exactly one model runs per input.
 
-Every record is routed once, by one `assign` call over the table and one
-comparison with each group's threshold; the decisions are those of `route`.
-Routing is deterministic per record, so a bootstrap trial resamples those
-decisions by index rather than routing the resample again.  Sums run left to
-right over the (resampled) records, per group through `np.bincount`, so
-every figure is bit-identical to a loop that routes and adds one record at a
-time.
+`evaluate` alone routes and scores; `trial_error` and `stp` are its one-trial
+figures.  It routes every record once, by `RoutingPolicy.decide`, the batch
+form of `route`, and a bootstrap trial resamples those decisions by index.
+Sums run left to right on every Python (the builtin `sum` compensates from
+3.12 on), per group through `np.bincount`, so every figure is bit-identical
+to a loop that routes and adds one record at a time.
 """
 
 from __future__ import annotations
@@ -49,28 +48,15 @@ class MetricsReport:
         return {**vars(self), "flagged_groups": list(self.flagged_groups)}
 
 
-def _route_all(table: RecordTable, policy: RoutingPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """What `route` decides for every row, from one `assign` call: its group
-    code (an index into the assigner's keys; -1 = unresolved) and whether it
-    goes cheap, which it does iff its score is at or below its group's limit.
-    An empty table is a NoRecordsError."""
-    if not len(table):
-        raise NoRecordsError("cannot score an empty record set")
-    codes, keys = policy.assigner.assign(table), policy.assigner.keys
-    # the appended -inf is the limit of code -1 (unresolved): never cheap
-    limits = np.array([policy.limits.get(key, -np.inf) for key in keys] + [-np.inf])
-    return codes, table.uncertainty <= limits[codes]
-
-
 def _first_appearance(codes: np.ndarray) -> np.ndarray:
     """The distinct non-negative codes, in the order they first appear."""
     present, first = np.unique(codes[codes >= 0], return_index=True)
     return present[np.argsort(first)]
 
 
-def _sum_in_order(values: np.ndarray) -> float:
+def _sum_in_order(values) -> float:
     # left to right, like a running total (np.sum adds pairwise)
-    return float(np.cumsum(values)[-1])
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _trial_error(
@@ -118,9 +104,8 @@ def trial_error(records: RecordTable, policy: RoutingPolicy) -> tuple[float, dic
     they count toward the overall mean but belong to no group bucket, so the
     overall error stays the group-size weighted mean of the group errors.
     """
-    codes, cheap = _route_all(records, policy)
-    charged = np.where(cheap, records.loss, 0.0)
-    return _trial_error(charged, codes, policy.assigner.keys, np.arange(len(records)))
+    report = evaluate(records, policy)
+    return report.error, report.per_group_error
 
 
 def group_sizes(records: RecordTable, policy: RoutingPolicy) -> tuple[dict[GroupKey, int], int]:
@@ -145,12 +130,14 @@ def error_gap(trial_group_errors: Sequence[Mapping[GroupKey, float]], epsilon: f
     A group missing from some trial (no records drawn) is averaged over the
     trials where it appears.
     """
-    return sum(max(error - epsilon, 0.0) for error in _trial_averages(trial_group_errors)[0].values())
+    return _sum_in_order([max(error - epsilon, 0.0) for error in _trial_averages(trial_group_errors)[0].values()])
 
 
 def stp(records: RecordTable, policy: RoutingPolicy, variant: str) -> float:
     """Mean saved-thinking fraction under the chosen accounting (<= 1, may be < 0)."""
-    return _sum_in_order(_saved(records, _route_all(records, policy)[1], variant)) / len(records)
+    if variant is None:  # evaluate reads None as "no STP"
+        raise ValueError(f"stp variant must be one of {STP_VARIANTS}, got None")
+    return evaluate(records, policy, stp_variant=variant).stp
 
 
 def evaluate(
@@ -170,7 +157,9 @@ def evaluate(
     record before any trial.
     """
     trials, seed = _setting(trials, *_COUNT, "trials"), _setting(seed, *_SEED[1:])
-    codes, cheap = _route_all(records, policy)
+    if not len(records):
+        raise NoRecordsError("cannot score an empty record set")
+    codes, cheap = policy.decide(records)
     charged = np.where(cheap, records.loss, 0.0)
     saved = None if stp_variant is None else _saved(records, cheap, stp_variant)
     n = len(records)
@@ -188,13 +177,13 @@ def evaluate(
     flagged = tuple(key for key in per_group_error if appearances[key] < trials)
     n_per_group, n_unresolved = _group_sizes(codes, policy.assigner.keys)
     return MetricsReport(
-        error=sum(trial_errors) / trials,
+        error=_sum_in_order(trial_errors) / trials,
         per_group_error=per_group_error,
         error_gap=error_gap(trial_groups, policy.epsilon),
         n_per_group=n_per_group,
         n_unresolved=n_unresolved,
         trials=trials,
-        stp=sum(stp_values) / trials if stp_values else None,
+        stp=_sum_in_order(stp_values) / trials if stp_values else None,
         stp_variant=stp_variant if stp_values else None,
         flagged_groups=flagged,
     )

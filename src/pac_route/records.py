@@ -87,12 +87,12 @@ def cosine_loss(v1, v2) -> float:
     b = [float(x) for x in v2]
     if len(a) != len(b) or not a:
         raise ValueError("cosine loss needs two non-empty vectors of equal length")
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    dot = na = nb = 0.0
+    for x, y in zip(a, b):  # left to right on every Python (the builtin sum compensates from 3.12 on)
+        dot, na, nb = dot + x * y, na + x * x, nb + y * y
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine loss undefined for zero-norm vectors")
-    dot = sum(x * y for x, y in zip(a, b))
-    return 1.0 - dot / (na * nb)
+    return 1.0 - dot / (math.sqrt(na) * math.sqrt(nb))
 
 
 def resolve_loss(sources: tuple, spec: LossSpec) -> float:

@@ -6,6 +6,7 @@ alone; `partition_gap` needs scipy, which comes with the `test` extra.
 
 import json
 import math
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -107,3 +108,27 @@ def record_to_dict(row: dict) -> dict:
 
 def write_records_jsonl(rows, path) -> None:
     atomic_write_text("".join(json.dumps(record_to_dict(row)) + "\n" for row in rows), path)
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin `sum` of CPython 3.12 and later (gh-100425) over exact
+    floats: a running Neumaier compensation term, folded in at the end."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    if type(total) is float and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def use_compensated_sum(monkeypatch) -> None:
+    """Give every loaded pac_route module `compensated_sum` as its `sum`, so
+    a Python before 3.12 adds there as 3.12 does."""
+    for name, module in list(sys.modules.items()):
+        if name == "pac_route" or name.startswith("pac_route."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)

@@ -1133,6 +1133,20 @@ def test_invalid_parameter_exits_four(tmp_path, capsys, records_file, policy_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,method", [("calibrate", "--method"), ("simulate", "--ucb")])
+def test_an_alpha_too_small_for_clt_exits_four_naming_alpha(tmp_path, capsys, records_file, command, method):
+    # 1 - 1e-17 rounds to 1, where the normal quantile is infinite; hoeffding takes ln(2 / alpha)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec()))
+    base = {"calibrate": ["--records", records_file],
+            "simulate": ["--spec", str(spec), "--n-cal", "50", "--trials", "2"]}[command]
+    out = tmp_path / "out.json"
+    assert main([command, *base, *EPS, "--alpha", "1e-17", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: alpha 1e-17 is too small for clt: 1 - alpha rounds to 1\n"
+    assert not out.exists()
+    assert main([command, *base, *EPS, "--alpha", "1e-17", method, "hoeffding", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("method", [[], SIM_CPAC], ids=["gpac", "cpac"])
 @pytest.mark.parametrize("n_cal", ["0", "-3"])
 def test_simulate_needs_a_calibration_record(tmp_path, capsys, method, n_cal):

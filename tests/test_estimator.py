@@ -45,6 +45,13 @@ def test_config_validation():
         EstimatorConfig(m=10)
 
 
+def test_clt_refuses_an_alpha_whose_complement_rounds_to_one():
+    with pytest.raises(ValueError, match=r"^alpha 1e-17 is too small for clt: 1 - alpha rounds to 1$"):
+        EstimatorConfig(alpha=1e-17)
+    assert EstimatorConfig(alpha=1.2e-16).alpha == 1.2e-16  # 1 - alpha is the float just below 1
+    assert EstimatorConfig(method="hoeffding", alpha=1e-17).alpha == 1e-17
+
+
 @pytest.mark.parametrize("field,value", [
     ("pi", "0.5"), ("pi", True), ("pi", {"r0": 0.5}), ("pi", float("nan")),
     ("n_min", -1), ("n_min", True), ("n_min", 1.5),

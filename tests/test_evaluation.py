@@ -18,7 +18,6 @@ from pac_route.clustering import Partition
 from pac_route.evaluation import (
     STP_VARIANTS,
     MetricsReport,
-    _route_all,
     error_gap,
     evaluate,
     group_sizes,
@@ -380,7 +379,7 @@ def policy_and_rows(draw):
 @given(policy_and_rows())
 def test_batch_routing_agrees_with_route(case):
     policy, rows = case
-    codes, cheap = _route_all(table([rec(i, u, 0.0, label) for i, (label, u) in enumerate(rows)]), policy)
+    codes, cheap = policy.decide(table([rec(i, u, 0.0, label) for i, (label, u) in enumerate(rows)]))
     decisions = [route(policy, label, u, record_id=f"r{i}") for i, (label, u) in enumerate(rows)]
     for i, d in enumerate(decisions):
         assert bool(cheap[i]) == (d.action == CHEAP)

@@ -20,6 +20,7 @@ import pytest
 
 import pac_route.cli as cli
 from pac_route.cli import main
+from reference import use_compensated_sum
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -70,6 +71,13 @@ def test_cli_outputs_match_the_golden_bytes(case, tmp_path, monkeypatch):
     for name, data in _run(CASES[case]).items():
         expected = EXPECTED / (f"{case}.stdout" if name == "stdout" else name)
         assert data == expected.read_bytes(), f"{case}: {name} differs from {expected.name}"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_outputs_keep_the_golden_bytes_under_a_compensated_sum(case, tmp_path, monkeypatch):
+    """CPython 3.12 made the builtin `sum` of floats compensated; the figures add left to right on every Python."""
+    use_compensated_sum(monkeypatch)
+    test_cli_outputs_match_the_golden_bytes(case, tmp_path, monkeypatch)
 
 
 FORK = os.fork

@@ -20,7 +20,7 @@ from pac_route.records import (
     cosine_loss,
     resolve_loss,
 )
-from reference import group_labels
+from reference import group_labels, use_compensated_sum
 
 
 def make_record(**kw):
@@ -192,6 +192,15 @@ def test_cosine_loss_oracle():
 def test_cosine_loss_identical_and_opposite():
     assert abs(cosine_loss((3.0, 4.0), (3.0, 4.0))) < 1e-12
     assert abs(cosine_loss((1.0, 0.0), (-1.0, 0.0)) - 2.0) < 1e-12
+
+
+def test_cosine_loss_keeps_its_bits_under_a_compensated_sum(monkeypatch):
+    """CPython 3.12 made the builtin `sum` of floats compensated; cosine_loss adds left to right on every Python."""
+    rng = np.random.default_rng(16)
+    pairs = [(rng.normal(size=16).tolist(), rng.normal(size=16).tolist()) for _ in range(200)]
+    plain = [cosine_loss(a, b) for a, b in pairs]
+    use_compensated_sum(monkeypatch)
+    assert [cosine_loss(a, b) for a, b in pairs] == plain
 
 
 def test_cosine_loss_rejects_degenerate_input():

@@ -14,6 +14,12 @@ deterministic for a fixed seed and are written atomically.  Exit codes:
 The wrappers that know which file failed set their own code; `main` maps any
 other library error by one table: NoRecordsError 3, MissingTokensError 6,
 any other ValueError 4.
+
+calibrate, route and evaluate read a records file in one byte span per CPU,
+every span but the first in a forked child (see _in_spans): route routes
+each span where it is read, calibrate and evaluate join the spans' resolved
+tables.  cluster reads its file in one process: it has no loss spec, so
+builds no table, and no benchmark workload times it.
 """
 
 from __future__ import annotations
@@ -53,10 +59,12 @@ EXIT_MISSING_TOKENS = 6
 EXIT_BAD_SPEC = 7
 # decision lines joined into one string before the next block starts
 _ROUTE_BLOCK = 8192
-# Fewest bytes of JSONL a route span holds.  On a 2-core host, after a calibrate and an evaluate in the same process,
-# two spans of 256 KiB broke even with one (19-22 ms either way) and two of 512 KiB won (57-60 ms against 39-46 ms),
-# so a span pays for its fork well below this floor, and the small inputs (warm-ups, tests) never fork.
-_SPAN_MIN = 1 << 20
+# Fewest bytes of records a span holds.  On a 2-core host, after a calibrate and an evaluate in the same process,
+# two route spans of 256 KiB broke even with one (19-22 ms either way) and two of 512 KiB won (57-60 ms against
+# 39-46 ms).  At this floor the 1.1 MB evaluate CSV of 20k rows splits in two: `evaluate` on it with 20 trials took
+# 133 ms against 200 ms at a 1 MiB floor (medians of 20 alternating calls from one interpreter).  The small inputs
+# (warm-ups, tests) never fork.
+_SPAN_MIN = 1 << 19
 # the exit code of a library error that no file wrapper claimed, most specific first
 _EXIT_CODES = ((NoRecordsError, EXIT_NO_RECORDS), (MissingTokensError, EXIT_MISSING_TOKENS),
                (ValueError, EXIT_BAD_PARAM))
@@ -124,7 +132,7 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"--report {args.report} is the --out file; give it a path of its own")
     spec = LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     config, cluster = _configs(args, args.method, args.mode == "cpac")
-    records = RecordTable.from_columns(_read_records(args, spec))
+    records = _read_table(args, spec)
     policy, report = calibrate(records, args.mode, args.epsilon, config, cluster)
     outputs = [(render_json(policy.to_dict()), args.out)]
     if args.report:
@@ -162,42 +170,52 @@ def _decisions(policy, columns: RecordColumns) -> tuple[list[str], dict]:
     return blocks, {key: n for key, (_, n) in kinds.items()}
 
 
-def _route_span(policy, path, span) -> tuple[list[str], dict, int]:
-    """_decisions of the records in byte span `span` of JSONL file `path`, and the unknown fields skipped there."""
-    columns, ignored = load_records(path, "jsonl", span=span)
-    return (*_decisions(policy, columns), ignored)
+def _span(finish, path, fmt: str | None, spec: LossSpec | None, span) -> tuple:
+    """(finish(columns), records, unknown fields skipped) of the records in byte span `span` of `path`."""
+    columns, ignored = load_records(path, fmt, spec, span=span)
+    return finish(columns), len(columns), ignored
+
+
+def _in_spans(args, spec: LossSpec | None, finish) -> list:
+    """finish(columns) of the records of --records, their losses resolved by `spec` if one is given, in parts in
+    file order: one part per byte span of the file (io.record_spans), the first span read here and every other in
+    a forked child that sends back only its part (parallel.in_blocks).  A file of one span, an error in any span,
+    or no record in any, gives one part, finish(_read_records(args, spec)) over the whole file here, which
+    reports every error as it always has."""
+    spans = record_spans(args.records, args.format, _SPAN_MIN)
+    parts = []
+    if len(spans) > 1:
+        with contextlib.suppress(Exception):  # the one-span path below meets it again and reports it
+            parts = in_blocks(functools.partial(_span, finish, args.records, args.format, spec), spans)
+    if any(records for _, records, _ in parts):
+        _warn_ignored(args, sum(ignored for *_, ignored in parts))
+        return [part for part, *_ in parts]
+    return [finish(_read_records(args, spec))]
+
+
+def _read_table(args, spec: LossSpec) -> RecordTable:
+    """The records of --records as one table, read in one byte span per CPU (see _in_spans)."""
+    return RecordTable.concat(_in_spans(args, spec, RecordTable.from_columns))
 
 
 def cmd_route(args) -> int:
     """Route every record with `route`, in file order, and write each decision
     as its JSON line (see _decisions).
 
-    A JSONL file is read and routed in one byte span per CPU this process may
-    run on, each of whole lines and none under _SPAN_MIN bytes (io.record_spans),
-    the first span here and every other in a forked child that sends back only
-    its text and counts; the spans' text is written in file order, so the
-    output is the same for any CPU count.  A CSV file, a small one, or any
-    error in any span, or no record in any, runs the one-span path over the
-    whole file here, which reports every error as it always has.
+    Each byte span of the file is read and routed where it is read (see
+    _in_spans), so a forked child sends back only its text and counts; the
+    spans' text is written in file order, so the output is the same for any
+    CPU count.
     """
     policy = _load_policy(args.policy)
-    parts = None
-    spans = record_spans(args.records, args.format, _SPAN_MIN)
-    if len(spans) > 1:
-        with contextlib.suppress(Exception):  # the one-span path below meets it again and reports it
-            parts = in_blocks(functools.partial(_route_span, policy, args.records), spans)
-    if parts and any(counts for _, counts, _ in parts):
-        _warn_ignored(args, sum(ignored for *_, ignored in parts))
-    else:
-        columns = _read_records(args)
-        try:
-            parts = [(*_decisions(policy, columns), 0)]
-        except ValueError as exc:
-            raise _CliError(EXIT_INPUT, str(exc)) from exc
+    try:
+        parts = _in_spans(args, None, functools.partial(_decisions, policy))
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
     counts = Counter()
-    for _, part, _ in parts:
+    for _, part in parts:
         counts.update(part)
-    _write(atomic_write_text, [block for blocks, *_ in parts for block in blocks], args.out)
+    _write(atomic_write_text, [block for blocks, _ in parts for block in blocks], args.out)
     cheap = sum(n for (_, action), n in counts.items() if action == CHEAP)
     unresolved = sum(n for (key, _), n in counts.items() if key is None)
     print(f"cheap {cheap} think {counts.total() - cheap} (unresolved group {unresolved})")
@@ -208,7 +226,7 @@ def cmd_route(args) -> int:
 def cmd_evaluate(args) -> int:
     spec = LossSpec(kind=args.loss_kind, bound_B=args.bound_b)
     policy = _load_policy(args.policy)
-    records = RecordTable.from_columns(_read_records(args, spec))
+    records = _read_table(args, spec)
     report = evaluate(records, policy, trials=args.trials, seed=args.seed, stp_variant=args.stp)
     _write(atomic_write_json, report.to_dict(), args.out)
     print(f"error {report.error:.6g} gap {report.error_gap:.6g}")

@@ -176,10 +176,15 @@ def _read_csv(fh, path, end: str | None) -> tuple[dict, list[int], str | None, i
             raw.setdefault(name, None)
             continue
         convert = float if name in _FLOAT_FIELDS else int if name in _TOKEN_FIELDS else str
+        cells = list(map(itemgetter(column_of[name]), rows))
+        if "" not in cells:  # one map for the column; an empty or a bad cell takes the loop below
+            with contextlib.suppress(ValueError):
+                raw[name] = cells if convert is str else list(map(convert, cells))
+                continue
         raw[name] = column = []
         try:
             # extend keeps the cells converted before a failing one
-            column += (None if cell == "" else convert(cell) for cell in map(itemgetter(column_of[name]), rows))
+            column += (None if cell == "" else convert(cell) for cell in cells)
         except ValueError as exc:
             error = (len(column), column_of[name], f"field {name!r}: {exc}")
             failure = error if failure is None else min(failure, error)
@@ -198,31 +203,45 @@ def _format(path, fmt: str | None) -> str:
     return fmt
 
 
-def _open(path, newline: str | None, span: tuple[int, int] | None, errors: str = "strict"):
-    """`path` as UTF-8 text, or only its bytes [start, end) when a span is
-    given.  The file's own leading byte-order mark is dropped; one that starts
-    a later span is a character of its first line."""
+def _open(path, fmt: str, span: tuple[int, int] | None, errors: str = "strict"):
+    """`path` as UTF-8 text in format `fmt`, or only its bytes [start, end)
+    when a span is given, a later CSV span led by the file's header line.
+    The file's own leading byte-order mark is dropped; one that starts a
+    later span is a character of its first line."""
+    newline = "" if fmt == "csv" else None
     if span is None:
         return open(path, encoding="utf-8-sig", newline=newline, errors=errors)
     start, end = span
     with open(path, "rb") as fh:
+        data = fh.readline() if fmt == "csv" and start > 0 else b""
         fh.seek(start)
-        data = fh.read(end - start)
-    return io.TextIOWrapper(io.BytesIO(data), "utf-8-sig" if start == 0 else "utf-8", errors, newline)
+        data += fh.read(end - start)
+    at_file_start = start == 0 or fmt == "csv"
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8-sig" if at_file_start else "utf-8", errors, newline)
+
+
+def _csv_cuttable(fh) -> bool:
+    """Whether the CSV file open in binary as `fh` holds no `"` byte and no carriage return inside its first line."""
+    if b"\r" in fh.readline().removesuffix(b"\r\n"):
+        return False
+    fh.seek(0)
+    return not any(b'"' in chunk for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 def record_spans(path, fmt: str | None, floor: int) -> list[tuple[int, int] | None]:
     """The byte spans [start, end) of the records file `path` that can be read
     apart, one per CPU this process may run on and none under `floor` bytes
     (`parallel.cut`), each moved to start just after the first newline byte at
-    or after its own start, so that it holds whole lines.  A CSV file, whose
-    header every row needs, a file too small for two spans, or one that cannot
-    be opened, is one span, None: the whole file."""
-    if _format(path, fmt) != "jsonl":
-        return [None]
+    or after its own start, so that it holds whole lines.  A CSV span after the
+    first is read behind the file's header line (`_open`), so a CSV file is cut
+    only when no newline can sit inside a cell or the header: one with a `"`
+    byte, or a carriage return inside its first line, is one span, None, as is
+    a file too small for two spans or one that cannot be opened."""
     try:
         with open(path, "rb") as fh:
             blocks = cut(os.fstat(fh.fileno()).st_size, floor)
+            if len(blocks) > 1 and _format(path, fmt) == "csv" and not _csv_cuttable(fh):
+                return [None]
             end, starts = blocks[-1].stop, [0]
             for block in blocks[1:]:
                 fh.seek(block.start - 1)
@@ -242,16 +261,17 @@ def load_records(path, fmt: str | None = None, spec: LossSpec | None = None,
     (a LossError for a loss that does not resolve), a syntax error, or the
     first line that is not UTF-8, after which the rows before it are read
     again and checked.  Given a `span` from `record_spans`, only its lines
-    are read, and their line numbers count from its first line."""
+    are read (a CSV span behind the header line), and their line numbers
+    count from its first line."""
     fmt = _format(path, fmt)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown records format {fmt!r}")
-    read, newline = (_read_csv, "") if fmt == "csv" else (_read_jsonl, None)
+    read = _read_csv if fmt == "csv" else _read_jsonl
     try:
-        with _open(path, newline, span) as fh:
+        with _open(path, fmt, span) as fh:
             raw, lines, failure, ignored = read(fh, path, None)
     except UnicodeDecodeError:
-        with _open(path, newline, span, "surrogateescape") as fh:
+        with _open(path, fmt, span, "surrogateescape") as fh:
             for good, line in enumerate(fh):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -421,6 +421,25 @@ class RecordTable:
         )
 
     @classmethod
+    def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
+        """The rows of `tables` in order, built under one loss spec: the table
+        `from_columns` gives for their columns joined, with one label
+        vocabulary in first-appearance order and each table's codes remapped
+        into it."""
+        specs = {table.spec for table in tables}
+        if len(specs) != 1:
+            raise ValueError(f"tables to join need one loss spec, got {len(specs)}")
+        vocab: dict[str, int] = {}
+        codes = []
+        for table in tables:
+            # code NO_LABEL (-1) reads the last entry, which keeps it
+            remap = np.array([vocab.setdefault(label, len(vocab)) for label in table.labels] + [NO_LABEL])
+            codes.append(remap[table.label_code])
+        columns = {name: np.concatenate([getattr(table, name) for table in tables])
+                   for name in ("ids", "uncertainty", "loss", "tokens_thinking", "tokens_cheap")}
+        return cls(**columns, label_code=np.concatenate(codes), labels=tuple(vocab), spec=specs.pop())
+
+    @classmethod
     def from_records(cls, rows: Sequence[dict], spec: LossSpec) -> "RecordTable":
         """`from_columns` of the columns of `rows`, dicts keyed by the JSONL
         field names, built under `spec`."""

@@ -84,9 +84,10 @@ FORK = os.fork
 READ_WHOLE = cli._read_records
 
 
-@pytest.mark.parametrize("case", [case for case in CASES if case.startswith("route-")])
-def test_route_writes_the_golden_bytes_on_any_cpu_count(case, tmp_path, monkeypatch):
-    """Spans of at least 512 bytes cut the 23 kB route input into one span per CPU, up to 25."""
+def _same_bytes_on_any_cpu_count(case: str, tmp_path, monkeypatch) -> None:
+    """Spans of at least 512 bytes cut each golden input (16-78 kB) into one span per CPU, up to 25: the outputs
+    keep their golden bytes, with one fork per span after the first and no read of the whole file but on one
+    CPU."""
     monkeypatch.chdir(tmp_path)
     forks, whole = [], []  # forks, and reads of the whole file (the one-span path)
 
@@ -113,6 +114,17 @@ def test_route_writes_the_golden_bytes_on_any_cpu_count(case, tmp_path, monkeypa
         assert (len(forks), len(whole)) == (cpus - 1, cpus == 1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.startswith("route-")])
+def test_route_writes_the_golden_bytes_on_any_cpu_count(case, tmp_path, monkeypatch):
+    _same_bytes_on_any_cpu_count(case, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if not case.startswith("route-")])
+def test_calibrate_and_evaluate_write_the_golden_bytes_on_any_cpu_count(case, tmp_path, monkeypatch):
+    """Each span sends back its resolved table, and the joined tables calibrate and evaluate as the whole file's."""
+    _same_bytes_on_any_cpu_count(case, tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":

@@ -422,6 +422,35 @@ def test_take_gives_the_columns_of_its_rows():
             table.take(bad)
 
 
+# (uncertainty, loss, label, tokens_thinking, tokens_cheap): few values, as a join moves values without reading
+# them, so a failing example shrinks fast
+_TABLE_ROW = st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.5]),
+                       st.sampled_from([None, "a", "b", "c"]), st.sampled_from([None, 0, 7]),
+                       st.sampled_from([None, 2]))
+
+
+@given(st.lists(_TABLE_ROW, max_size=20), st.lists(st.integers(0, 20), max_size=4))
+def test_concat_of_a_split_is_the_table_of_the_whole(rows, cuts):
+    """Repeated cuts give empty parts; a label may first appear in any part, or a part hold none."""
+    records = [resolved(i, *row) for i, row in enumerate(rows)]
+    whole = RecordTable.from_records(records, LossSpec())
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    parts = [RecordTable.from_records(records[a:b], LossSpec()) for a, b in zip(bounds, bounds[1:])]
+    joined = RecordTable.concat(parts)
+    assert joined.labels == whole.labels and joined.spec == whole.spec
+    for name in ("ids", "uncertainty", "loss", "label_code", "tokens_thinking", "tokens_cheap"):
+        assert getattr(joined, name).dtype == getattr(whole, name).dtype
+        np.testing.assert_array_equal(getattr(joined, name), getattr(whole, name))
+
+
+def test_concat_needs_tables_of_one_loss_spec():
+    table = RecordTable(**table_columns())
+    assert len(RecordTable.concat([table, table])) == 4
+    for tables in ([], [table, RecordTable(**table_columns(spec=LossSpec(bound_B=2.0)))]):
+        with pytest.raises(ValueError, match="one loss spec"):
+            RecordTable.concat(tables)
+
+
 def table_columns(**overrides):
     columns = dict(ids=["a", "b"], uncertainty=[0.1, 0.9], loss=[0.0, 1.0],
                    label_code=[0, NO_LABEL], labels=("g",),

@@ -1,6 +1,7 @@
-"""`route` reads and routes a JSONL file in one byte span per CPU: the
-decisions, stdout, stderr and exit code must be those of the one-span run,
-whatever the CPU count, the cut or the error."""
+"""`route` reads and routes a records file, JSONL or CSV, in one byte span
+per CPU: the decisions, stdout, stderr and exit code must be those of the
+one-span run, whatever the CPU count, the cut or the error.  calibrate and
+evaluate read through the same spans (tests/test_golden.py)."""
 
 import json
 import os
@@ -139,14 +140,78 @@ def test_crlf_and_lone_cr_line_ends_route_as_in_one_span(monkeypatch, capsys, tm
     assert (code, forks, whole, len(decisions.splitlines())) == (0, 2, 0, 300)
 
 
+def _csv(rows: int = 300, header: str = "id,uncertainty,group_label\n") -> str:
+    return header + "".join(f"r{i:07d},{(i * 37 % 1000) / 1000},{LABELS[i % len(LABELS)] or ''}\n" for i in range(rows))
+
+
 @pytest.mark.parametrize("name, options", [("r.csv", ()), ("r.txt", ("--format", "csv"))], ids=["extension", "flag"])
-def test_a_csv_file_stays_one_span(monkeypatch, capsys, tmp_path, name, options):
+def test_a_quote_free_csv_file_is_cut_into_spans(monkeypatch, capsys, tmp_path, name, options):
     records = tmp_path / name
-    records.write_text("id,uncertainty,group_label\n" + "".join(
-        f"r{i:07d},{(i * 37 % 1000) / 1000},{LABELS[i % len(LABELS)] or ''}\n" for i in range(300)))
+    records.write_text(_csv())
     assert records.stat().st_size > 3 * 512
     (code, _, _, decisions), forks, whole = _same_on_spans(monkeypatch, capsys, records, 3, *options)
+    assert (code, forks, whole, len(decisions.splitlines())) == (0, 2, 0, 300)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("group_label", '"group_label"', 1),
+    lambda text: text.replace("r0000250,0.25,", 'r0000250,0.25,"al\npha"', 1),  # a newline inside a cell
+    lambda text: text.replace("\n", "\r", 1),  # the header line ends in a lone CR
+], ids=["quoted-header", "newline-in-a-cell", "lone-cr-header"])
+def test_a_csv_file_with_a_quote_or_a_cr_in_its_header_line_stays_one_span(monkeypatch, capsys, tmp_path, edit):
+    records = tmp_path / "r.csv"
+    records.write_bytes(edit(_csv()).encode())
+    (code, _, _, decisions), forks, whole = _same_on_spans(monkeypatch, capsys, records)
     assert (code, forks, whole, len(decisions.splitlines())) == (0, 0, 1, 300)
+
+
+def test_a_csv_file_with_a_byte_order_mark_reads_as_in_one_span(monkeypatch, capsys, tmp_path):
+    records = tmp_path / "r.csv"
+    records.write_text("\ufeff" + _csv(), encoding="utf-8")
+    (code, _, _, decisions), forks, whole = _same_on_spans(monkeypatch, capsys, records)
+    assert (code, forks, whole, decisions.count(b"\n")) == (0, 2, 0, 300)
+    assert decisions.startswith(b'{"id": "r0000000"')  # the header, read in every span, lost its mark
+    # a U+FEFF that starts a later span is a character of its row's id
+    text = records.read_bytes()
+    start = record_spans(records, None, 512)[1][0]
+    records.write_bytes(text[:start] + "\ufeff".encode() + text[start:])
+    (code, _, _, decisions), forks, whole = _same_on_spans(monkeypatch, capsys, records)
+    assert (code, forks, whole, decisions.count(b"\\ufeff")) == (0, 2, 0, 1)
+
+
+def test_a_bad_cell_in_a_later_csv_span_reads_as_in_one_span(monkeypatch, capsys, tmp_path):
+    records = tmp_path / "r.csv"
+    records.write_text(_csv().replace("r0000250,0.25,", "r0000250,x,", 1))
+    (code, out, err, decisions), forks, whole = _same_on_spans(monkeypatch, capsys, records)
+    assert (code, out, decisions, forks, whole) == (2, "", None, 2, 1)
+    message = "field 'uncertainty': could not convert string to float: 'x'"
+    assert err == f"error: cannot read records: {records}:252: {message}\n"
+
+
+@pytest.mark.parametrize("command, name", [("calibrate", "r.jsonl"), ("evaluate", "r.csv")])
+def test_a_loss_error_in_a_later_span_reads_as_in_one_span(monkeypatch, capsys, tmp_path, command, name):
+    """calibrate and evaluate resolve losses in each span; the first loss that does not resolve is reported
+    from the whole file."""
+    rows = [{"id": f"r{i:07d}", "uncertainty": (i * 37 % 1000) / 1000, "thinking_answer": "4",
+             "cheap_answer": "4" if i % 3 else "5", "gold_answer": "4"} for i in range(300)]
+    rows[250]["gold_answer"] = " "
+    records = tmp_path / name
+    if name.endswith(".csv"):
+        records.write_text(",".join(rows[0]) + "\n" + "".join(",".join(map(str, row.values())) + "\n" for row in rows))
+        line = 252
+    else:
+        records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        line = 251
+    options = ["--epsilon", "0.1"] if command == "calibrate" else ["--policy", str(POLICY)]
+    argv = [command, "--records", str(records), "--loss-kind", "binary", *options, "--out", str(tmp_path / "out")]
+    runs = []
+    for cpus in (1, 3):
+        forks, whole = _with_cpus(monkeypatch, cpus)
+        runs.append((cli.main(argv), *capsys.readouterr(), len(forks), len(whole)))
+    message = "binary loss needs non-empty thinking/cheap/gold answers"
+    one = (2, "", f"error: cannot resolve losses: {records}:{line}: {message}\n")
+    assert runs == [(*one, 0, 1), (*one, 2, 1)]
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_file_of_blank_lines_has_no_records(monkeypatch, capsys, tmp_path):
